@@ -95,7 +95,10 @@ def cmd_estimate(args) -> int:
     }
     if args.method in ("srp-p", "srp-mp"):
         nb = estimate.srp_narrowband(spec, grid, geom, frame_range=frame_range)
-        weights = mask.weights if args.method == "srp-mp" else np.ones_like(mask.weights)
+        if args.method == "srp-p":
+            mask = attention.ones_mask(spec.num_bins, spec.num_frames)
+        # zero the bins above --max-freq-hz, as the estimator did
+        weights = estimate._alias_limited(mask, spec, geom, args.max_freq_hz).weights
         frames = nb.values.shape[2]
         start = frame_range[0] if frame_range else 0
         w = weights[:, start : start + frames]

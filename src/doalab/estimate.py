@@ -218,7 +218,7 @@ def _alias_limited(mask: AttentionMask, spec: MultichannelSpectrogram, geom: Arr
     """Optionally zero mask rows above a frequency limit (aliasing ablation)."""
     if max_freq_hz is None:
         return mask
-    freqs = np.arange(spec.num_bins) * spec.sample_rate / spec.window_length
+    freqs = spec.bin_frequency(np.arange(spec.num_bins))
     weights = mask.weights.copy()
     weights[freqs > max_freq_hz, :] = 0.0
     return AttentionMask(weights)

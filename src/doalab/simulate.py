@@ -24,6 +24,15 @@ from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, Tim
 SINC_HALF_TAPS = 40  # 81-tap Hann-windowed sinc for fractional delays
 SABINE_CONSTANT = 24.0 * np.log(10.0)
 
+# per-tap constants of _scatter_pulses, tap m = -SINC_HALF_TAPS .. SINC_HALF_TAPS
+_TAP_OFFSETS = np.arange(-SINC_HALF_TAPS, SINC_HALF_TAPS + 1)
+_TAP_ANGLES = np.pi * _TAP_OFFSETS / SINC_HALF_TAPS
+_TAP_BASIS = (
+    0.5
+    * np.where(_TAP_OFFSETS % 2 == 0, -1.0, 1.0)
+    * np.stack([np.ones(_TAP_OFFSETS.size), np.cos(_TAP_ANGLES), np.sin(_TAP_ANGLES)])
+)
+
 
 @dataclass(frozen=True)
 class RoomSpec:
@@ -194,19 +203,55 @@ def _sinc_kernel(arg: np.ndarray) -> np.ndarray:
 
 
 def _scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Accumulate fractional-delay pulses into a tap buffer of ``length``."""
-    out = np.zeros(length)
-    offsets = np.arange(-SINC_HALF_TAPS, SINC_HALF_TAPS + 1)
-    chunk = 200_000
+    """Accumulate fractional-delay pulses into a tap buffer of ``length``.
+
+    Each pulse is the ``_sinc_kernel`` centred on its delay, evaluated with
+    three trig calls per pulse instead of two per tap. The delay is split
+    at the nearest integer, ``d = base + f`` with ``|f| <= 0.5``, so that
+    ``f`` is exact and ``sin(pi f)`` keeps full precision near integers.
+    On tap ``base + m``, with ``H = SINC_HALF_TAPS``:
+
+    - sinc: ``sin(pi (m - f)) = -(-1)**m sin(pi f)``;
+    - Hann: ``cos(pi (m - f) / H) = cos(pi m / H) cos(pi f / H)
+      + sin(pi m / H) sin(pi f / H)``.
+
+    So the numerator of every tap is a per-pulse 3-vector times the fixed
+    3 x (2H + 1) ``_TAP_BASIS``, and only the division by ``m - f`` is
+    per tap.
+    """
+    half = SINC_HALF_TAPS
+    base = np.rint(delays)
+    # pulses whose kernel misses [0, length) are dropped, so a buffer padded
+    # by 2H on each side holds every tap of the rest
+    touches = (base + half >= 0) & (base - half < length)
+    base, delays, amps = base[touches], delays[touches], amps[touches]
+    frac = delays - base
+    base = base.astype(np.int64)
+    tap_index = np.arange(half, 3 * half + 1)  # buffer index of tap m, less base
+    padded = np.zeros(length + 4 * half)
+    chunk = 2048  # keeps the chunk x (2H + 1) temporaries in cache
     for lo in range(0, delays.size, chunk):
-        d = delays[lo : lo + chunk]
+        f = frac[lo : lo + chunk]
         a = amps[lo : lo + chunk]
-        base = np.floor(d).astype(np.int64)
-        pos = base[:, None] + offsets[None, :]
-        taps = a[:, None] * _sinc_kernel(pos - d[:, None])
-        valid = (pos >= 0) & (pos < length)
-        out += np.bincount(pos[valid], weights=taps[valid], minlength=length)
-    return out
+        coef = a * np.sin(np.pi * f) / np.pi
+        angle = np.pi * f / half
+        per_pulse = np.empty((f.size, 3))
+        per_pulse[:, 0] = coef
+        per_pulse[:, 1] = coef * np.cos(angle)
+        per_pulse[:, 2] = coef * np.sin(angle)
+        taps = per_pulse @ _TAP_BASIS
+        x = _TAP_OFFSETS - f[:, None]
+        # f == 0: sin(pi f) is 0, so every tap is 0 except m == 0, which is 0/0
+        integer = f == 0.0
+        x[integer, half] = 1.0
+        taps /= x
+        taps[integer, half] = a[integer]
+        # |m - f| > H only at the end taps, where the window is zero
+        taps[f > 0.0, 0] = 0.0
+        taps[f < 0.0, -1] = 0.0
+        idx = base[lo : lo + chunk, None] + tap_index
+        padded += np.bincount(idx.ravel(), weights=taps.ravel(), minlength=padded.size)
+    return padded[2 * half : 2 * half + length]
 
 
 def _sabine_absorption(room: RoomSpec, speed_of_sound: float) -> float:
@@ -400,8 +445,10 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
             sample_rate=spec.sample_rate,
             speed_of_sound=spec.geometry.speed_of_sound,
         )
-        full = scipy.signal.fftconvolve(samples[None, :], rir.taps, axes=1)[:, :n]
-        direct = scipy.signal.fftconvolve(samples[None, :], rir.direct_taps, axes=1)[:, :n]
+        # one call for both responses, so the source FFT is taken once
+        responses = np.vstack([rir.taps, rir.direct_taps])
+        both = scipy.signal.fftconvolve(samples[None, :], responses, axes=1)
+        full, direct = np.split(both[:, :n], 2)
         directs.append(direct)
         reverbs.append(full - direct)
         gains.append(1.0)

@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from doalab.cli import main
 from doalab.estimate import srp_flops
 from doalab.geometry import ArrayGeometry
 from doalab.signal import write_wav
-from doalab.simulate import plane_wave_synthesize, white_noise
+from doalab.simulate import TimeSignal, plane_wave_synthesize, white_noise
 
 FS = 16000
 
@@ -93,6 +94,28 @@ class TestEstimate:
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.wav")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["srp-p", "srp-mp"])
+    def test_max_freq_limits_sps_per_frame(self, tmp_path, capsys, method):
+        # low band from 60 deg, a wider high band from 120 deg: only the
+        # limit decides which one the summed per-frame spectrum points at
+        geom = ArrayGeometry.uniform(4, 0.08)
+        low = scipy.signal.butter(8, 1500.0, "lowpass", fs=FS, output="sos")
+        high = scipy.signal.butter(8, 3000.0, "highpass", fs=FS, output="sos")
+        parts = []
+        for sos, doa, seed in ((low, 60.0, 1), (high, 120.0, 2)):
+            band = scipy.signal.sosfilt(sos, white_noise(1, 8000, seed=seed).samples[0])
+            parts.append(plane_wave_synthesize(TimeSignal(band[None, :], FS), doa, geom).samples)
+        path = tmp_path / "two_band.wav"
+        write_wav(path, TimeSignal(parts[0] + parts[1], FS))
+        picks = {}
+        for limit in ([], ["--max-freq-hz", "2000"]):
+            assert main(["estimate", "--input", str(path), "--method", method, *limit]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            summed = np.sum(payload["sps_per_frame"], axis=0)
+            assert payload["grid_deg"][int(np.argmax(summed))] == payload["picked_doa_deg"]
+            picks[bool(limit)] = payload["picked_doa_deg"]
+        assert picks == {False: 120.0, True: 60.0}
 
 
 class TestSimulate:

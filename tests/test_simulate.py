@@ -26,6 +26,63 @@ def _windowed_sinc(offsets, half=40):
     return np.sinc(offsets) * w
 
 
+def _reference_scatter(length, delays, amps, half=40):
+    # per-tap formulation: the kernel evaluated with trig on every tap
+    out = np.zeros(length)
+    base = np.floor(delays).astype(np.int64)
+    pos = base[:, None] + np.arange(-half, half + 1)[None, :]
+    taps = amps[:, None] * _windowed_sinc(pos - delays[:, None], half)
+    valid = (pos >= 0) & (pos < length)
+    out += np.bincount(pos[valid], weights=taps[valid], minlength=length)
+    return out
+
+
+class TestScatterPulses:
+    LENGTH = 600
+
+    def _assert_matches_reference(self, delays, amps):
+        for d, a in zip(delays, amps):
+            got = simulate._scatter_pulses(self.LENGTH, np.array([d]), np.array([a]))
+            ref = _reference_scatter(self.LENGTH, np.array([d]), np.array([a]))
+            assert got.shape == (self.LENGTH,)
+            np.testing.assert_allclose(
+                got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(), err_msg=f"delay {d!r}"
+            )
+        got = simulate._scatter_pulses(self.LENGTH, delays, amps)
+        ref = _reference_scatter(self.LENGTH, delays, amps)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_random_delays(self):
+        rng = np.random.default_rng(0)
+        delays = rng.uniform(0.0, self.LENGTH, 300)
+        self._assert_matches_reference(delays, rng.uniform(-1.0, 1.0, delays.size))
+
+    def test_exact_integers_and_zero(self):
+        delays = np.array([0.0, 1.0, 39.0, 40.0, 41.0, 300.0, self.LENGTH - 1.0])
+        self._assert_matches_reference(delays, np.linspace(0.5, 2.0, delays.size))
+
+    def test_integers_plus_minus_tiny(self):
+        centers = np.array([1.0, 40.0, 123.0, 500.0])
+        delays = np.concatenate([centers + 1e-13, centers - 1e-13])
+        self._assert_matches_reference(delays, np.ones(delays.size))
+
+    def test_half_integers(self):
+        delays = np.array([0.5, 1.5, 39.5, 40.5, 250.5, self.LENGTH - 0.5])
+        self._assert_matches_reference(delays, -np.ones(delays.size))
+
+    def test_kernel_running_past_length(self):
+        # near either end the kernel is clipped; beyond it, nothing lands
+        n = self.LENGTH
+        delays = np.array([0.2, 3.7, n - 3.3, n + 0.4, n + 25.6, n + 38.3, n + 39.5])
+        self._assert_matches_reference(delays, np.ones(delays.size))
+        far = simulate._scatter_pulses(n, np.array([n + 40.5, 10.0 * n]), np.ones(2))
+        np.testing.assert_array_equal(far, np.zeros(n))
+
+    def test_empty_delays(self):
+        out = simulate._scatter_pulses(self.LENGTH, np.array([]), np.array([]))
+        np.testing.assert_array_equal(out, np.zeros(self.LENGTH))
+
+
 class TestImageMethodRir:
     def test_free_field_single_fractional_pulse(self):
         room = RoomSpec(np.array([6.0, 5.0, 2.7]), 0.0)
@@ -55,6 +112,38 @@ class TestImageMethodRir:
         edc_db = 10.0 * np.log10(edc / edc.max())
         crossing = np.argmax(edc_db <= -60.0) / FS
         assert 0.4 <= crossing <= 0.6
+
+    @pytest.mark.parametrize("t60", [0.2, 0.3, 0.8])
+    def test_schroeder_crossing_tracks_t60(self, t60):
+        # default length: the response ends 50 ms after t60
+        room = RoomSpec(np.array([6.0, 5.0, 2.7]), t60)
+        rir = image_method_rir(room, [2.0, 2.5, 1.4], [[4.0, 2.5, 1.4]], sample_rate=FS)
+        h = rir.taps[0]
+        edc = np.cumsum(h[::-1] ** 2)[::-1]
+        edc_db = 10.0 * np.log10(edc / edc.max())
+        crossing = np.argmax(edc_db <= -60.0) / FS
+        assert 0.8 * t60 <= crossing <= 1.2 * t60
+
+    @pytest.mark.parametrize("doa_deg", [0.0, 25.0, 60.0, 90.0, 135.0, 180.0])
+    def test_direct_path_delays_match_far_field_model(self, doa_deg):
+        # a source 1 km away in an anechoic room: the spherical-wave error
+        # of the far-field model is below 1e-3 samples on a 0.24 m aperture
+        geom = ArrayGeometry.uniform(4, 0.08)
+        room = RoomSpec(np.array([2100.0, 1100.0, 10.0]), 0.0)
+        center = np.array([1050.0, 50.0, 5.0])
+        axis, normal = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        mics = center + (geom.aperture / 2.0 - geom.mic_distances)[:, None] * axis
+        theta = np.deg2rad(doa_deg)
+        src = center + 1000.0 * (np.cos(theta) * axis + np.sin(theta) * normal)
+        first = int(np.min(np.linalg.norm(mics - src, axis=1)) / 343.0 * FS) - 200
+        rir = image_method_rir(room, src, mics, length=first + 1024, sample_rate=FS)
+        spectra = np.fft.rfft(rir.direct_taps[:, first:], axis=1)
+        k = np.arange(1, 200)
+        for q in range(1, geom.num_mics):
+            phase = np.unwrap(np.angle(spectra[q, k] * np.conj(spectra[0, k])))
+            tau = -np.polyfit(k, phase, 1)[0] * 1024 / (2.0 * np.pi)
+            expected = np.cos(theta) * geom.mic_distances[q] / 343.0 * FS
+            assert tau == pytest.approx(expected, abs=5e-3)
 
     def test_positions_outside_room_raise(self):
         with pytest.raises(ValueError, match="inside the room"):
