@@ -1,6 +1,7 @@
 """Command-line entry point: simulate, estimate, eval, and flops subcommands.
 
-Exit codes: 0 on success, 1 for usage errors, 2 for runtime failures.
+Exit codes: 0 on success, 1 for usage errors (bad arguments, mask
+specifications and config values), 2 for runtime failures.
 Every failure prints a single machine-parsable line ``error: <message>``
 to stderr. ``--jobs`` (default from ``DOALAB_JOBS``) bounds worker
 parallelism without affecting output bytes.
@@ -15,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import attention, estimate, evaluate, simulate
+from . import estimate, evaluate, simulate
 from .geometry import ArrayGeometry, make_grid
 from .signal import read_wav, stft, write_wav
 
@@ -65,45 +66,32 @@ def cmd_estimate(args) -> int:
     geom = ArrayGeometry.uniform(signal.num_channels, args.mic_spacing, args.speed_of_sound)
     grid = make_grid(args.grid)
     frame_range = _parse_frames(args.frames)
-    cfg = {"max_freq_hz": args.max_freq_hz, "num_sources_music": args.num_sources}
 
-    if args.mask.startswith("oracle"):
+    kind = args.mask
+    if kind not in ("none", "ones") and os.path.isfile(kind):
+        kind = f"file:{kind}"
+    direct = None
+    if kind.startswith("oracle"):
         if args.direct is None:
             raise _UsageError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
-        direct_spec = stft(read_wav(args.direct), args.window_length, args.hop)
-        if args.mask == "oracle-psm":
-            mask = attention.psm_mask(direct_spec, spec)
-        elif args.mask == "oracle-ratio":
-            mask = attention.magnitude_ratio_mask(direct_spec, spec)
-        else:
-            raise _UsageError(f"unknown mask {args.mask!r}")
-    elif args.mask == "none":
-        mask = attention.ones_mask(spec.num_bins, spec.num_frames)
-    elif os.path.exists(args.mask):
-        mask = attention.load_mask(args.mask)
-    else:
-        raise _UsageError(
-            f"unknown mask {args.mask!r}; valid: none, oracle-psm, oracle-ratio, or a mask file path"
-        )
+        direct = stft(read_wav(args.direct), args.window_length, args.hop)
+    try:
+        mask = evaluate.build_mask(kind, spec, direct)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
-    picked = evaluate.estimate_scene(spec, mask, args.method, grid, geom, cfg, frame_range)
+    core = estimate.EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=args.max_freq_hz)
+    sps = evaluate.method_spectrum(core, mask, args.method, args.num_sources)
     payload = {
         "method": args.method,
         "mask": args.mask,
         "grid_deg": list(grid.angles_deg),
-        "picked_doa_deg": picked,
+        "picked_doa_deg": estimate.pick_doa(sps, grid),
     }
     if args.method in ("srp-p", "srp-mp"):
-        nb = estimate.srp_narrowband(spec, grid, geom, frame_range=frame_range)
-        if args.method == "srp-p":
-            mask = attention.ones_mask(spec.num_bins, spec.num_frames)
-        # zero the bins above --max-freq-hz, as the estimator did
-        weights = estimate._alias_limited(mask, spec, geom, args.max_freq_hz).weights
-        frames = nb.values.shape[2]
-        start = frame_range[0] if frame_range else 0
-        w = weights[:, start : start + frames]
-        per_frame = np.einsum("ckn,kn->cn", nb.values, w * w)
-        payload["sps_per_frame"] = per_frame.T.tolist()
+        # the per-frame sums of the same weighted narrowband spectrum as the pick
+        weights = core.srp_weights(mask if args.method == "srp-mp" else None)
+        payload["sps_per_frame"] = estimate.combine(core.nb, weights, per_frame=True).T.tolist()
     out = json.dumps(payload, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -152,7 +140,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="estimate the DOA of a multichannel WAV")
     p.add_argument("--input", required=True)
-    p.add_argument("--mask", default="none", help="none, oracle-psm, oracle-ratio, or a mask file")
+    p.add_argument(
+        "--mask",
+        default="none",
+        help=f"{evaluate.MASK_KINDS}, or a mask file path; random-band uses seed 0",
+    )
     p.add_argument("--direct", help="direct-path WAV needed by oracle masks")
     p.add_argument("--method", default="srp-p", choices=evaluate.KNOWN_METHODS)
     p.add_argument("--grid", type=int, default=37)
@@ -187,7 +179,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, evaluate.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - single runtime exit path

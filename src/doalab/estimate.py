@@ -1,12 +1,14 @@
 """DOA estimators: SRP-PHAT, attention-weighted SRP, band-normalized MUSIC.
 
-The steered-response-power core follows the mask-modified PHAT pipeline:
-magnitude-normalize the spectrum, optionally downweight bins with an
-attention mask, form the cross-spectral tensor, steer it over the DOA
-grid, and pick the direction of maximum power. MUSIC forms a per-band
-mask-weighted spatial covariance, projects the grid steering vectors onto
-the noise subspace, normalizes each band's pseudospectrum, and averages
-bands with their mask weights.
+Every steered-response-power output is a weighted sum of one narrowband
+spectrum NB[c, k, n], the per-bin steered power of the unmasked PHAT
+spectrum. A mask scales all channels of a bin alike, so SRP-MP with mask
+M is ``sum_kn M^2 NB``, SRP-PHAT is the case M = 1, and output masking is
+``sum_kn M NB / sum_kn M``. MUSIC averages per-band pseudospectra of
+mask-weighted covariances, each normalized to max 1, with the bands' mask
+weights. :class:`EstimatorCore` keeps the mask-independent part (steering,
+NB, per-bin outer products) of one spectrogram and frame range, so each
+further mask costs one weighted sum or one batched eigendecomposition.
 
 The steering is applied so that a source whose inter-microphone delays
 follow the far-field model of :func:`doalab.geometry.steering_matrix`
@@ -16,11 +18,12 @@ produces the power maximum at its own grid angle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .attention import AttentionMask, ones_mask
-from .geometry import ArrayGeometry, DoaGrid, SteeringMatrix, steering_matrix
+from .geometry import ArrayGeometry, DoaGrid, steering_matrix
 from .signal import MultichannelSpectrogram
 
 DEFAULT_PHAT_EPSILON = 1e-8
@@ -43,19 +46,6 @@ class PhatWeighting:
 
 
 @dataclass(frozen=True)
-class CrossSpectralTensor:
-    """Weighted cross spectra, shape (K, N, Q, Q), Hermitian per bin."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 4 or v.shape[2] != v.shape[3]:
-            raise ValueError("cross spectra must be a K x N x Q x Q tensor")
-
-
-@dataclass(frozen=True)
 class SpatialPowerSpectrum:
     """DOA pseudo-likelihood: length C, per-frame C x N, or narrowband C x K x N."""
 
@@ -71,29 +61,16 @@ class SpatialPowerSpectrum:
             raise ValueError("normalized spectrum must have maximum 1")
 
 
+def _phat(bins: np.ndarray, epsilon: float) -> np.ndarray:
+    mag = np.abs(bins)
+    return np.where(mag > epsilon, 1.0 / np.where(mag > epsilon, mag, 1.0), epsilon)
+
+
 def phat_weighting(spec: MultichannelSpectrogram, epsilon: float = DEFAULT_PHAT_EPSILON) -> PhatWeighting:
     """PHAT weighting: 1/|Y| where the magnitude exceeds epsilon, else epsilon."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    mag = np.abs(spec.bins)
-    values = np.where(mag > epsilon, 1.0 / np.where(mag > epsilon, mag, 1.0), epsilon)
-    return PhatWeighting(values)
-
-
-def mask_weighting(weighting: PhatWeighting, mask: AttentionMask) -> PhatWeighting:
-    """Apply an attention mask to a weighting, broadcast over channels."""
-    if weighting.values.shape[1:] != mask.shape:
-        raise ValueError("mask shape must match the weighting's K x N plane")
-    return PhatWeighting(weighting.values * mask.weights[None, :, :])
-
-
-def cross_spectral_tensor(spec: MultichannelSpectrogram, weighting: PhatWeighting) -> CrossSpectralTensor:
-    """Weighted cross-spectral tensor: ``Y W (Y W)^H`` per time-frequency bin."""
-    if weighting.values.shape != spec.bins.shape:
-        raise ValueError("weighting shape must match the spectrogram")
-    weighted = np.transpose(spec.bins * weighting.values, (1, 2, 0))  # (K, N, Q)
-    values = weighted[..., :, None] * np.conj(weighted[..., None, :])
-    return CrossSpectralTensor(values)
+    return PhatWeighting(_phat(spec.bins, epsilon))
 
 
 def _resolve_frames(num_frames: int, frame_range) -> slice:
@@ -107,64 +84,131 @@ def _resolve_frames(num_frames: int, frame_range) -> slice:
     return slice(start, stop)
 
 
-def _srp_divisor(num_frames: int, num_bins: int, num_mics: int) -> float:
-    return float(num_frames * num_bins * max(num_mics - 1, 1) ** 2)
+def narrowband(bins: np.ndarray, steering: np.ndarray, epsilon: float = DEFAULT_PHAT_EPSILON) -> np.ndarray:
+    """Per-bin SRP-PHAT of a Q x K x N spectrum under C x K x Q steering values.
 
-
-def srp(phi: CrossSpectralTensor, steering: SteeringMatrix, frame_range=None) -> SpatialPowerSpectrum:
-    """Steered response power over the DOA grid.
-
-    Sums ``2 Re{D*[c,k,q] Phi[k,n,q,j] D[c,k,j]}`` over frames, bins, and
-    microphone pairs q < j, divided by ``N * K * (Q-1)^2``.
+    Per bin ``|sum_q D*_q A_q|^2 - sum_q |A_q|^2`` with ``A = Y / |Y|``: the
+    pair sum of the cross-spectral formulation without forming it. Every
+    bin is divided by ``N * K * (Q-1)^2``; shape (C, K, N).
     """
-    k, n, q, _ = phi.values.shape
-    frames = _resolve_frames(n, frame_range)
-    phi_v = phi.values[:, frames]
-    d = steering.values
-    total = np.einsum("ckq,knqj,ckj->c", np.conj(d), phi_v, d, optimize=True).real
-    diag = np.einsum("knqq->", phi_v).real
-    values = (total - diag) / _srp_divisor(phi_v.shape[1], k, q)
-    return SpatialPowerSpectrum(values)
-
-
-def narrowband_srp(phi: CrossSpectralTensor, steering: SteeringMatrix) -> SpatialPowerSpectrum:
-    """Per-bin steered response power, shape (C, K, N).
-
-    Summing over bins and frames recovers :func:`srp` exactly; the same
-    divisor is applied to every bin.
-    """
-    k, n, q, _ = phi.values.shape
-    d = steering.values
-    total = np.einsum("ckq,knqj,ckj->ckn", np.conj(d), phi.values, d, optimize=True).real
-    diag = np.einsum("knqq->kn", phi.values).real
-    values = (total - diag[None, :, :]) / _srp_divisor(n, k, q)
-    return SpatialPowerSpectrum(values)
-
-
-def _steered_narrowband(spec: MultichannelSpectrogram, weighting: PhatWeighting, steering: SteeringMatrix) -> np.ndarray:
-    """Fast path for the per-bin SRP of a weighted spectrogram.
-
-    Uses ``|sum_q D*_q A_q|^2 - sum_q |A_q|^2`` per bin, which equals the
-    pair sum of the cross-spectral formulation without materializing it.
-    """
-    weighted = spec.bins * weighting.values  # (Q, K, N)
-    beam = np.einsum("ckq,qkn->ckn", np.conj(steering.values), weighted, optimize=True)
+    weighted = bins * _phat(bins, epsilon)
+    beam = np.einsum("ckq,qkn->ckn", np.conj(steering), weighted, optimize=True)
     power = np.abs(beam) ** 2 - np.sum(np.abs(weighted) ** 2, axis=0)[None, :, :]
     q, k, n = weighted.shape
-    return power / _srp_divisor(n, k, q)
+    return power / float(n * k * max(q - 1, 1) ** 2)
 
 
-def output_masking(narrowband: SpatialPowerSpectrum, mask: AttentionMask) -> SpatialPowerSpectrum:
+def combine(nb: np.ndarray, weights: np.ndarray, per_frame: bool = False) -> np.ndarray:
+    """Sum of a C x K x N narrowband spectrum weighted by a K x N matrix.
+
+    Returns the length-C sum over bins and frames, or with ``per_frame``
+    the C x N sums over bins.
+    """
+    if per_frame:
+        return np.einsum("ckn,kn->cn", nb, weights)
+    return np.tensordot(nb, weights, axes=([1, 2], [0, 1]))
+
+
+class EstimatorCore:
+    """Mask-independent estimator state of one spectrogram, grid and frame range.
+
+    The steering matrix is built here, :attr:`nb` and :attr:`products` on
+    first use. ``max_freq_hz`` zeroes the mask rows above that frequency
+    (aliasing ablation) in every estimate.
+    """
+
+    def __init__(
+        self,
+        spec: MultichannelSpectrogram,
+        grid: DoaGrid,
+        geom: ArrayGeometry,
+        frame_range=None,
+        epsilon: float = DEFAULT_PHAT_EPSILON,
+        max_freq_hz: float | None = None,
+    ):
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        self.shape = (spec.num_bins, spec.num_frames)
+        self.frames = _resolve_frames(spec.num_frames, frame_range)
+        self.bins = spec.bins[:, :, self.frames]
+        self.epsilon = epsilon
+        self.steering = steering_matrix(
+            grid, geom, spec.num_bins, spec.sample_rate, spec.window_length
+        ).values
+        self.cut = None
+        if max_freq_hz is not None:
+            self.cut = spec.bin_frequency(np.arange(spec.num_bins)) > max_freq_hz
+
+    @cached_property
+    def nb(self) -> np.ndarray:
+        """Narrowband SRP-PHAT over the frame range, shape (C, K, N_range)."""
+        return narrowband(self.bins, self.steering, self.epsilon)
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """Per-bin outer products ``Y Y^H`` over the frame range, shape (K, Q*Q, N_range)."""
+        q, k, n = self.bins.shape
+        return np.einsum("qkn,jkn->kqjn", self.bins, np.conj(self.bins)).reshape(k, q * q, n)
+
+    def _weights(self, mask: AttentionMask) -> np.ndarray:
+        if mask.shape != self.shape:
+            raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
+        if self.cut is None:
+            return mask.weights
+        weights = mask.weights.copy()
+        weights[self.cut, :] = 0.0
+        return weights
+
+    def srp_weights(self, mask: AttentionMask | None = None) -> np.ndarray:
+        """Weights of :attr:`nb` for SRP-MP, the squared mask; ``None`` is all ones."""
+        weights = self._weights(mask if mask is not None else ones_mask(*self.shape))
+        if not np.any(weights):
+            raise ValueError("empty attention: mask is all zero")
+        weights = weights[:, self.frames]
+        return weights * weights
+
+    def srp(self, mask: AttentionMask | None = None) -> SpatialPowerSpectrum:
+        """Normalized mask-modified SRP-PHAT; plain SRP-PHAT for ``None``."""
+        return normalize_sps(SpatialPowerSpectrum(combine(self.nb, self.srp_weights(mask))))
+
+    def music(self, mask: AttentionMask, num_sources: int = 1) -> SpatialPowerSpectrum:
+        """Normalized band-weighted MUSIC; see :func:`norm_music`."""
+        q = self.bins.shape[0]
+        if not 1 <= num_sources < q:
+            raise ValueError("num_sources must satisfy 1 <= num_sources < Q")
+        if self.bins.shape[2] < q:
+            raise ValueError("need at least Q frames for a full-rank covariance")
+        weights = self._weights(mask)[:, self.frames]
+        band_weight = weights.sum(axis=1)
+        active = band_weight > MIN_BAND_WEIGHT
+        if not np.any(active):
+            raise ValueError("empty attention: mask is all zero")
+
+        cov = (self.products @ weights[:, :, None]).reshape(-1, q, q)[active]
+        cov /= band_weight[active][:, None, None]
+        _, eigvecs = np.linalg.eigh(cov)
+        noise = eigvecs[:, :, : q - num_sources]  # ascending eigenvalues
+
+        # the array manifold of the delay model is the conjugate steering column
+        manifold = np.conj(self.steering[:, active, :])  # (C, K_a, Q)
+        proj = np.einsum("ckq,kqm->ckm", manifold, noise, optimize=True)
+        denom = np.sum(np.abs(proj) ** 2, axis=2)
+        pseudo = 1.0 / np.maximum(denom, 1e-12)
+        pseudo /= pseudo.max(axis=0, keepdims=True)
+        values = pseudo @ band_weight[active] / band_weight[active].sum()
+        return normalize_sps(SpatialPowerSpectrum(values))
+
+
+def output_masking(nb: SpatialPowerSpectrum, mask: AttentionMask) -> SpatialPowerSpectrum:
     """Mask-weighted average of narrowband spectra over bins and frames."""
-    if narrowband.values.ndim != 3:
+    if nb.values.ndim != 3:
         raise ValueError("output masking needs a C x K x N narrowband spectrum")
-    if narrowband.values.shape[1:] != mask.shape:
+    if nb.values.shape[1:] != mask.shape:
         raise ValueError("mask shape must match the narrowband spectrum")
     total = mask.weights.sum()
     if total <= 0:
         raise ValueError("empty attention: mask weights sum to zero")
-    values = np.tensordot(narrowband.values, mask.weights, axes=([1, 2], [0, 1])) / total
-    return SpatialPowerSpectrum(values)
+    return SpatialPowerSpectrum(combine(nb.values, mask.weights) / total)
 
 
 def normalize_sps(sps: SpatialPowerSpectrum) -> SpatialPowerSpectrum:
@@ -208,22 +252,6 @@ def srp_flops(num_bins: int, num_directions: int, num_mics: int) -> int:
     return int(round(pairs_term + 5 * k * q))
 
 
-def _grid_steering(
-    spec: MultichannelSpectrogram, grid: DoaGrid, geom: ArrayGeometry
-) -> SteeringMatrix:
-    return steering_matrix(grid, geom, spec.num_bins, spec.sample_rate, spec.window_length)
-
-
-def _alias_limited(mask: AttentionMask, spec: MultichannelSpectrogram, geom: ArrayGeometry, max_freq_hz) -> AttentionMask:
-    """Optionally zero mask rows above a frequency limit (aliasing ablation)."""
-    if max_freq_hz is None:
-        return mask
-    freqs = spec.bin_frequency(np.arange(spec.num_bins))
-    weights = mask.weights.copy()
-    weights[freqs > max_freq_hz, :] = 0.0
-    return AttentionMask(weights)
-
-
 def srp_mp(
     spec: MultichannelSpectrogram,
     mask: AttentionMask,
@@ -234,18 +262,7 @@ def srp_mp(
     max_freq_hz: float | None = None,
 ) -> SpatialPowerSpectrum:
     """Mask-modified SRP-PHAT pipeline, returning a normalized spectrum."""
-    mask = _alias_limited(mask, spec, geom, max_freq_hz)
-    if not np.any(mask.weights):
-        raise ValueError("empty attention: mask is all zero")
-    weighting = mask_weighting(phat_weighting(spec, epsilon), mask)
-    steering = _grid_steering(spec, grid, geom)
-    frames = _resolve_frames(spec.num_frames, frame_range)
-    sub = MultichannelSpectrogram(
-        spec.bins[:, :, frames], spec.sample_rate, spec.hop, spec.window_length
-    )
-    sub_w = PhatWeighting(weighting.values[:, :, frames])
-    values = _steered_narrowband(sub, sub_w, steering).sum(axis=(1, 2))
-    return normalize_sps(SpatialPowerSpectrum(values))
+    return EstimatorCore(spec, grid, geom, frame_range, epsilon, max_freq_hz).srp(mask)
 
 
 def srp_phat(
@@ -257,15 +274,7 @@ def srp_phat(
     max_freq_hz: float | None = None,
 ) -> SpatialPowerSpectrum:
     """Plain SRP-PHAT: the mask-modified pipeline with an all-ones mask."""
-    return srp_mp(
-        spec,
-        ones_mask(spec.num_bins, spec.num_frames),
-        grid,
-        geom,
-        frame_range=frame_range,
-        epsilon=epsilon,
-        max_freq_hz=max_freq_hz,
-    )
+    return EstimatorCore(spec, grid, geom, frame_range, epsilon, max_freq_hz).srp()
 
 
 def srp_narrowband(
@@ -276,13 +285,7 @@ def srp_narrowband(
     epsilon: float = DEFAULT_PHAT_EPSILON,
 ) -> SpatialPowerSpectrum:
     """Per-bin SRP-PHAT spectra (C x K x N) for narrowband combination."""
-    steering = _grid_steering(spec, grid, geom)
-    frames = _resolve_frames(spec.num_frames, frame_range)
-    sub = MultichannelSpectrogram(
-        spec.bins[:, :, frames], spec.sample_rate, spec.hop, spec.window_length
-    )
-    values = _steered_narrowband(sub, phat_weighting(sub, epsilon), steering)
-    return SpatialPowerSpectrum(values)
+    return SpatialPowerSpectrum(EstimatorCore(spec, grid, geom, frame_range, epsilon).nb)
 
 
 def norm_music(
@@ -302,34 +305,4 @@ def norm_music(
     with weights ``sum_n M[k, n]``; bands below a tiny total weight are
     dropped.
     """
-    q = spec.num_channels
-    if not 1 <= num_sources < q:
-        raise ValueError("num_sources must satisfy 1 <= num_sources < Q")
-    frames = _resolve_frames(spec.num_frames, frame_range)
-    bins = spec.bins[:, :, frames]
-    if bins.shape[2] < q:
-        raise ValueError("need at least Q frames for a full-rank covariance")
-    mask = _alias_limited(mask, spec, geom, max_freq_hz)
-    weights = mask.weights[:, frames]
-    band_weight = weights.sum(axis=1)
-    active = band_weight > MIN_BAND_WEIGHT
-    if not np.any(active):
-        raise ValueError("empty attention: mask is all zero")
-
-    # stacked covariance per active band: (K_a, Q, Q)
-    yb = bins[:, active]
-    wb = weights[active]
-    cov = np.einsum("qkn,jkn,kn->kqj", yb, np.conj(yb), wb, optimize=True)
-    cov /= band_weight[active][:, None, None]
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    noise = eigvecs[:, :, : q - num_sources]  # ascending eigenvalues
-
-    steering = _grid_steering(spec, grid, geom)
-    # the array manifold of the delay model is the conjugate steering column
-    manifold = np.conj(steering.values[:, active, :])  # (C, K_a, Q)
-    proj = np.einsum("ckq,kqm->ckm", manifold, noise, optimize=True)
-    denom = np.sum(np.abs(proj) ** 2, axis=2)
-    pseudo = 1.0 / np.maximum(denom, 1e-12)
-    pseudo /= pseudo.max(axis=0, keepdims=True)
-    values = pseudo @ band_weight[active] / band_weight[active].sum()
-    return normalize_sps(SpatialPowerSpectrum(values))
+    return EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz).music(mask, num_sources)

@@ -13,6 +13,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import product
@@ -57,6 +58,10 @@ _CONFIG_KEYS = {
 }
 
 KNOWN_METHODS = ("srp-p", "srp-mp", "music")
+MASK_KINDS = (
+    "none, oracle-psm, oracle-ratio, oracle-psm-bin:T, oracle-ratio-bin:T, "
+    "random-band:N, band-range:LO:HI, file:PATH"
+)
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,30 @@ def _as_range(value, rng: np.random.Generator):
     return float(value)
 
 
+class ConfigError(ValueError):
+    """A config value of the wrong type or out of range; the message names its key."""
+
+
+def _check_int(cfg: dict, key: str, minimum: int) -> None:
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_level(cfg: dict, key: str) -> None:
+    value = cfg[key]
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    lo, hi = value if pair else (value, value)
+    if value is not None and not (_is_number(lo) and _is_number(hi) and lo <= hi):
+        raise ConfigError(f"config key {key!r} must be null, a number or a [lo, hi] range, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def validate_config(config: dict) -> dict:
-    """Fill defaults and reject unknown keys (fail-fast reproducibility)."""
+    """Fill defaults, reject unknown keys (ValueError) and bad values (ConfigError)."""
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -174,6 +201,12 @@ def validate_config(config: dict) -> dict:
     cfg.update(config)
     if cfg.get("version") != 1:
         raise ValueError("unsupported config version")
+    _check_int(cfg, "jobs", 1)
+    _check_int(cfg, "eval_frames", 1)
+    _check_int(cfg, "grid_size", 2)
+    _check_int(cfg, "duration_frames", 1)
+    _check_level(cfg, "snr_db")
+    _check_level(cfg, "sir_db")
     if not cfg["methods"]:
         raise ValueError("methods list may not be empty")
     for method in cfg["methods"]:
@@ -234,12 +267,15 @@ def _scene_specs(cfg: dict):
     return specs
 
 
-def build_mask(kind: str, spec, truth, scene_seed: int) -> attention.AttentionMask:
-    """Instantiate a mask from its config string for one scene.
+def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -> attention.AttentionMask:
+    """Instantiate a mask from its config string for one spectrogram.
 
     Kinds: ``none``/``ones``, ``oracle-psm``, ``oracle-ratio``,
     ``oracle-psm-bin:T``, ``oracle-ratio-bin:T``, ``random-band:N``,
-    ``band-range:LO:HI``, ``file:PATH``.
+    ``band-range:LO:HI``, ``file:PATH``. Oracle kinds need ``direct``, the
+    direct-path spectrogram; ``oracle``, when given, is a dict that keeps
+    the unthresholded oracle masks of one scene across calls. A mask file
+    must match the spectrogram's K x N shape.
     """
     k, n = spec.num_bins, spec.num_frames
     if kind in ("none", "ones"):
@@ -250,53 +286,46 @@ def build_mask(kind: str, spec, truth, scene_seed: int) -> attention.AttentionMa
         _, lo, hi = kind.split(":")
         return attention.band_range_mask(k, n, int(lo), int(hi))
     if kind.startswith("file:"):
-        return attention.load_mask(kind.split(":", 1)[1])
-    if kind.startswith("oracle"):
-        if truth is None:
-            raise ValueError(f"mask {kind!r} needs scene ground truth")
-        direct = stft(truth.direct[0], spec.window_length, spec.hop)
-        base = kind
-        v_thr = None
-        if ":" in kind:
-            base, thr = kind.rsplit(":", 1)
-            v_thr = float(thr)
-        if base == "oracle-psm" or base == "oracle-psm-bin":
-            mask = attention.psm_mask(direct, spec)
-        elif base == "oracle-ratio" or base == "oracle-ratio-bin":
-            mask = attention.magnitude_ratio_mask(direct, spec)
-        else:
-            raise ValueError(f"unknown mask kind {kind!r}")
-        if base.endswith("-bin"):
-            if v_thr is None:
-                raise ValueError(f"mask {kind!r} needs a threshold, e.g. oracle-psm-bin:0.4")
-            mask = attention.binarize(mask, v_thr)
+        path = kind.split(":", 1)[1]
+        mask = attention.load_mask(path)
+        if mask.shape != (k, n):
+            shape = " x ".join(map(str, mask.shape))
+            raise ValueError(f"mask file {path} is {shape} (bins x frames), the spectrogram {k} x {n}")
         return mask
-    raise ValueError(f"unknown mask kind {kind!r}")
+    if kind.startswith("oracle"):
+        if direct is None:
+            raise ValueError(f"mask {kind!r} needs the direct-path spectrogram")
+        base, _, thr = kind.partition(":")
+        source = base.removesuffix("-bin")
+        makers = {"oracle-psm": attention.psm_mask, "oracle-ratio": attention.magnitude_ratio_mask}
+        if source not in makers:
+            raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}")
+        oracle = {} if oracle is None else oracle
+        if source not in oracle:
+            oracle[source] = makers[source](direct, spec)
+        if base == source:
+            return oracle[source]
+        if not thr:
+            raise ValueError(f"mask {kind!r} needs a threshold, e.g. oracle-psm-bin:0.4")
+        return attention.binarize(oracle[source], float(thr))
+    raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}")
+
+
+def method_spectrum(core: estimate.EstimatorCore, mask, method: str, num_sources: int = 1):
+    """Normalized spatial power spectrum of one method and mask."""
+    if method == "srp-p":
+        return core.srp()
+    if method == "srp-mp":
+        return core.srp(mask)
+    if method == "music":
+        return core.music(mask, num_sources)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def estimate_scene(spec_stft, mask, method: str, grid: DoaGrid, geom: ArrayGeometry, cfg: dict, frame_range):
     """Run one estimator on a spectrogram and return the picked DOA."""
-    if method == "srp-p":
-        sps = estimate.srp_phat(
-            spec_stft, grid, geom, frame_range=frame_range, max_freq_hz=cfg["max_freq_hz"]
-        )
-    elif method == "srp-mp":
-        sps = estimate.srp_mp(
-            spec_stft, mask, grid, geom, frame_range=frame_range, max_freq_hz=cfg["max_freq_hz"]
-        )
-    elif method == "music":
-        sps = estimate.norm_music(
-            spec_stft,
-            mask,
-            grid,
-            geom,
-            num_sources=cfg["num_sources_music"],
-            frame_range=frame_range,
-            max_freq_hz=cfg["max_freq_hz"],
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return estimate.pick_doa(sps, grid)
+    core = estimate.EstimatorCore(spec_stft, grid, geom, frame_range, max_freq_hz=cfg["max_freq_hz"])
+    return estimate.pick_doa(method_spectrum(core, mask, method, cfg["num_sources_music"]), grid)
 
 
 def _central_frames(num_frames: int, eval_frames: int):
@@ -306,22 +335,27 @@ def _central_frames(num_frames: int, eval_frames: int):
 
 
 def _run_scene(args):
+    """Simulate one scene; every mask x method shares its spectrograms and estimator core."""
     scene_id, t60, spec, cfg = args
     truth = simulate.mix_scene(spec)
     spectrogram = stft(truth.mixture, spec.window_length, spec.hop)
+    direct = stft(truth.direct[0], spec.window_length, spec.hop)
     grid = make_grid(cfg["grid_size"])
-    geom = spec.geometry
     frame_range = _central_frames(spectrogram.num_frames, cfg["eval_frames"])
+    core = estimate.EstimatorCore(
+        spectrogram, grid, spec.geometry, frame_range, max_freq_hz=cfg["max_freq_hz"]
+    )
+    oracle = {}
     records = []
     for mask_kind in cfg["masks"]:
-        mask = build_mask(mask_kind, spectrogram, truth, spec.seed)
+        mask = build_mask(mask_kind, spectrogram, direct, spec.seed, oracle)
         for method in cfg["methods"]:
-            est = estimate_scene(spectrogram, mask, method, grid, geom, cfg, frame_range)
+            sps = method_spectrum(core, mask, method, cfg["num_sources_music"])
             records.append(
                 EvalRecord(
                     scene_id=scene_id,
                     true_doa=spec.sources[0].doa_deg,
-                    est_doa=est,
+                    est_doa=estimate.pick_doa(sps, grid),
                     method=method,
                     mask_kind=mask_kind,
                     frames_used=frame_range[1] - frame_range[0],
@@ -340,7 +374,7 @@ def run_experiment(config: dict, out_dir=None):
     """
     cfg = validate_config(config)
     tasks = [(scene_id, t60, spec, cfg) for scene_id, t60, spec in _scene_specs(cfg)]
-    jobs = int(cfg["jobs"] or 1)
+    jobs = cfg["jobs"]
     results = []
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

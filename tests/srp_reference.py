@@ -1,0 +1,137 @@
+"""Reference formulations the estimators are tested against.
+
+- The K x N x Q x Q cross-spectral path: weighted cross spectra per bin,
+  steered over the grid pair by pair (``srp``, ``narrowband_srp``).
+- One full pass per mask: mask the PHAT weighting, then steer
+  (``reference_srp_mp``), and sum each band's MUSIC covariance from the
+  spectrum (``reference_norm_music``). The library forms ``sum M^2 NB``
+  over one unmasked narrowband spectrum and weights one set of per-bin
+  outer products, which is equal up to rounding.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from doalab.attention import AttentionMask
+from doalab.estimate import (
+    MIN_BAND_WEIGHT,
+    PhatWeighting,
+    SpatialPowerSpectrum,
+    normalize_sps,
+    phat_weighting,
+)
+from doalab.geometry import SteeringMatrix, steering_matrix
+from doalab.signal import MultichannelSpectrogram
+
+
+@dataclass(frozen=True)
+class CrossSpectralTensor:
+    """Weighted cross spectra, shape (K, N, Q, Q), Hermitian per bin."""
+
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.complex128)
+        object.__setattr__(self, "values", v)
+        if v.ndim != 4 or v.shape[2] != v.shape[3]:
+            raise ValueError("cross spectra must be a K x N x Q x Q tensor")
+
+
+def mask_weighting(weighting: PhatWeighting, mask: AttentionMask) -> PhatWeighting:
+    """Apply an attention mask to a weighting, broadcast over channels."""
+    if weighting.values.shape[1:] != mask.shape:
+        raise ValueError("mask shape must match the weighting's K x N plane")
+    return PhatWeighting(weighting.values * mask.weights[None, :, :])
+
+
+def cross_spectral_tensor(spec: MultichannelSpectrogram, weighting: PhatWeighting) -> CrossSpectralTensor:
+    """Weighted cross-spectral tensor: ``Y W (Y W)^H`` per time-frequency bin."""
+    if weighting.values.shape != spec.bins.shape:
+        raise ValueError("weighting shape must match the spectrogram")
+    weighted = np.transpose(spec.bins * weighting.values, (1, 2, 0))  # (K, N, Q)
+    values = weighted[..., :, None] * np.conj(weighted[..., None, :])
+    return CrossSpectralTensor(values)
+
+
+def _srp_divisor(num_frames: int, num_bins: int, num_mics: int) -> float:
+    return float(num_frames * num_bins * max(num_mics - 1, 1) ** 2)
+
+
+def _frames(num_frames: int, frame_range) -> slice:
+    if frame_range is None:
+        return slice(0, num_frames)
+    return slice(max(0, int(frame_range[0])), min(num_frames, int(frame_range[1])))
+
+
+def srp(phi: CrossSpectralTensor, steering: SteeringMatrix, frame_range=None) -> SpatialPowerSpectrum:
+    """Steered response power over the DOA grid.
+
+    Sums ``2 Re{D*[c,k,q] Phi[k,n,q,j] D[c,k,j]}`` over frames, bins, and
+    microphone pairs q < j, divided by ``N * K * (Q-1)^2``.
+    """
+    k, n, q, _ = phi.values.shape
+    phi_v = phi.values[:, _frames(n, frame_range)]
+    d = steering.values
+    total = np.einsum("ckq,knqj,ckj->c", np.conj(d), phi_v, d, optimize=True).real
+    diag = np.einsum("knqq->", phi_v).real
+    values = (total - diag) / _srp_divisor(phi_v.shape[1], k, q)
+    return SpatialPowerSpectrum(values)
+
+
+def narrowband_srp(phi: CrossSpectralTensor, steering: SteeringMatrix) -> SpatialPowerSpectrum:
+    """Per-bin steered response power, shape (C, K, N).
+
+    Summing over bins and frames recovers :func:`srp` exactly; the same
+    divisor is applied to every bin.
+    """
+    k, n, q, _ = phi.values.shape
+    d = steering.values
+    total = np.einsum("ckq,knqj,ckj->ckn", np.conj(d), phi.values, d, optimize=True).real
+    diag = np.einsum("knqq->kn", phi.values).real
+    values = (total - diag[None, :, :]) / _srp_divisor(n, k, q)
+    return SpatialPowerSpectrum(values)
+
+
+def _alias_limited(weights: np.ndarray, spec: MultichannelSpectrogram, max_freq_hz) -> np.ndarray:
+    if max_freq_hz is None:
+        return weights
+    weights = weights.copy()
+    weights[spec.bin_frequency(np.arange(spec.num_bins)) > max_freq_hz, :] = 0.0
+    return weights
+
+
+def reference_srp_mp(spec, mask, grid, geom, frame_range=None, max_freq_hz=None) -> SpatialPowerSpectrum:
+    """SRP-MP as one pass per mask: weight ``Y / |Y|`` by the mask, then steer."""
+    weights = _alias_limited(mask.weights, spec, max_freq_hz)
+    frames = _frames(spec.num_frames, frame_range)
+    weighted = (spec.bins * mask_weighting(phat_weighting(spec), AttentionMask(weights)).values)[:, :, frames]
+    steering = steering_matrix(grid, geom, spec.num_bins, spec.sample_rate, spec.window_length).values
+    beam = np.einsum("ckq,qkn->ckn", np.conj(steering), weighted, optimize=True)
+    power = np.abs(beam) ** 2 - np.sum(np.abs(weighted) ** 2, axis=0)[None, :, :]
+    q, k, n = weighted.shape
+    return normalize_sps(SpatialPowerSpectrum((power / _srp_divisor(n, k, q)).sum(axis=(1, 2))))
+
+
+def reference_norm_music(
+    spec, mask, grid, geom, num_sources=1, frame_range=None, max_freq_hz=None
+) -> SpatialPowerSpectrum:
+    """Band-normalized MUSIC with each band's covariance summed per mask."""
+    q = spec.num_channels
+    frames = _frames(spec.num_frames, frame_range)
+    bins = spec.bins[:, :, frames]
+    weights = _alias_limited(mask.weights, spec, max_freq_hz)[:, frames]
+    band_weight = weights.sum(axis=1)
+    active = band_weight > MIN_BAND_WEIGHT
+    yb = bins[:, active]
+    cov = np.einsum("qkn,jkn,kn->kqj", yb, np.conj(yb), weights[active], optimize=True)
+    cov /= band_weight[active][:, None, None]
+    _, eigvecs = np.linalg.eigh(cov)
+    noise = eigvecs[:, :, : q - num_sources]
+    steering = steering_matrix(grid, geom, spec.num_bins, spec.sample_rate, spec.window_length)
+    manifold = np.conj(steering.values[:, active, :])
+    proj = np.einsum("ckq,kqm->ckm", manifold, noise, optimize=True)
+    pseudo = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=2), 1e-12)
+    pseudo /= pseudo.max(axis=0, keepdims=True)
+    values = pseudo @ band_weight[active] / band_weight[active].sum()
+    return normalize_sps(SpatialPowerSpectrum(values))

@@ -13,7 +13,6 @@ import pytest
 
 from doalab import attention, estimate, evaluate, simulate
 from doalab.estimate import (
-    cross_spectral_tensor,
     normalize_sps,
     phat_weighting,
     pick_doa,
@@ -25,6 +24,7 @@ from doalab.estimate import (
 )
 from doalab.geometry import ArrayGeometry, make_grid
 from doalab.signal import MultichannelSpectrogram, TimeSignal, stft
+from srp_reference import cross_spectral_tensor
 
 FS = 16000
 GEOM = ArrayGeometry.uniform(4, 0.08)
@@ -101,7 +101,7 @@ def twosource_scenes():
             weights = attention.binarize(ratio, float(v)).weights[:, fr[0] : fr[1]]
             if not weights.any():
                 continue
-            values = np.tensordot(nb.values, weights, axes=([1, 2], [0, 1]))
+            values = estimate.combine(nb.values, weights)
             sweep[float(v)] = pick_doa(estimate.SpatialPowerSpectrum(values), GRID37)
         rows.append(
             {

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from doalab.attention import AttentionMask, save_mask
 from doalab.cli import main
 from doalab.estimate import srp_flops
 from doalab.geometry import ArrayGeometry
@@ -93,6 +94,43 @@ class TestEstimate:
 
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.wav")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("prefix", ["", "file:"])
+    @pytest.mark.parametrize("method", ["srp-mp", "music"])
+    def test_mask_file(self, broadside_wav, tmp_path, capsys, prefix, method):
+        # 4000 samples give 14 frames of 257 bins
+        path = tmp_path / "ones.mask"
+        save_mask(path, AttentionMask(np.ones((257, 14))))
+        argv = ["estimate", "--input", str(broadside_wav), "--method", method]
+        assert main(argv + ["--mask", f"{prefix}{path}"]) == 0
+        assert json.loads(capsys.readouterr().out)["picked_doa_deg"] == 90.0
+
+    @pytest.mark.parametrize("method", ["srp-p", "srp-mp", "music"])
+    def test_mask_file_shape_mismatch_is_usage_error(self, broadside_wav, tmp_path, capsys, method):
+        path = tmp_path / "small.mask"
+        save_mask(path, AttentionMask(np.ones((100, 7))))
+        argv = ["estimate", "--input", str(broadside_wav), "--method", method, "--mask", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err and "100 x 7" in err and "257 x 14" in err
+
+    @pytest.mark.parametrize(
+        "mask", ["oracle-ratio-bin:0.5", "oracle-psm-bin:0.3", "random-band:100", "band-range:20:200"]
+    )
+    @pytest.mark.parametrize("method", ["srp-mp", "music"])
+    def test_eval_mask_kinds(self, broadside_wav, capsys, mask, method):
+        argv = ["estimate", "--input", str(broadside_wav), "--method", method, "--mask", mask]
+        # the broadside signal is its own direct path
+        assert main(argv + ["--direct", str(broadside_wav)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["picked_doa_deg"] == 90.0
+        assert payload["mask"] == mask
+
+    def test_bad_band_range_is_usage_error(self, broadside_wav, capsys):
+        argv = ["estimate", "--input", str(broadside_wav), "--mask", "band-range:200:20"]
+        assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("method", ["srp-p", "srp-mp"])
@@ -196,6 +234,28 @@ class TestEval:
         code = main(["eval", "--config", str(cfg), "--out-dir", "x", "--vthr-sweep", "oops"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("eval_frames", 0),
+            ("grid_size", 1),
+            ("duration_frames", "12"),
+            ("snr_db", [30.0, 10.0]),
+            ("sir_db", [5.0, -5.0]),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, **{key: value})
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
+    def test_bad_jobs_is_usage_error(self, tmp_path, capsys):
+        # --jobs (default from DOALAB_JOBS) overrides the config's jobs
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1)
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x"), "--jobs", "-3"]) == 1
+        assert "'jobs'" in capsys.readouterr().err
 
     def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

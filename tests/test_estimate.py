@@ -6,20 +6,15 @@ import pytest
 from doalab import estimate
 from doalab.attention import AttentionMask, band_range_mask, ones_mask
 from doalab.estimate import (
-    CrossSpectralTensor,
     PhatWeighting,
     SpatialPowerSpectrum,
     aggregate_frames,
-    cross_spectral_tensor,
-    mask_weighting,
-    narrowband_srp,
     norm_music,
     normalize_sps,
     output_masking,
     phat_weighting,
     pick_doa,
     sps_loss,
-    srp,
     srp_flops,
     srp_mp,
     srp_narrowband,
@@ -28,6 +23,13 @@ from doalab.estimate import (
 from doalab.geometry import ArrayGeometry, make_grid, steering_matrix
 from doalab.signal import MultichannelSpectrogram, stft
 from doalab.simulate import plane_wave_synthesize, white_noise
+from srp_reference import (
+    CrossSpectralTensor,
+    cross_spectral_tensor,
+    mask_weighting,
+    narrowband_srp,
+    srp,
+)
 
 FS = 16000
 GEOM = ArrayGeometry.uniform(4, 0.08)

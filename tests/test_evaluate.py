@@ -1,9 +1,11 @@
 """Metrics, config validation, scene grid enumeration, and the runner."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from doalab import evaluate
+from doalab import estimate, evaluate, simulate
 from doalab.evaluate import (
     EvalRecord,
     EvalReport,
@@ -15,6 +17,8 @@ from doalab.evaluate import (
     validate_config,
 )
 from doalab.geometry import make_grid
+from doalab.signal import stft
+from srp_reference import reference_norm_music, reference_srp_mp
 
 
 def _record(true_doa, est_doa, scene="s0", method="srp-p", mask="none"):
@@ -135,6 +139,31 @@ class TestValidateConfig:
         again = evaluate._scene_specs(cfg)
         assert [s.seed for _, _, s in specs] == [s.seed for _, _, s in again]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("jobs", -3),
+            ("jobs", 1.5),
+            ("eval_frames", 0),
+            ("grid_size", 1),
+            ("duration_frames", "12"),
+            ("duration_frames", True),
+            ("snr_db", [30.0, 10.0]),
+            ("snr_db", [10.0]),
+            ("sir_db", "0"),
+        ],
+    )
+    def test_bad_values_name_their_key(self, key, value):
+        with pytest.raises(evaluate.ConfigError, match=key):
+            validate_config({key: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = validate_config(
+            {"jobs": 1, "eval_frames": 1, "grid_size": 2, "duration_frames": 1,
+             "snr_db": [10.0, 10.0], "sir_db": None}
+        )
+        assert cfg["doas"] == [0.0, 180.0]
+
     def test_interferer_kept_away_from_source(self):
         cfg = validate_config({"sir_db": 0.0, "duration_frames": 4})
         for _, _, spec in evaluate._scene_specs(cfg):
@@ -204,3 +233,89 @@ class TestRunExperiment:
             _tiny_config(methods=["srp-mp"], masks=["random-band:50", "band-range:20:120"])
         )
         assert {r.mask_kind for r in records} == {"random-band:50", "band-range:20:120"}
+
+
+# The masks of `doalab eval --vthr-sweep 0:0.9:0.1` plus two band masks.
+SWEEP_MASKS = (
+    ["none", "oracle-psm", "oracle-ratio"]
+    + [f"oracle-ratio-bin:{t:.2f}" for t in np.arange(0.0, 0.95, 0.1)]
+    + ["random-band:50", "band-range:100:150"]
+)
+
+
+def _sweep_scenes():
+    """Three anechoic two-source scenes, one more with a band limit, one reverberant."""
+    base = {
+        "master_seed": 23,
+        "sir_db": 0.0,
+        "snr_db": [20.0, 30.0],
+        "source": "speech",
+        "interferer": "speech",
+        "methods": ["srp-p", "srp-mp", "music"],
+        "masks": SWEEP_MASKS,
+    }
+    anechoic = validate_config(dict(base, t60=[0.0], doas=[30.0, 95.0, 150.0]))
+    limited = validate_config(dict(base, t60=[0.0], doas=[120.0], max_freq_hz=5000.0))
+    reverb = validate_config(dict(base, t60=[0.3], doas=[70.0], rir_length_s=0.25))
+    return [
+        (scene_id, t60, spec, cfg)
+        for cfg in (anechoic, limited, reverb)
+        for scene_id, t60, spec in evaluate._scene_specs(cfg)
+    ]
+
+
+class TestSharedCore:
+    def test_runner_matches_per_mask_reference(self, monkeypatch):
+        grid = make_grid(37)
+        original_pick = estimate.pick_doa
+        for scene in _sweep_scenes():
+            _, _, spec, cfg = scene
+            spectra = []
+
+            def recording_pick(sps, grid_):
+                spectra.append(sps.values)
+                return original_pick(sps, grid_)
+
+            monkeypatch.setattr(estimate, "pick_doa", recording_pick)
+            _, records = evaluate._run_scene(scene)
+            monkeypatch.setattr(estimate, "pick_doa", original_pick)
+            assert len(records) == len(spectra) == len(SWEEP_MASKS) * 3
+
+            truth = simulate.mix_scene(spec)
+            mix = stft(truth.mixture)
+            direct = stft(truth.direct[0])
+            frames = evaluate._central_frames(mix.num_frames, cfg["eval_frames"])
+            limit = cfg["max_freq_hz"]
+            ones = evaluate.build_mask("none", mix)
+            expected = []
+            for kind in SWEEP_MASKS:
+                mask = evaluate.build_mask(kind, mix, direct, spec.seed)
+                for m in (ones, mask):
+                    expected.append(reference_srp_mp(mix, m, grid, spec.geometry, frames, limit))
+                expected.append(
+                    reference_norm_music(mix, mask, grid, spec.geometry, 1, frames, limit)
+                )
+            for record, values, ref in zip(records, spectra, expected):
+                assert record.est_doa == original_pick(ref, grid), (record.method, record.mask_kind)
+                scale = np.max(np.abs(ref.values))
+                assert np.max(np.abs(values - ref.values)) <= 1e-12 * scale, (
+                    record.method,
+                    record.mask_kind,
+                )
+
+    def test_one_steering_and_narrowband_per_scene(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(estimate, "steering_matrix", counting("steering", estimate.steering_matrix))
+        monkeypatch.setattr(estimate, "narrowband", counting("narrowband", estimate.narrowband))
+        monkeypatch.setattr(evaluate, "stft", counting("stft", evaluate.stft))
+        _, records = evaluate._run_scene(_sweep_scenes()[0])
+        assert len(records) == len(SWEEP_MASKS) * 3
+        assert counts == {"steering": 1, "narrowband": 1, "stft": 2}
