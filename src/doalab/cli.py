@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 for usage errors (bad arguments, mask
 specifications and config values), 2 for runtime failures.
 Every failure prints a single machine-parsable line ``error: <message>``
-to stderr. ``--jobs`` (default from ``DOALAB_JOBS``) bounds worker
-parallelism without affecting output bytes.
+to stderr. ``eval`` bounds worker parallelism, without affecting output
+bytes, by the first of ``--jobs``, the config's ``jobs``, the environment
+variable ``DOALAB_JOBS`` and 1 that is set.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def cmd_estimate(args) -> int:
         raise _UsageError(str(exc)) from exc
 
     core = estimate.EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=args.max_freq_hz)
-    sps = evaluate.method_spectrum(core, mask, args.method, args.num_sources)
+    sps = evaluate.method_spectra(core, [mask], args.method, args.num_sources)[0]
     payload = {
         "method": args.method,
         "mask": args.mask,
@@ -90,9 +91,9 @@ def cmd_estimate(args) -> int:
     }
     if args.method in ("srp-p", "srp-mp"):
         # the per-frame sums of the same weighted narrowband spectrum as the pick
-        weights = core.srp_weights(mask if args.method == "srp-mp" else None)
+        weights = core.srp_weights([mask if args.method == "srp-mp" else None])[0]
         payload["sps_per_frame"] = estimate.combine(core.nb, weights, per_frame=True).T.tolist()
-    out = json.dumps(payload, indent=2)
+    out = json.dumps(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
@@ -117,6 +118,12 @@ def cmd_eval(args) -> int:
         ]
     if args.jobs is not None:
         config["jobs"] = args.jobs
+    elif "jobs" not in config and "DOALAB_JOBS" in os.environ:
+        env_jobs = os.environ["DOALAB_JOBS"]
+        try:
+            config["jobs"] = int(env_jobs)
+        except ValueError as exc:
+            raise _UsageError(f"DOALAB_JOBS must be an integer, got {env_jobs!r}") from exc
     evaluate.run_experiment(config, out_dir=args.out_dir)
     return 0
 
@@ -130,7 +137,6 @@ def cmd_flops(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="doalab", description=__doc__)
-    default_jobs = int(os.environ.get("DOALAB_JOBS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate scene WAVs plus ground-truth JSON")
@@ -163,7 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--methods", help="comma-separated method override")
     p.add_argument("--vthr-sweep", help="LO:HI:STEP sweep of binarized oracle ratio masks")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=int, help="worker processes (default: config jobs, then DOALAB_JOBS, then 1)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("flops", help="flop count of the SRP complexity model")

@@ -7,8 +7,10 @@ M is ``sum_kn M^2 NB``, SRP-PHAT is the case M = 1, and output masking is
 ``sum_kn M NB / sum_kn M``. MUSIC averages per-band pseudospectra of
 mask-weighted covariances, each normalized to max 1, with the bands' mask
 weights. :class:`EstimatorCore` keeps the mask-independent part (steering,
-NB, per-bin outer products) of one spectrogram and frame range, so each
-further mask costs one weighted sum or one batched eigendecomposition.
+NB, per-bin outer products) of one spectrogram and frame range and
+evaluates a list of masks at once: SRP-MP for M masks is one matrix
+product, MUSIC one batched eigendecomposition over all (mask, bin) pairs.
+The single-mask functions are the case M = 1.
 
 The steering is applied so that a source whose inter-microphone delays
 follow the far-field model of :func:`doalab.geometry.steering_matrix`
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .attention import AttentionMask, ones_mask
+from .attention import AttentionMask
 from .geometry import ArrayGeometry, DoaGrid, steering_matrix
 from .signal import MultichannelSpectrogram
 
@@ -150,53 +152,76 @@ class EstimatorCore:
         q, k, n = self.bins.shape
         return np.einsum("qkn,jkn->kqjn", self.bins, np.conj(self.bins)).reshape(k, q * q, n)
 
-    def _weights(self, mask: AttentionMask) -> np.ndarray:
-        if mask.shape != self.shape:
-            raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
-        if self.cut is None:
-            return mask.weights
-        weights = mask.weights.copy()
-        weights[self.cut, :] = 0.0
-        return weights
+    def _weights(self, masks) -> np.ndarray:
+        """Mask weights over the frame range, shape (M, K, N_range).
 
-    def srp_weights(self, mask: AttentionMask | None = None) -> np.ndarray:
-        """Weights of :attr:`nb` for SRP-MP, the squared mask; ``None`` is all ones."""
-        weights = self._weights(mask if mask is not None else ones_mask(*self.shape))
-        if not np.any(weights):
+        ``None`` in ``masks`` is all ones; rows above ``max_freq_hz`` are zeroed.
+        """
+        stack = np.ones((len(masks), self.shape[0], self.bins.shape[2]))
+        for out, mask in zip(stack, masks):
+            if mask is None:
+                continue
+            if mask.shape != self.shape:
+                raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
+            out[:] = mask.weights[:, self.frames]
+        if self.cut is not None:
+            stack[:, self.cut, :] = 0.0
+        return stack
+
+    def srp_weights(self, masks) -> np.ndarray:
+        """Weights of :attr:`nb` for SRP-MP, the squared masks, shape (M, K, N_range)."""
+        weights = self._weights(masks)
+        if not np.all(np.any(weights.reshape(len(masks), -1), axis=1)):
             raise ValueError("empty attention: mask is all zero")
-        weights = weights[:, self.frames]
         return weights * weights
 
-    def srp(self, mask: AttentionMask | None = None) -> SpatialPowerSpectrum:
-        """Normalized mask-modified SRP-PHAT; plain SRP-PHAT for ``None``."""
-        return normalize_sps(SpatialPowerSpectrum(combine(self.nb, self.srp_weights(mask))))
+    def srp(self, masks) -> list[SpatialPowerSpectrum]:
+        """Normalized mask-modified SRP-PHAT per mask; plain SRP-PHAT for ``None``.
 
-    def music(self, mask: AttentionMask, num_sources: int = 1) -> SpatialPowerSpectrum:
-        """Normalized band-weighted MUSIC; see :func:`norm_music`."""
+        One product of the C x (K N) narrowband spectrum with the M x (K N)
+        squared masks.
+        """
+        c = self.nb.shape[0]
+        values = self.nb.reshape(c, -1) @ self.srp_weights(masks).reshape(len(masks), -1).T
+        return [normalize_sps(SpatialPowerSpectrum(v)) for v in values.T]
+
+    def music(self, masks, num_sources: int = 1) -> list[SpatialPowerSpectrum]:
+        """Normalized band-weighted MUSIC per mask; see :func:`norm_music`.
+
+        The covariances of every mask come from one weighted product over
+        :attr:`products` and one batched ``eigh`` over every active
+        (mask, bin) pair; the projection onto the manifold runs mask by mask.
+        """
         q = self.bins.shape[0]
         if not 1 <= num_sources < q:
             raise ValueError("num_sources must satisfy 1 <= num_sources < Q")
         if self.bins.shape[2] < q:
             raise ValueError("need at least Q frames for a full-rank covariance")
-        weights = self._weights(mask)[:, self.frames]
-        band_weight = weights.sum(axis=1)
+        weights = self._weights(masks)
+        band_weight = weights.sum(axis=2)  # (M, K)
         active = band_weight > MIN_BAND_WEIGHT
-        if not np.any(active):
+        if not np.all(np.any(active, axis=1)):
             raise ValueError("empty attention: mask is all zero")
 
-        cov = (self.products @ weights[:, :, None]).reshape(-1, q, q)[active]
+        # (K, Q*Q, N) @ (K, N, M) -> (M, K, Q*Q): every mask's covariance of every bin
+        cov = np.moveaxis(self.products @ weights.transpose(1, 2, 0), 2, 0)
+        cov = cov.reshape(*active.shape, q, q)[active]
         cov /= band_weight[active][:, None, None]
         _, eigvecs = np.linalg.eigh(cov)
         noise = eigvecs[:, :, : q - num_sources]  # ascending eigenvalues
 
         # the array manifold of the delay model is the conjugate steering column
-        manifold = np.conj(self.steering[:, active, :])  # (C, K_a, Q)
-        proj = np.einsum("ckq,kqm->ckm", manifold, noise, optimize=True)
-        denom = np.sum(np.abs(proj) ** 2, axis=2)
-        pseudo = 1.0 / np.maximum(denom, 1e-12)
-        pseudo /= pseudo.max(axis=0, keepdims=True)
-        values = pseudo @ band_weight[active] / band_weight[active].sum()
-        return normalize_sps(SpatialPowerSpectrum(values))
+        manifold = np.conj(self.steering).transpose(1, 0, 2)  # (K, C, Q)
+        spectra = []
+        stop = 0
+        for bands, band_active in zip(band_weight, active):
+            start, stop = stop, stop + np.count_nonzero(band_active)
+            proj = manifold[band_active] @ noise[start:stop]  # (K_a, C, Q - num_sources)
+            pseudo = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=2), 1e-12)
+            pseudo /= pseudo.max(axis=1, keepdims=True)
+            values = bands[band_active] @ pseudo / bands[band_active].sum()
+            spectra.append(normalize_sps(SpatialPowerSpectrum(values)))
+        return spectra
 
 
 def output_masking(nb: SpatialPowerSpectrum, mask: AttentionMask) -> SpatialPowerSpectrum:
@@ -262,7 +287,7 @@ def srp_mp(
     max_freq_hz: float | None = None,
 ) -> SpatialPowerSpectrum:
     """Mask-modified SRP-PHAT pipeline, returning a normalized spectrum."""
-    return EstimatorCore(spec, grid, geom, frame_range, epsilon, max_freq_hz).srp(mask)
+    return EstimatorCore(spec, grid, geom, frame_range, epsilon, max_freq_hz).srp([mask])[0]
 
 
 def srp_phat(
@@ -274,7 +299,7 @@ def srp_phat(
     max_freq_hz: float | None = None,
 ) -> SpatialPowerSpectrum:
     """Plain SRP-PHAT: the mask-modified pipeline with an all-ones mask."""
-    return EstimatorCore(spec, grid, geom, frame_range, epsilon, max_freq_hz).srp()
+    return EstimatorCore(spec, grid, geom, frame_range, epsilon, max_freq_hz).srp([None])[0]
 
 
 def srp_narrowband(
@@ -305,4 +330,5 @@ def norm_music(
     with weights ``sum_n M[k, n]``; bands below a tiny total weight are
     dropped.
     """
-    return EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz).music(mask, num_sources)
+    core = EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz)
+    return core.music([mask], num_sources)[0]

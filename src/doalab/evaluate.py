@@ -311,21 +311,24 @@ def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -
     raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}")
 
 
-def method_spectrum(core: estimate.EstimatorCore, mask, method: str, num_sources: int = 1):
-    """Normalized spatial power spectrum of one method and mask."""
+def method_spectra(core: estimate.EstimatorCore, masks, method: str, num_sources: int = 1):
+    """Normalized spatial power spectra of one method, one per mask.
+
+    ``srp-p`` ignores the mask, so its spectrum is computed once and shared.
+    """
     if method == "srp-p":
-        return core.srp()
+        return core.srp([None]) * len(masks)
     if method == "srp-mp":
-        return core.srp(mask)
+        return core.srp(masks)
     if method == "music":
-        return core.music(mask, num_sources)
+        return core.music(masks, num_sources)
     raise ValueError(f"unknown method {method!r}")
 
 
 def estimate_scene(spec_stft, mask, method: str, grid: DoaGrid, geom: ArrayGeometry, cfg: dict, frame_range):
     """Run one estimator on a spectrogram and return the picked DOA."""
     core = estimate.EstimatorCore(spec_stft, grid, geom, frame_range, max_freq_hz=cfg["max_freq_hz"])
-    return estimate.pick_doa(method_spectrum(core, mask, method, cfg["num_sources_music"]), grid)
+    return estimate.pick_doa(method_spectra(core, [mask], method, cfg["num_sources_music"])[0], grid)
 
 
 def _central_frames(num_frames: int, eval_frames: int):
@@ -335,7 +338,7 @@ def _central_frames(num_frames: int, eval_frames: int):
 
 
 def _run_scene(args):
-    """Simulate one scene; every mask x method shares its spectrograms and estimator core."""
+    """Simulate one scene; build all its masks, then evaluate them in one call per method."""
     scene_id, t60, spec, cfg = args
     truth = simulate.mix_scene(spec)
     spectrogram = stft(truth.mixture, spec.window_length, spec.hop)
@@ -346,16 +349,16 @@ def _run_scene(args):
         spectrogram, grid, spec.geometry, frame_range, max_freq_hz=cfg["max_freq_hz"]
     )
     oracle = {}
+    masks = [build_mask(kind, spectrogram, direct, spec.seed, oracle) for kind in cfg["masks"]]
+    spectra = [method_spectra(core, masks, method, cfg["num_sources_music"]) for method in cfg["methods"]]
     records = []
-    for mask_kind in cfg["masks"]:
-        mask = build_mask(mask_kind, spectrogram, direct, spec.seed, oracle)
-        for method in cfg["methods"]:
-            sps = method_spectrum(core, mask, method, cfg["num_sources_music"])
+    for i, mask_kind in enumerate(cfg["masks"]):
+        for method, method_sps in zip(cfg["methods"], spectra):
             records.append(
                 EvalRecord(
                     scene_id=scene_id,
                     true_doa=spec.sources[0].doa_deg,
-                    est_doa=estimate.pick_doa(sps, grid),
+                    est_doa=estimate.pick_doa(method_sps[i], grid),
                     method=method,
                     mask_kind=mask_kind,
                     frames_used=frame_range[1] - frame_range[0],

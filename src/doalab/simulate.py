@@ -302,32 +302,30 @@ def image_method_rir(
         length = int(np.ceil((max_dist / speed_of_sound + tail) * sample_rate)) + 2 * SINC_HALF_TAPS + 2
     reach = speed_of_sound * length / sample_rate
 
-    if room.t60 > 0:
+    # The images form a separable lattice: per axis, the coordinates of both
+    # parities over orders -n..n and their reflection counts.
+    if room.t60 == 0:
+        orders, parities = np.zeros(3, dtype=int), (0,)  # the source alone
+    else:
         if max_order is None:
             orders = np.ceil((reach + dims) / (2.0 * dims)).astype(int)
         else:
             orders = np.full(3, max_order, dtype=int)
-        axes = []
-        for ax in range(3):
-            m = np.arange(-orders[ax], orders[ax] + 1)
-            coords, refl = [], []
-            for parity in (0, 1):
-                coords.append((1 - 2 * parity) * source_pos[ax] + 2.0 * m * dims[ax])
-                refl.append(np.abs(m - parity) + np.abs(m))
-            axes.append((np.concatenate(coords), np.concatenate(refl)))
-        cx, cy, cz = np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij")
-        rx, ry, rz = np.meshgrid(axes[0][1], axes[1][1], axes[2][1], indexing="ij")
-        positions = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
-        num_reflections = (rx + ry + rz).ravel()
-        gains = beta**num_reflections.astype(np.float64)
-    else:
-        positions = source_pos[None, :]
-        gains = np.ones(1)
+        parities = (0, 1)
+    coords, refl = [], []
+    for ax in range(3):
+        m = np.arange(-orders[ax], orders[ax] + 1)
+        coords.append(np.concatenate([(1 - 2 * p) * source_pos[ax] + 2.0 * m * dims[ax] for p in parities]))
+        refl.append(np.concatenate([np.abs(m - p) + np.abs(m) for p in parities]))
+    num_reflections = refl[0][:, None, None] + refl[1][None, :, None] + refl[2][None, None, :]
+    gains = (beta ** num_reflections.astype(np.float64)).ravel()
 
     taps = np.zeros((mic_positions.shape[0], length))
     direct = np.zeros_like(taps)
     for q, mic in enumerate(mic_positions):
-        dist = np.linalg.norm(positions - mic[None, :], axis=1)
+        sx, sy, sz = ((c - mic[ax]) ** 2 for ax, c in enumerate(coords))
+        # summed in the order of np.linalg.norm over (x, y, z) rows
+        dist = np.sqrt((sx[:, None, None] + sy[None, :, None]) + sz[None, None, :]).ravel()
         keep = dist <= reach
         d = dist[keep]
         amp = gains[keep] / (4.0 * np.pi * d)

@@ -55,6 +55,11 @@ class TestFlops:
         assert main(["flops", "0", "37", "4"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_malformed_doalab_jobs_not_read(self, monkeypatch, capsys):
+        monkeypatch.setenv("DOALAB_JOBS", "abc")
+        assert main(["flops", "257", "37", "4"]) == 0
+        assert capsys.readouterr().out.strip() == "183241"
+
 
 class TestEstimate:
     def test_broadside_wav_picks_90(self, broadside_wav, capsys):
@@ -252,10 +257,38 @@ class TestEval:
         assert err.startswith("error: ") and repr(key) in err
 
     def test_bad_jobs_is_usage_error(self, tmp_path, capsys):
-        # --jobs (default from DOALAB_JOBS) overrides the config's jobs
         cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1)
         assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x"), "--jobs", "-3"]) == 1
         assert "'jobs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config_jobs, env_jobs, flag, code",
+        [
+            (-3, None, None, 1),  # the config's jobs applies without --jobs
+            (-3, None, "1", 0),  # --jobs beats the config
+            (1, "abc", None, 0),  # the config beats DOALAB_JOBS, which is not read
+            (None, "0", None, 1),  # DOALAB_JOBS applies when neither is set
+        ],
+    )
+    def test_jobs_precedence(self, tmp_path, capsys, monkeypatch, config_jobs, env_jobs, flag, code):
+        extra = {} if config_jobs is None else {"jobs": config_jobs}
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, **extra)
+        if env_jobs is None:
+            monkeypatch.delenv("DOALAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("DOALAB_JOBS", env_jobs)
+        argv = ["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]
+        assert main(argv + (["--jobs", flag] if flag else [])) == code
+        if code:
+            assert "'jobs'" in capsys.readouterr().err
+
+    def test_malformed_doalab_jobs_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DOALAB_JOBS", "abc")
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1)
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "DOALAB_JOBS" in err
+        assert len(err.splitlines()) == 1
 
     def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

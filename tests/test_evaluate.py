@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from doalab import estimate, evaluate, simulate
+from doalab import attention, estimate, evaluate, simulate
 from doalab.evaluate import (
     EvalRecord,
     EvalReport,
@@ -319,3 +319,76 @@ class TestSharedCore:
         _, records = evaluate._run_scene(_sweep_scenes()[0])
         assert len(records) == len(SWEEP_MASKS) * 3
         assert counts == {"steering": 1, "narrowband": 1, "stft": 2}
+
+    def test_one_eigh_and_one_srp_p_spectrum_per_scene(self, monkeypatch):
+        counts = Counter()
+        eigh, normalize = np.linalg.eigh, estimate.normalize_sps
+
+        def counting_eigh(a):
+            counts["eigh"] += 1
+            return eigh(a)
+
+        def counting_normalize(sps):
+            counts["spectra"] += 1
+            return normalize(sps)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(estimate, "normalize_sps", counting_normalize)
+        _, records = evaluate._run_scene(_sweep_scenes()[0])
+        assert len(records) == len(SWEEP_MASKS) * 3
+        # srp-p once, srp-mp and music once per mask
+        assert counts == {"eigh": 1, "spectra": 1 + 2 * len(SWEEP_MASKS)}
+
+
+class TestBatchedCore:
+    """One EstimatorCore call over many masks against the per-mask reference."""
+
+    @pytest.mark.parametrize("scene_index", [0, 3, 4])  # anechoic, max_freq_hz 5000, reverberant
+    def test_batch_matches_per_mask_reference(self, scene_index):
+        _, _, spec, cfg = _sweep_scenes()[scene_index]
+        grid = make_grid(37)
+        truth = simulate.mix_scene(spec)
+        mix = stft(truth.mixture)
+        direct = stft(truth.direct[0])
+        limit = cfg["max_freq_hz"]
+        kinds = SWEEP_MASKS + ["oracle-psm-bin:0.99", "band-range:0:0", "band-range:30:40", "random-band:5"]
+        masks = [evaluate.build_mask(kind, mix, direct, spec.seed) for kind in kinds]
+        # the masks' active-bin sets differ, binarized masks have all-zero rows
+        active_rows = [np.any(m.weights, axis=1) for m in masks]
+        assert len({rows.tobytes() for rows in active_rows}) >= 6
+        assert any(not rows.all() for kind, rows in zip(kinds, active_rows) if "-bin:" in kind)
+        for frames in (None, evaluate._central_frames(mix.num_frames, cfg["eval_frames"])):
+            core = estimate.EstimatorCore(mix, grid, spec.geometry, frames, max_freq_hz=limit)
+            batches = {
+                ("srp-mp", 0): core.srp(masks),
+                ("music", 1): core.music(masks, 1),
+                ("music", 2): core.music(masks, 2),
+            }
+            for (method, num_sources), spectra in batches.items():
+                assert len(spectra) == len(masks)
+                for kind, mask, sps in zip(kinds, masks, spectra):
+                    if method == "srp-mp":
+                        ref = reference_srp_mp(mix, mask, grid, spec.geometry, frames, limit)
+                    else:
+                        ref = reference_norm_music(mix, mask, grid, spec.geometry, num_sources, frames, limit)
+                    scale = np.max(np.abs(ref.values))
+                    assert np.max(np.abs(sps.values - ref.values)) <= 1e-12 * scale, (method, num_sources, kind)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_all_zero_mask_anywhere_in_batch_raises(self, position):
+        mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
+        core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))
+        masks = [evaluate.build_mask(kind, mix) for kind in ("none", "band-range:10:20", "random-band:30")]
+        masks[position] = attention.AttentionMask(np.zeros(masks[0].shape))
+        with pytest.raises(ValueError, match="empty attention"):
+            core.srp(masks)
+        with pytest.raises(ValueError, match="empty attention"):
+            core.music(masks)
+
+    def test_mask_shape_checked_per_mask(self):
+        mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
+        core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))
+        masks = [evaluate.build_mask("none", mix), attention.ones_mask(mix.num_bins, mix.num_frames - 1)]
+        for method in (core.srp, core.music):
+            with pytest.raises(ValueError, match="must match"):
+                method(masks)

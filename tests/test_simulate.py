@@ -37,6 +37,36 @@ def _reference_scatter(length, delays, amps, half=40):
     return out
 
 
+def _reference_rir_taps(room, src, mics, max_order, length, fs=FS, c=343.0):
+    # image positions stacked as rows, each mic walking all of them with np.linalg.norm
+    src, mics, dims = np.asarray(src, float), np.asarray(mics, float), room.dimensions
+    reach = c * length / fs
+    if room.t60 == 0:
+        positions, gains = src[None, :], np.ones(1)
+    else:
+        beta = np.sqrt(1.0 - simulate._sabine_absorption(room, c))
+        if max_order is None:
+            orders = np.ceil((reach + dims) / (2.0 * dims)).astype(int)
+        else:
+            orders = np.full(3, max_order)
+        axes = []
+        for ax in range(3):
+            m = np.arange(-orders[ax], orders[ax] + 1)
+            coords = [(1 - 2 * p) * src[ax] + 2.0 * m * dims[ax] for p in (0, 1)]
+            refl = [np.abs(m - p) + np.abs(m) for p in (0, 1)]
+            axes.append((np.concatenate(coords), np.concatenate(refl)))
+        cx, cy, cz = np.meshgrid(axes[0][0], axes[1][0], axes[2][0], indexing="ij")
+        rx, ry, rz = np.meshgrid(axes[0][1], axes[1][1], axes[2][1], indexing="ij")
+        positions = np.stack([cx.ravel(), cy.ravel(), cz.ravel()], axis=1)
+        gains = beta ** (rx + ry + rz).ravel().astype(np.float64)
+    taps = np.zeros((len(mics), length))
+    for q, mic in enumerate(mics):
+        dist = np.linalg.norm(positions - mic[None, :], axis=1)
+        d = dist[dist <= reach]
+        taps[q] = simulate._scatter_pulses(length, d / c * fs, gains[dist <= reach] / (4.0 * np.pi * d))
+    return taps
+
+
 class TestScatterPulses:
     LENGTH = 600
 
@@ -144,6 +174,15 @@ class TestImageMethodRir:
             tau = -np.polyfit(k, phase, 1)[0] * 1024 / (2.0 * np.pi)
             expected = np.cos(theta) * geom.mic_distances[q] / 343.0 * FS
             assert tau == pytest.approx(expected, abs=5e-3)
+
+    @pytest.mark.parametrize("t60, max_order", [(0.0, None), (0.3, None), (0.3, 3)])
+    def test_taps_match_per_mic_norm_walk(self, t60, max_order):
+        room = RoomSpec(np.array([6.0, 5.0, 2.7]), t60)
+        src = [2.0, 2.5, 1.4]
+        mics = [[4.0, 2.5, 1.4], [4.08, 2.51, 1.43], [3.7, 1.2, 2.1]]
+        length = 4000 if t60 else 600
+        rir = image_method_rir(room, src, mics, max_order=max_order, length=length, sample_rate=FS)
+        assert np.array_equal(rir.taps, _reference_rir_taps(room, src, mics, max_order, length))
 
     def test_positions_outside_room_raise(self):
         with pytest.raises(ValueError, match="inside the room"):
