@@ -1,7 +1,8 @@
 """Command-line entry point: simulate, estimate, eval, and flops subcommands.
 
 Exit codes: 0 on success, 1 for usage errors (bad arguments, mask
-specifications and config values), 2 for runtime failures.
+specifications, ``--vthr-sweep`` ranges, config keys and config
+values), 2 for runtime failures.
 Every failure prints a single machine-parsable line ``error: <message>``
 to stderr. ``eval`` bounds worker parallelism, without affecting output
 bytes, by the first of ``--jobs``, the config's ``jobs``, the environment
@@ -82,17 +83,15 @@ def cmd_estimate(args) -> int:
         raise _UsageError(str(exc)) from exc
 
     core = estimate.EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=args.max_freq_hz)
-    sps = evaluate.method_spectra(core, [mask], args.method, args.num_sources)[0]
+    sps = core.spectra(args.method, [mask], args.num_sources)[0]
     payload = {
         "method": args.method,
         "mask": args.mask,
         "grid_deg": list(grid.angles_deg),
         "picked_doa_deg": estimate.pick_doa(sps, grid),
     }
-    if args.method in ("srp-p", "srp-mp"):
-        # the per-frame sums of the same weighted narrowband spectrum as the pick
-        weights = core.srp_weights([mask if args.method == "srp-mp" else None])[0]
-        payload["sps_per_frame"] = estimate.combine(core.nb, weights, per_frame=True).T.tolist()
+    if args.method != "music":
+        payload["sps_per_frame"] = core.per_frame(args.method, mask).T.tolist()
     out = json.dumps(payload)
     if args.out:
         with open(args.out, "w") as fh:
@@ -111,6 +110,8 @@ def cmd_eval(args) -> int:
             lo, hi, step = (float(x) for x in args.vthr_sweep.split(":"))
         except ValueError as exc:
             raise _UsageError("invalid --vthr-sweep, expected LO:HI:STEP") from exc
+        if not (step > 0 and 0 <= lo <= hi <= 1):
+            raise _UsageError(f"--vthr-sweep {args.vthr_sweep} needs STEP > 0 and 0 <= LO <= HI <= 1")
         thresholds = np.arange(lo, hi + step / 2, step)
         config.setdefault("masks", [])
         config["masks"] = list(config["masks"]) + [
@@ -152,7 +153,7 @@ def build_parser() -> _Parser:
         help=f"{evaluate.MASK_KINDS}, or a mask file path; random-band uses seed 0",
     )
     p.add_argument("--direct", help="direct-path WAV needed by oracle masks")
-    p.add_argument("--method", default="srp-p", choices=evaluate.KNOWN_METHODS)
+    p.add_argument("--method", default="srp-p", choices=estimate.METHODS)
     p.add_argument("--grid", type=int, default=37)
     p.add_argument("--frames", help="frame range A:B")
     p.add_argument("--out", help="output JSON path (default: stdout)")

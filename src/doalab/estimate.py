@@ -6,11 +6,11 @@ spectrum. A mask scales all channels of a bin alike, so SRP-MP with mask
 M is ``sum_kn M^2 NB``, SRP-PHAT is the case M = 1, and output masking is
 ``sum_kn M NB / sum_kn M``. MUSIC averages per-band pseudospectra of
 mask-weighted covariances, each normalized to max 1, with the bands' mask
-weights. :class:`EstimatorCore` keeps the mask-independent part (steering,
-NB, per-bin outer products) of one spectrogram and frame range and
-evaluates a list of masks at once: SRP-MP for M masks is one matrix
-product, MUSIC one batched eigendecomposition over all (mask, bin) pairs.
-The single-mask functions are the case M = 1.
+weights. :class:`EstimatorCore` is the one entry point: it keeps the
+mask-independent part (steering, NB, per-bin outer products) of one
+spectrogram and frame range and evaluates a list of masks at once for any
+method in :data:`METHODS`. SRP-MP for M masks is one matrix product, MUSIC
+one batched eigendecomposition over all (mask, bin) pairs.
 
 The steering is applied so that a source whose inter-microphone delays
 follow the far-field model of :func:`doalab.geometry.steering_matrix`
@@ -30,6 +30,7 @@ from .signal import MultichannelSpectrogram
 
 DEFAULT_PHAT_EPSILON = 1e-8
 MIN_BAND_WEIGHT = 1e-6
+METHODS = ("srp-p", "srp-mp", "music")
 
 
 @dataclass(frozen=True)
@@ -86,28 +87,22 @@ def _resolve_frames(num_frames: int, frame_range) -> slice:
     return slice(start, stop)
 
 
-def narrowband(bins: np.ndarray, steering: np.ndarray, epsilon: float = DEFAULT_PHAT_EPSILON) -> np.ndarray:
+def narrowband(bins: np.ndarray, steering: np.ndarray) -> np.ndarray:
     """Per-bin SRP-PHAT of a Q x K x N spectrum under C x K x Q steering values.
 
     Per bin ``|sum_q D*_q A_q|^2 - sum_q |A_q|^2`` with ``A = Y / |Y|``: the
     pair sum of the cross-spectral formulation without forming it. Every
     bin is divided by ``N * K * (Q-1)^2``; shape (C, K, N).
     """
-    weighted = bins * _phat(bins, epsilon)
+    weighted = bins * _phat(bins, DEFAULT_PHAT_EPSILON)
     beam = np.einsum("ckq,qkn->ckn", np.conj(steering), weighted, optimize=True)
     power = np.abs(beam) ** 2 - np.sum(np.abs(weighted) ** 2, axis=0)[None, :, :]
     q, k, n = weighted.shape
     return power / float(n * k * max(q - 1, 1) ** 2)
 
 
-def combine(nb: np.ndarray, weights: np.ndarray, per_frame: bool = False) -> np.ndarray:
-    """Sum of a C x K x N narrowband spectrum weighted by a K x N matrix.
-
-    Returns the length-C sum over bins and frames, or with ``per_frame``
-    the C x N sums over bins.
-    """
-    if per_frame:
-        return np.einsum("ckn,kn->cn", nb, weights)
+def combine(nb: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Length-C sum of a C x K x N narrowband spectrum weighted by a K x N matrix."""
     return np.tensordot(nb, weights, axes=([1, 2], [0, 1]))
 
 
@@ -125,15 +120,11 @@ class EstimatorCore:
         grid: DoaGrid,
         geom: ArrayGeometry,
         frame_range=None,
-        epsilon: float = DEFAULT_PHAT_EPSILON,
         max_freq_hz: float | None = None,
     ):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         self.shape = (spec.num_bins, spec.num_frames)
         self.frames = _resolve_frames(spec.num_frames, frame_range)
         self.bins = spec.bins[:, :, self.frames]
-        self.epsilon = epsilon
         self.steering = steering_matrix(
             grid, geom, spec.num_bins, spec.sample_rate, spec.window_length
         ).values
@@ -144,7 +135,7 @@ class EstimatorCore:
     @cached_property
     def nb(self) -> np.ndarray:
         """Narrowband SRP-PHAT over the frame range, shape (C, K, N_range)."""
-        return narrowband(self.bins, self.steering, self.epsilon)
+        return narrowband(self.bins, self.steering)
 
     @cached_property
     def products(self) -> np.ndarray:
@@ -168,7 +159,7 @@ class EstimatorCore:
             stack[:, self.cut, :] = 0.0
         return stack
 
-    def srp_weights(self, masks) -> np.ndarray:
+    def _srp_weights(self, masks) -> np.ndarray:
         """Weights of :attr:`nb` for SRP-MP, the squared masks, shape (M, K, N_range)."""
         weights = self._weights(masks)
         if not np.all(np.any(weights.reshape(len(masks), -1), axis=1)):
@@ -182,15 +173,20 @@ class EstimatorCore:
         squared masks.
         """
         c = self.nb.shape[0]
-        values = self.nb.reshape(c, -1) @ self.srp_weights(masks).reshape(len(masks), -1).T
+        values = self.nb.reshape(c, -1) @ self._srp_weights(masks).reshape(len(masks), -1).T
         return [normalize_sps(SpatialPowerSpectrum(v)) for v in values.T]
 
     def music(self, masks, num_sources: int = 1) -> list[SpatialPowerSpectrum]:
-        """Normalized band-weighted MUSIC per mask; see :func:`norm_music`.
+        """Normalized NormMUSIC per mask: band-normalized, mask-weighted MUSIC.
 
-        The covariances of every mask come from one weighted product over
-        :attr:`products` and one batched ``eigh`` over every active
-        (mask, bin) pair; the projection onto the manifold runs mask by mask.
+        Per band: mask-weighted sample covariance over frames, noise subspace
+        from the Q - num_sources smallest eigenvalues, pseudospectrum
+        ``1 / ||E_n^H a(theta)||^2`` normalized to max 1. Bands are averaged
+        with weights ``sum_n M[k, n]``; bands below a tiny total weight are
+        dropped. The covariances of every mask come from one weighted
+        product over :attr:`products` and one batched ``eigh`` over every
+        active (mask, bin) pair; the projection onto the manifold runs mask
+        by mask.
         """
         q = self.bins.shape[0]
         if not 1 <= num_sources < q:
@@ -222,6 +218,29 @@ class EstimatorCore:
             values = bands[band_active] @ pseudo / bands[band_active].sum()
             spectra.append(normalize_sps(SpatialPowerSpectrum(values)))
         return spectra
+
+    def spectra(self, method: str, masks, num_sources: int = 1) -> list[SpatialPowerSpectrum]:
+        """Normalized spatial power spectra of one of :data:`METHODS`, one per mask.
+
+        ``srp-p`` ignores the mask, so its spectrum is computed once and shared.
+        """
+        if method == "srp-p":
+            return self.srp([None]) * len(masks)
+        if method == "srp-mp":
+            return self.srp(masks)
+        if method == "music":
+            return self.music(masks, num_sources)
+        raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+
+    def per_frame(self, method: str, mask) -> np.ndarray:
+        """Per-frame sums over bins of the SRP spectrum behind a pick, shape (C, N_range).
+
+        Unnormalized; ``srp-p`` ignores the mask. MUSIC has no per-frame form.
+        """
+        if method not in ("srp-p", "srp-mp"):
+            raise ValueError(f"no per-frame spectrum for method {method!r}; valid: srp-p, srp-mp")
+        weights = self._srp_weights([mask if method == "srp-mp" else None])[0]
+        return np.einsum("ckn,kn->cn", self.nb, weights)
 
 
 def output_masking(nb: SpatialPowerSpectrum, mask: AttentionMask) -> SpatialPowerSpectrum:
@@ -275,60 +294,3 @@ def srp_flops(num_bins: int, num_directions: int, num_mics: int) -> int:
     k, c, q = num_bins, num_directions, num_mics
     pairs_term = ((q - 1) ** 2 / 2.0) * (4 * k * c + 6 * k)
     return int(round(pairs_term + 5 * k * q))
-
-
-def srp_mp(
-    spec: MultichannelSpectrogram,
-    mask: AttentionMask,
-    grid: DoaGrid,
-    geom: ArrayGeometry,
-    frame_range=None,
-    epsilon: float = DEFAULT_PHAT_EPSILON,
-    max_freq_hz: float | None = None,
-) -> SpatialPowerSpectrum:
-    """Mask-modified SRP-PHAT pipeline, returning a normalized spectrum."""
-    return EstimatorCore(spec, grid, geom, frame_range, epsilon, max_freq_hz).srp([mask])[0]
-
-
-def srp_phat(
-    spec: MultichannelSpectrogram,
-    grid: DoaGrid,
-    geom: ArrayGeometry,
-    frame_range=None,
-    epsilon: float = DEFAULT_PHAT_EPSILON,
-    max_freq_hz: float | None = None,
-) -> SpatialPowerSpectrum:
-    """Plain SRP-PHAT: the mask-modified pipeline with an all-ones mask."""
-    return EstimatorCore(spec, grid, geom, frame_range, epsilon, max_freq_hz).srp([None])[0]
-
-
-def srp_narrowband(
-    spec: MultichannelSpectrogram,
-    grid: DoaGrid,
-    geom: ArrayGeometry,
-    frame_range=None,
-    epsilon: float = DEFAULT_PHAT_EPSILON,
-) -> SpatialPowerSpectrum:
-    """Per-bin SRP-PHAT spectra (C x K x N) for narrowband combination."""
-    return SpatialPowerSpectrum(EstimatorCore(spec, grid, geom, frame_range, epsilon).nb)
-
-
-def norm_music(
-    spec: MultichannelSpectrogram,
-    mask: AttentionMask,
-    grid: DoaGrid,
-    geom: ArrayGeometry,
-    num_sources: int = 1,
-    frame_range=None,
-    max_freq_hz: float | None = None,
-) -> SpatialPowerSpectrum:
-    """MUSIC with per-band pseudospectrum normalization and mask weighting.
-
-    Per band: mask-weighted sample covariance over frames, noise subspace
-    from the Q - num_sources smallest eigenvalues, pseudospectrum
-    ``1 / ||E_n^H a(theta)||^2`` normalized to max 1. Bands are averaged
-    with weights ``sum_n M[k, n]``; bands below a tiny total weight are
-    dropped.
-    """
-    core = EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz)
-    return core.music([mask], num_sources)[0]

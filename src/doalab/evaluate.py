@@ -10,6 +10,7 @@ thresholds can be overridden in the config.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import csv
 import io
 import json
@@ -29,35 +30,6 @@ PSACC_THRESHOLD_DEG = 10.0
 
 CSV_COLUMNS = ["scene_id", "method", "mask", "true_doa_deg", "est_doa_deg", "ae_deg", "frames_used"]
 
-_CONFIG_KEYS = {
-    "version",
-    "master_seed",
-    "sample_rate",
-    "stft",
-    "geometry",
-    "grid_size",
-    "rooms",
-    "t60",
-    "smd",
-    "doas",
-    "seeds_per_doa",
-    "snr_db",
-    "sir_db",
-    "source",
-    "interferer",
-    "duration_frames",
-    "rir_length_s",
-    "methods",
-    "masks",
-    "eval_frames",
-    "acc_threshold_deg",
-    "psacc_threshold_deg",
-    "num_sources_music",
-    "max_freq_hz",
-    "jobs",
-}
-
-KNOWN_METHODS = ("srp-p", "srp-mp", "music")
 MASK_KINDS = (
     "none, oracle-psm, oracle-ratio, oracle-psm-bin:T, oracle-ratio-bin:T, "
     "random-band:N, band-range:LO:HI, file:PATH"
@@ -145,7 +117,36 @@ def _as_range(value, rng: np.random.Generator):
 
 
 class ConfigError(ValueError):
-    """A config value of the wrong type or out of range; the message names its key."""
+    """A bad config: an unknown key, or a value of the wrong type or out of range."""
+
+
+_DEFAULTS = {
+    "version": 1,
+    "master_seed": 0,
+    "sample_rate": 16000,
+    "stft": {"window_length": 512, "hop": 256},
+    "geometry": {"num_mics": 4, "mic_spacing_m": 0.08},
+    "grid_size": 37,
+    "rooms": [[6.0, 5.0, 2.7]],
+    "t60": [0.3],
+    "smd": [1.5],
+    "doas": "grid",
+    "seeds_per_doa": 1,
+    "snr_db": 30.0,
+    "sir_db": None,
+    "source": "speech",
+    "interferer": "white",
+    "duration_frames": 100,
+    "rir_length_s": None,
+    "methods": ["srp-p"],
+    "masks": ["none"],
+    "eval_frames": 50,
+    "acc_threshold_deg": ACC_THRESHOLD_DEG,
+    "psacc_threshold_deg": PSACC_THRESHOLD_DEG,
+    "num_sources_music": 1,
+    "max_freq_hz": None,
+    "jobs": 1,
+}
 
 
 def _check_int(cfg: dict, key: str, minimum: int) -> None:
@@ -167,40 +168,14 @@ def _is_number(value) -> bool:
 
 
 def validate_config(config: dict) -> dict:
-    """Fill defaults, reject unknown keys (ValueError) and bad values (ConfigError)."""
-    unknown = sorted(set(config) - _CONFIG_KEYS)
+    """Fill defaults from a fresh copy of the table; raise ConfigError for any bad key or value."""
+    unknown = sorted(set(config) - _DEFAULTS.keys())
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = {
-        "version": 1,
-        "master_seed": 0,
-        "sample_rate": 16000,
-        "stft": {"window_length": 512, "hop": 256},
-        "geometry": {"num_mics": 4, "mic_spacing_m": 0.08},
-        "grid_size": 37,
-        "rooms": [[6.0, 5.0, 2.7]],
-        "t60": [0.3],
-        "smd": [1.5],
-        "doas": "grid",
-        "seeds_per_doa": 1,
-        "snr_db": 30.0,
-        "sir_db": None,
-        "source": "speech",
-        "interferer": "white",
-        "duration_frames": 100,
-        "rir_length_s": None,
-        "methods": ["srp-p"],
-        "masks": ["none"],
-        "eval_frames": 50,
-        "acc_threshold_deg": ACC_THRESHOLD_DEG,
-        "psacc_threshold_deg": PSACC_THRESHOLD_DEG,
-        "num_sources_music": 1,
-        "max_freq_hz": None,
-        "jobs": 1,
-    }
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    cfg = copy.deepcopy(_DEFAULTS)
     cfg.update(config)
-    if cfg.get("version") != 1:
-        raise ValueError("unsupported config version")
+    if cfg["version"] != 1:
+        raise ConfigError(f"unsupported config version {cfg['version']!r}")
     _check_int(cfg, "jobs", 1)
     _check_int(cfg, "eval_frames", 1)
     _check_int(cfg, "grid_size", 2)
@@ -208,12 +183,12 @@ def validate_config(config: dict) -> dict:
     _check_level(cfg, "snr_db")
     _check_level(cfg, "sir_db")
     if not cfg["methods"]:
-        raise ValueError("methods list may not be empty")
+        raise ConfigError("methods list may not be empty")
     for method in cfg["methods"]:
-        if method not in KNOWN_METHODS:
-            raise ValueError(f"unknown method {method!r}; valid: {', '.join(KNOWN_METHODS)}")
+        if method not in estimate.METHODS:
+            raise ConfigError(f"unknown method {method!r}; valid: {', '.join(estimate.METHODS)}")
     if not cfg["masks"]:
-        raise ValueError("masks list may not be empty")
+        raise ConfigError("masks list may not be empty")
     if not isinstance(cfg["t60"], (list, tuple)):
         cfg["t60"] = [cfg["t60"]]
     if not isinstance(cfg["smd"], (list, tuple)):
@@ -311,26 +286,6 @@ def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -
     raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}")
 
 
-def method_spectra(core: estimate.EstimatorCore, masks, method: str, num_sources: int = 1):
-    """Normalized spatial power spectra of one method, one per mask.
-
-    ``srp-p`` ignores the mask, so its spectrum is computed once and shared.
-    """
-    if method == "srp-p":
-        return core.srp([None]) * len(masks)
-    if method == "srp-mp":
-        return core.srp(masks)
-    if method == "music":
-        return core.music(masks, num_sources)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def estimate_scene(spec_stft, mask, method: str, grid: DoaGrid, geom: ArrayGeometry, cfg: dict, frame_range):
-    """Run one estimator on a spectrogram and return the picked DOA."""
-    core = estimate.EstimatorCore(spec_stft, grid, geom, frame_range, max_freq_hz=cfg["max_freq_hz"])
-    return estimate.pick_doa(method_spectra(core, [mask], method, cfg["num_sources_music"])[0], grid)
-
-
 def _central_frames(num_frames: int, eval_frames: int):
     eval_frames = min(eval_frames, num_frames)
     start = (num_frames - eval_frames) // 2
@@ -350,7 +305,7 @@ def _run_scene(args):
     )
     oracle = {}
     masks = [build_mask(kind, spectrogram, direct, spec.seed, oracle) for kind in cfg["masks"]]
-    spectra = [method_spectra(core, masks, method, cfg["num_sources_music"]) for method in cfg["methods"]]
+    spectra = [core.spectra(method, masks, cfg["num_sources_music"]) for method in cfg["methods"]]
     records = []
     for i, mask_kind in enumerate(cfg["masks"]):
         for method, method_sps in zip(cfg["methods"], spectra):

@@ -192,21 +192,11 @@ def speech_shaped_noise(length: int, seed: int, sample_rate: float = DEFAULT_SAM
     return TimeSignal(y[None, :], sample_rate)
 
 
-def _sinc_kernel(arg: np.ndarray) -> np.ndarray:
-    """Hann-windowed sinc evaluated at sample offsets ``arg``."""
-    window = np.where(
-        np.abs(arg) <= SINC_HALF_TAPS,
-        0.5 * (1.0 + np.cos(np.pi * arg / SINC_HALF_TAPS)),
-        0.0,
-    )
-    return np.sinc(arg) * window
-
-
 def _scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Accumulate fractional-delay pulses into a tap buffer of ``length``.
 
-    Each pulse is the ``_sinc_kernel`` centred on its delay, evaluated with
-    three trig calls per pulse instead of two per tap. The delay is split
+    Each pulse is the 81-tap Hann-windowed sinc centred on its delay,
+    evaluated with three trig calls per pulse instead of two per tap. The delay is split
     at the nearest integer, ``d = base + f`` with ``|f| <= 0.5``, so that
     ``f`` is exact and ``sin(pi f)`` keeps full precision near integers.
     On tap ``base + m``, with ``H = SINC_HALF_TAPS``:
@@ -354,13 +344,9 @@ def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) 
     )
     center = SINC_HALF_TAPS + int(np.ceil(np.max(np.abs(delays)))) + 1
     klen = 2 * center + 1
-    x = src.samples[0]
-    out = np.zeros((geom.num_mics, src.num_samples))
-    for q, tau in enumerate(delays):
-        kernel = _sinc_kernel(np.arange(klen) - center - tau)
-        full = scipy.signal.fftconvolve(x, kernel, mode="full")
-        out[q] = full[center : center + src.num_samples]
-    return TimeSignal(out, src.sample_rate)
+    kernels = np.stack([_scatter_pulses(klen, np.array([center + tau]), np.array([1.0])) for tau in delays])
+    full = scipy.signal.fftconvolve(src.samples, kernels, axes=1)
+    return TimeSignal(full[:, center : center + src.num_samples], src.sample_rate)
 
 
 def _source_samples(spec: SceneSpec, source: SourceSpec, length: int, seed: int) -> np.ndarray:

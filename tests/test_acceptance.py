@@ -13,14 +13,12 @@ import pytest
 
 from doalab import attention, estimate, evaluate, simulate
 from doalab.estimate import (
+    EstimatorCore,
     normalize_sps,
     phat_weighting,
     pick_doa,
     sps_loss,
     srp_flops,
-    srp_mp,
-    srp_narrowband,
-    srp_phat,
 )
 from doalab.geometry import ArrayGeometry, make_grid
 from doalab.signal import MultichannelSpectrogram, TimeSignal, stft
@@ -87,21 +85,21 @@ def twosource_scenes():
         direct = stft(truth.direct[0])
         psm = attention.psm_mask(direct, mix)
 
-        sps_p = srp_phat(mix, GRID37, GEOM, frame_range=fr)
-        sps_mp = srp_mp(mix, psm, GRID37, GEOM, frame_range=fr)
+        core = EstimatorCore(mix, GRID37, GEOM, fr)
+        sps_p = core.spectra("srp-p", [psm])[0]
+        sps_mp = core.spectra("srp-mp", [psm])[0]
         core_elapsed += time.perf_counter() - c0
 
-        clean = srp_phat(direct, GRID37, GEOM, frame_range=fr)
+        clean = EstimatorCore(direct, GRID37, GEOM, fr).spectra("srp-p", [None])[0]
         ordering_ok = sps_loss(sps_mp, clean) < sps_loss(sps_p, clean)
 
         ratio = attention.magnitude_ratio_mask(direct, mix)
-        nb = srp_narrowband(mix, GRID37, GEOM, frame_range=fr)
         sweep = {}
         for v in vthrs:
             weights = attention.binarize(ratio, float(v)).weights[:, fr[0] : fr[1]]
             if not weights.any():
                 continue
-            values = estimate.combine(nb.values, weights)
+            values = estimate.combine(core.nb, weights)
             sweep[float(v)] = pick_doa(estimate.SpatialPowerSpectrum(values), GRID37)
         rows.append(
             {
@@ -119,9 +117,10 @@ class TestCriterion1:
     def test_on_grid_anechoic_recovery(self, ongrid_scenes, criterion_report):
         scenes, build_time = ongrid_scenes
         t0 = time.perf_counter()
-        errors = [
-            abs(pick_doa(srp_phat(spec, GRID37, GEOM), GRID37) - doa) for doa, spec in scenes
-        ]
+        errors = []
+        for doa, spec in scenes:
+            sps = EstimatorCore(spec, GRID37, GEOM).spectra("srp-p", [None])[0]
+            errors.append(abs(pick_doa(sps, GRID37) - doa))
         elapsed = build_time + (time.perf_counter() - t0)
         exact = all(e == 0.0 for e in errors)
         passed = exact and elapsed < 10.0
@@ -137,8 +136,9 @@ class TestCriterion2:
         coarse, fine = [], []
         for i, doa in enumerate(doas):
             spec = _noisy_plane_wave(doa, seed=500 + i)
-            coarse.append(abs(pick_doa(srp_phat(spec, GRID37, GEOM), GRID37) - doa))
-            fine.append(abs(pick_doa(srp_phat(spec, grid180, GEOM), grid180) - doa))
+            for grid, errors in ((GRID37, coarse), (grid180, fine)):
+                sps = EstimatorCore(spec, grid, GEOM).spectra("srp-p", [None])[0]
+                errors.append(abs(pick_doa(sps, grid) - doa))
         coarse = np.array(coarse)
         fine = np.array(fine)
         within = float(np.mean(coarse <= 2.5 + 1e-9))
@@ -279,8 +279,9 @@ class TestCriterion8:
             common = rng.standard_normal((1, 9, 4)) + 1j * rng.standard_normal((1, 9, 4))
             noise = rng.standard_normal((3, 9, 4)) + 1j * rng.standard_normal((3, 9, 4))
             spec = MultichannelSpectrogram(common + 0.3 * noise, FS, 8, 16)
-            plain = srp_phat(spec, grid5, geom3).values
-            masked = srp_mp(spec, attention.ones_mask(9, 4), grid5, geom3).values
+            core = EstimatorCore(spec, grid5, geom3)
+            plain = core.spectra("srp-p", [None])[0].values
+            masked = core.spectra("srp-mp", [attention.ones_mask(9, 4)])[0].values
             assert np.array_equal(plain, masked)
 
         # exact scene decomposition: mixture equals directs + reverbs + noise
@@ -333,7 +334,7 @@ class TestCriterion9:
         errors = []
         for doa, spec in scenes:
             mask = attention.ones_mask(spec.num_bins, spec.num_frames)
-            sps = estimate.norm_music(spec, mask, GRID37, GEOM, num_sources=1)
+            sps = EstimatorCore(spec, GRID37, GEOM).spectra("music", [mask], num_sources=1)[0]
             errors.append(abs(pick_doa(sps, GRID37) - doa))
         frac_exact = float(np.mean(np.array(errors) == 0.0))
         passed = frac_exact >= 0.95

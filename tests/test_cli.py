@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+from doalab import simulate
 from doalab.attention import AttentionMask, save_mask
 from doalab.cli import main
 from doalab.estimate import srp_flops
@@ -290,8 +291,38 @@ class TestEval:
         assert err.startswith("error: ") and "DOALAB_JOBS" in err
         assert len(err.splitlines()) == 1
 
-    def test_unknown_config_key_is_runtime_error(self, tmp_path, capsys):
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
-        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
-        assert "bogus" in capsys.readouterr().err
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bogus" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"version": 2}, "version"),
+            ({"methods": []}, "methods"),
+            ({"methods": ["srp-x"]}, "srp-x"),
+            ({"masks": []}, "masks"),
+        ],
+    )
+    def test_bad_config_exits_1_with_one_error_line(self, tmp_path, capsys, overrides, message):
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sweep", ["0:0.9:0", "0.5:0.1:0.1", "0:2:0.5", "-0.1:0.5:0.1"])
+    def test_bad_sweep_range_exits_1_before_simulating(self, tmp_path, capsys, monkeypatch, sweep):
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1)
+        argv = ["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x"), f"--vthr-sweep={sweep}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and sweep in err
+        assert len(err.splitlines()) == 1
+        assert calls == []

@@ -6,19 +6,16 @@ import pytest
 from doalab import estimate
 from doalab.attention import AttentionMask, band_range_mask, ones_mask
 from doalab.estimate import (
+    EstimatorCore,
     PhatWeighting,
     SpatialPowerSpectrum,
     aggregate_frames,
-    norm_music,
     normalize_sps,
     output_masking,
     phat_weighting,
     pick_doa,
     sps_loss,
     srp_flops,
-    srp_mp,
-    srp_narrowband,
-    srp_phat,
 )
 from doalab.geometry import ArrayGeometry, make_grid, steering_matrix
 from doalab.signal import MultichannelSpectrogram, stft
@@ -127,12 +124,12 @@ class TestSrp:
     def test_plane_wave_peaks_on_grid_angle(self):
         for doa in (30.0, 60.0, 145.0):
             spec, geom = _plane_wave_spec(doa, seed=4)
-            sps = srp_phat(spec, GRID, geom)
+            sps = EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0]
             assert pick_doa(sps, GRID) == doa
 
     def test_broadside_picks_90(self):
         spec, geom = _plane_wave_spec(90.0, seed=5)
-        assert pick_doa(srp_phat(spec, GRID, geom), GRID) == 90.0
+        assert pick_doa(EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0], GRID) == 90.0
 
     def test_global_phase_invariance(self):
         spec, geom = _plane_wave_spec(75.0, seed=6)
@@ -140,8 +137,8 @@ class TestSrp:
             spec.bins * np.exp(0.7j), spec.sample_rate, spec.hop, spec.window_length
         )
         np.testing.assert_allclose(
-            srp_phat(spec, GRID, geom).values,
-            srp_phat(rotated, GRID, geom).values,
+            EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0].values,
+            EstimatorCore(rotated, GRID, geom).spectra("srp-p", [None])[0].values,
             rtol=1e-9,
         )
 
@@ -153,8 +150,8 @@ class TestSrp:
             spec.bins[::-1], spec.sample_rate, spec.hop, spec.window_length
         )
         np.testing.assert_allclose(
-            srp_phat(reversed_spec, GRID, geom).values,
-            srp_phat(spec, GRID, geom).values[::-1],
+            EstimatorCore(reversed_spec, GRID, geom).spectra("srp-p", [None])[0].values,
+            EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0].values[::-1],
             rtol=1e-9,
             atol=1e-12,
         )
@@ -165,13 +162,13 @@ class TestSrp:
         phi = cross_spectral_tensor(spec, w)
         steering = steering_matrix(GRID, geom, spec.num_bins, FS, spec.window_length)
         slow = srp(phi, steering)
-        fast = srp_narrowband(spec, GRID, geom).values.sum(axis=(1, 2))
+        fast = EstimatorCore(spec, GRID, geom).nb.sum(axis=(1, 2))
         np.testing.assert_allclose(slow.values, fast, rtol=1e-9)
 
     def test_empty_frame_range_raises(self):
         spec, geom = _plane_wave_spec(90.0, samples=2000, seed=9)
         with pytest.raises(ValueError, match="empty frame range"):
-            srp_phat(spec, GRID, geom, frame_range=(3, 3))
+            EstimatorCore(spec, GRID, geom, frame_range=(3, 3))
 
 
 class TestNarrowband:
@@ -187,15 +184,15 @@ class TestNarrowband:
 
     def test_dc_band_is_constant_over_directions(self):
         spec, geom = _plane_wave_spec(35.0, samples=2000, seed=11)
-        nb = srp_narrowband(spec, GRID, geom)
+        nb = EstimatorCore(spec, GRID, geom).nb
         np.testing.assert_allclose(
-            nb.values[:, 0, :], np.broadcast_to(nb.values[0, 0, :], (37, nb.values.shape[2])), atol=1e-12
+            nb[:, 0, :], np.broadcast_to(nb[0, 0, :], (37, nb.shape[2])), atol=1e-12
         )
 
     def test_shape(self):
         spec, geom = _plane_wave_spec(90.0, samples=2000, seed=12)
-        nb = srp_narrowband(spec, GRID, geom)
-        assert nb.values.shape == (37, spec.num_bins, spec.num_frames)
+        nb = EstimatorCore(spec, GRID, geom).nb
+        assert nb.shape == (37, spec.num_bins, spec.num_frames)
 
 
 class TestOutputMasking:
@@ -315,31 +312,34 @@ class TestSrpFlops:
 class TestSrpMp:
     def test_ones_mask_matches_srp_phat_bitwise(self):
         spec, geom = _plane_wave_spec(125.0, seed=17)
-        plain = srp_phat(spec, GRID, geom)
-        masked = srp_mp(spec, ones_mask(spec.num_bins, spec.num_frames), GRID, geom)
+        core = EstimatorCore(spec, GRID, geom)
+        mask = ones_mask(spec.num_bins, spec.num_frames)
+        plain = core.spectra("srp-p", [mask])[0]
+        masked = core.spectra("srp-mp", [mask])[0]
         np.testing.assert_array_equal(plain.values, masked.values)
 
     def test_output_is_normalized(self):
         spec, geom = _plane_wave_spec(60.0, seed=18)
-        sps = srp_mp(spec, ones_mask(spec.num_bins, spec.num_frames), GRID, geom)
+        mask = ones_mask(spec.num_bins, spec.num_frames)
+        sps = EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])[0]
         assert sps.normalized and sps.values.max() == 1.0
 
     def test_band_mask_still_recovers_plane_wave(self):
         spec, geom = _plane_wave_spec(70.0, seed=19)
         mask = band_range_mask(spec.num_bins, spec.num_frames, 20, 180)
-        assert pick_doa(srp_mp(spec, mask, GRID, geom), GRID) == 70.0
+        assert pick_doa(EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])[0], GRID) == 70.0
 
     def test_all_zero_mask_raises(self):
         spec, geom = _plane_wave_spec(90.0, samples=2000, seed=20)
+        mask = AttentionMask(np.zeros((spec.num_bins, spec.num_frames)))
         with pytest.raises(ValueError, match="empty attention"):
-            srp_mp(spec, AttentionMask(np.zeros((spec.num_bins, spec.num_frames))), GRID, geom)
+            EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])
 
     def test_max_freq_limit_zeroes_high_bins(self):
         spec, geom = _plane_wave_spec(100.0, seed=21)
-        full = srp_mp(spec, ones_mask(spec.num_bins, spec.num_frames), GRID, geom)
-        limited = srp_mp(
-            spec, ones_mask(spec.num_bins, spec.num_frames), GRID, geom, max_freq_hz=2000.0
-        )
+        mask = ones_mask(spec.num_bins, spec.num_frames)
+        full = EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])[0]
+        limited = EstimatorCore(spec, GRID, geom, max_freq_hz=2000.0).spectra("srp-mp", [mask])[0]
         assert pick_doa(limited, GRID) == 100.0
         assert not np.array_equal(full.values, limited.values)
 
@@ -349,37 +349,63 @@ class TestNormMusic:
         for doa in (45.0, 90.0, 130.0):
             spec, geom = _plane_wave_spec(doa, seed=22)
             mask = ones_mask(spec.num_bins, spec.num_frames)
-            assert pick_doa(norm_music(spec, mask, GRID, geom), GRID) == doa
+            assert pick_doa(EstimatorCore(spec, GRID, geom).spectra("music", [mask])[0], GRID) == doa
 
     def test_band_weighted_variant_matches(self):
         spec, geom = _plane_wave_spec(65.0, seed=23)
         mask = band_range_mask(spec.num_bins, spec.num_frames, 30, 200)
-        assert pick_doa(norm_music(spec, mask, GRID, geom), GRID) == 65.0
+        assert pick_doa(EstimatorCore(spec, GRID, geom).spectra("music", [mask])[0], GRID) == 65.0
 
     def test_output_is_normalized(self):
         spec, geom = _plane_wave_spec(90.0, seed=24)
-        sps = norm_music(spec, ones_mask(spec.num_bins, spec.num_frames), GRID, geom)
+        mask = ones_mask(spec.num_bins, spec.num_frames)
+        sps = EstimatorCore(spec, GRID, geom).spectra("music", [mask])[0]
         assert sps.normalized and sps.values.max() == 1.0
 
     def test_num_sources_must_be_below_channel_count(self):
         spec, geom = _plane_wave_spec(90.0, samples=4000, seed=25)
         mask = ones_mask(spec.num_bins, spec.num_frames)
         with pytest.raises(ValueError, match="num_sources"):
-            norm_music(spec, mask, GRID, geom, num_sources=4)
+            EstimatorCore(spec, GRID, geom).spectra("music", [mask], num_sources=4)
 
     def test_too_few_frames_raise(self):
         spec, geom = _plane_wave_spec(90.0, samples=1100, seed=26)
         assert spec.num_frames < 4
         mask = ones_mask(spec.num_bins, spec.num_frames)
         with pytest.raises(ValueError, match="full-rank"):
-            norm_music(spec, mask, GRID, geom)
+            EstimatorCore(spec, GRID, geom).spectra("music", [mask])
 
     def test_all_zero_mask_raises(self):
         spec, geom = _plane_wave_spec(90.0, seed=27)
+        mask = AttentionMask(np.zeros((spec.num_bins, spec.num_frames)))
         with pytest.raises(ValueError, match="empty attention"):
-            norm_music(
-                spec, AttentionMask(np.zeros((spec.num_bins, spec.num_frames))), GRID, geom
-            )
+            EstimatorCore(spec, GRID, geom).spectra("music", [mask])
+
+
+class TestMethodDispatch:
+    def setup_method(self):
+        self.spec, geom = _plane_wave_spec(80.0, seed=28)
+        self.core = EstimatorCore(self.spec, GRID, geom)
+        self.mask = band_range_mask(self.spec.num_bins, self.spec.num_frames, 20, 180)
+
+    def test_unknown_method_names_the_valid_ones(self):
+        with pytest.raises(ValueError, match="srp-x") as info:
+            self.core.spectra("srp-x", [self.mask])
+        assert all(method in str(info.value) for method in estimate.METHODS)
+
+    @pytest.mark.parametrize("method", ["srp-p", "srp-mp"])
+    def test_per_frame_sums_to_the_spectrum(self, method):
+        per_frame = self.core.per_frame(method, self.mask)
+        assert per_frame.shape == (GRID.size, self.spec.num_frames)
+        summed = normalize_sps(SpatialPowerSpectrum(per_frame.sum(axis=1)))
+        np.testing.assert_allclose(
+            summed.values, self.core.spectra(method, [self.mask])[0].values, rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("method", ["music", "srp-x"])
+    def test_per_frame_needs_an_srp_method(self, method):
+        with pytest.raises(ValueError, match="per-frame"):
+            self.core.per_frame(method, self.mask)
 
 
 class TestValidation:

@@ -112,17 +112,35 @@ class TestValidateConfig:
         assert cfg["methods"] == ["srp-p"]
         assert len(cfg["doas"]) == 37
 
+    def test_defaults_not_shared_between_calls(self):
+        first = validate_config({})
+        first["methods"].append("music")
+        first["rooms"][0][0] = 1.0
+        first["stft"]["hop"] = 128
+        second = validate_config({})
+        assert second["methods"] == ["srp-p"]
+        assert second["rooms"] == [[6.0, 5.0, 2.7]]
+        assert second["stft"] == {"window_length": 512, "hop": 256}
+
     def test_unknown_keys_listed(self):
-        with pytest.raises(ValueError, match="bogus.*other|other.*bogus"):
+        with pytest.raises(evaluate.ConfigError, match="bogus.*other|other.*bogus"):
             validate_config({"other": 1, "bogus": 2})
 
+    def test_unsupported_version_rejected(self):
+        with pytest.raises(evaluate.ConfigError, match="version"):
+            validate_config({"version": 2})
+
     def test_empty_methods_rejected(self):
-        with pytest.raises(ValueError, match="methods"):
+        with pytest.raises(evaluate.ConfigError, match="methods"):
             validate_config({"methods": []})
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="srp-p"):
+        with pytest.raises(evaluate.ConfigError, match="srp-p"):
             validate_config({"methods": ["beamform"]})
+
+    def test_empty_masks_rejected(self):
+        with pytest.raises(evaluate.ConfigError, match="masks"):
+            validate_config({"masks": []})
 
     def test_scalar_t60_listed(self):
         assert validate_config({"t60": 0.4})["t60"] == [0.4]

@@ -250,6 +250,21 @@ class TestPlaneWave:
             wrapped = np.angle(np.exp(1j * (np.angle(cross) - expected)))
             assert wrapped == pytest.approx(0.0, abs=1e-3)
 
+    @pytest.mark.parametrize("doa", [0.0, 37.5, 90.0, 143.0, 180.0])
+    @pytest.mark.parametrize("num_mics, spacing", [(4, 0.08), (3, 0.21)])
+    def test_matches_per_tap_convolution(self, doa, num_mics, spacing):
+        # output sample t is sum_s x[s] h(t - s - tau_q), h the windowed sinc
+        # evaluated tap by tap and summed in the time domain
+        geom = ArrayGeometry.uniform(num_mics, spacing)
+        src = white_noise(1, 3000, seed=2)
+        out = plane_wave_synthesize(src, doa, geom)
+        delays = np.cos(np.deg2rad(doa)) * geom.mic_distances / geom.speed_of_sound * FS
+        reach = 41 + int(np.ceil(np.max(np.abs(delays))))
+        lags = np.arange(-reach, reach + 1)
+        for q, tau in enumerate(delays):
+            ref = np.convolve(src.samples[0], _windowed_sinc(lags - tau))[reach : reach + src.num_samples]
+            assert np.max(np.abs(out.samples[q] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_multichannel_source_rejected(self):
         with pytest.raises(ValueError):
             plane_wave_synthesize(white_noise(2, 100, seed=0), 90.0, self.geom)
