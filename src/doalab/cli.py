@@ -43,10 +43,12 @@ def _parse_frames(text):
     if text is None:
         return None
     try:
-        a, b = text.split(":")
-        return (int(a), int(b))
+        a, b = (int(x) for x in text.split(":"))
     except ValueError as exc:
         raise _UsageError(f"invalid frame range {text!r}, expected A:B") from exc
+    if not 0 <= a < b:
+        raise _UsageError(f"frame range {text!r} needs 0 <= A < B")
+    return (a, b)
 
 
 def cmd_simulate(args) -> int:
@@ -63,11 +65,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    signal = read_wav(args.input)
-    spec = stft(signal, args.window_length, args.hop)
-    geom = ArrayGeometry.uniform(signal.num_channels, args.mic_spacing, args.speed_of_sound)
-    grid = make_grid(args.grid)
     frame_range = _parse_frames(args.frames)
+    if args.window_length < 2 or args.window_length % 2 or not 0 < args.hop <= args.window_length:
+        raise _UsageError(f"need an even --window-length >= 2 and 0 < --hop <= it: {args.window_length}, {args.hop}")
+    signal = read_wav(args.input)
+    if args.method == "music" and not 1 <= args.num_sources < signal.num_channels:
+        raise _UsageError(f"--num-sources for music must be in [1, {signal.num_channels - 1}]: {args.num_sources}")
+    try:
+        geom = ArrayGeometry.uniform(signal.num_channels, args.mic_spacing, args.speed_of_sound)
+        grid = make_grid(args.grid)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    spec = stft(signal, args.window_length, args.hop)
+    if frame_range is not None and frame_range[0] >= spec.num_frames:
+        raise _UsageError(f"frame range {args.frames!r} starts after the last of {spec.num_frames} frames")
 
     kind = args.mask
     if kind not in ("none", "ones") and os.path.isfile(kind):

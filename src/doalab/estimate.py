@@ -1,16 +1,19 @@
 """DOA estimators: SRP-PHAT, attention-weighted SRP, band-normalized MUSIC.
 
-Every steered-response-power output is a weighted sum of one narrowband
-spectrum NB[c, k, n], the per-bin steered power of the unmasked PHAT
-spectrum. A mask scales all channels of a bin alike, so SRP-MP with mask
-M is ``sum_kn M^2 NB``, SRP-PHAT is the case M = 1, and output masking is
-``sum_kn M NB / sum_kn M``. MUSIC averages per-band pseudospectra of
-mask-weighted covariances, each normalized to max 1, with the bands' mask
-weights. :class:`EstimatorCore` is the one entry point: it keeps the
-mask-independent part (steering, NB, per-bin outer products) of one
-spectrogram and frame range and evaluates a list of masks at once for any
-method in :data:`METHODS`. SRP-MP for M masks is one matrix product, MUSIC
-one batched eigendecomposition over all (mask, bin) pairs.
+Every steered-response-power output is a mask-weighted sum of PHAT pair
+cross-spectra, the GCC-style pair sum of SRP-PHAT. With whitened bins
+``A = Y / |Y|`` and steering ``D``, the per-bin power without its
+direction-independent diagonal is ``|sum_q D*_q A_q|^2 - sum_q |A_q|^2 =
+2 Re sum_{q<j} E_qj X_qj`` with pair cross-spectra ``X = A_q A*_j`` and pair
+steering ``E = D*_q D_j`` over the P = Q(Q-1)/2 microphone pairs. A mask
+scales all channels of a bin alike, so SRP-MP with mask M is ``2 Re E (X M^2)``
+summed over bins and frames, SRP-PHAT the case M = 1. MUSIC averages
+per-band pseudospectra of mask-weighted covariances, each normalized to max 1,
+with the bands' mask weights. :class:`EstimatorCore` keeps the mask-independent
+part (X, E, per-bin outer products) of one spectrogram and frame range and
+evaluates a list of masks at once for any method in :data:`METHODS`: SRP-MP
+is one matrix product, MUSIC one batched eigendecomposition over all
+(mask, bin) pairs.
 
 The steering is applied so that a source whose inter-microphone delays
 follow the far-field model of :func:`doalab.geometry.steering_matrix`
@@ -24,8 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .attention import AttentionMask
-from .geometry import ArrayGeometry, DoaGrid, steering_matrix
+from .geometry import ArrayGeometry, DoaGrid
 from .signal import MultichannelSpectrogram
 
 DEFAULT_PHAT_EPSILON = 1e-8
@@ -34,23 +36,8 @@ METHODS = ("srp-p", "srp-mp", "music")
 
 
 @dataclass(frozen=True)
-class PhatWeighting:
-    """Non-negative spectral weighting, shape (Q, K, N)."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 3:
-            raise ValueError("weighting must be a Q x K x N tensor")
-        if not np.all(np.isfinite(v)) or v.min() < 0:
-            raise ValueError("weighting must be finite and non-negative")
-
-
-@dataclass(frozen=True)
 class SpatialPowerSpectrum:
-    """DOA pseudo-likelihood: length C, per-frame C x N, or narrowband C x K x N."""
+    """DOA pseudo-likelihood: length C, or per-frame C x N."""
 
     values: np.ndarray = field(repr=False)
     normalized: bool = False
@@ -58,22 +45,10 @@ class SpatialPowerSpectrum:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
-        if v.ndim not in (1, 2, 3):
-            raise ValueError("spatial power spectrum must have 1 to 3 dimensions")
+        if v.ndim not in (1, 2):
+            raise ValueError("spatial power spectrum must have 1 or 2 dimensions")
         if self.normalized and v.size and not np.isclose(v.max(), 1.0):
             raise ValueError("normalized spectrum must have maximum 1")
-
-
-def _phat(bins: np.ndarray, epsilon: float) -> np.ndarray:
-    mag = np.abs(bins)
-    return np.where(mag > epsilon, 1.0 / np.where(mag > epsilon, mag, 1.0), epsilon)
-
-
-def phat_weighting(spec: MultichannelSpectrogram, epsilon: float = DEFAULT_PHAT_EPSILON) -> PhatWeighting:
-    """PHAT weighting: 1/|Y| where the magnitude exceeds epsilon, else epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return PhatWeighting(_phat(spec.bins, epsilon))
 
 
 def _resolve_frames(num_frames: int, frame_range) -> slice:
@@ -87,31 +62,14 @@ def _resolve_frames(num_frames: int, frame_range) -> slice:
     return slice(start, stop)
 
 
-def narrowband(bins: np.ndarray, steering: np.ndarray) -> np.ndarray:
-    """Per-bin SRP-PHAT of a Q x K x N spectrum under C x K x Q steering values.
-
-    Per bin ``|sum_q D*_q A_q|^2 - sum_q |A_q|^2`` with ``A = Y / |Y|``: the
-    pair sum of the cross-spectral formulation without forming it. Every
-    bin is divided by ``N * K * (Q-1)^2``; shape (C, K, N).
-    """
-    weighted = bins * _phat(bins, DEFAULT_PHAT_EPSILON)
-    beam = np.einsum("ckq,qkn->ckn", np.conj(steering), weighted, optimize=True)
-    power = np.abs(beam) ** 2 - np.sum(np.abs(weighted) ** 2, axis=0)[None, :, :]
-    q, k, n = weighted.shape
-    return power / float(n * k * max(q - 1, 1) ** 2)
-
-
-def combine(nb: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Length-C sum of a C x K x N narrowband spectrum weighted by a K x N matrix."""
-    return np.tensordot(nb, weights, axes=([1, 2], [0, 1]))
-
-
 class EstimatorCore:
     """Mask-independent estimator state of one spectrogram, grid and frame range.
 
-    The steering matrix is built here, :attr:`nb` and :attr:`products` on
-    first use. ``max_freq_hz`` zeroes the mask rows above that frequency
-    (aliasing ablation) in every estimate.
+    The PHAT pair cross-spectra and the pair steering are built here,
+    :attr:`steering` and :attr:`products` (MUSIC only) on first use.
+    ``max_freq_hz`` zeroes the mask rows above that frequency (aliasing
+    ablation) in every estimate. Masks with equal weights over the frame
+    range are evaluated once.
     """
 
     def __init__(
@@ -122,20 +80,47 @@ class EstimatorCore:
         frame_range=None,
         max_freq_hz: float | None = None,
     ):
+        if geom.num_mics != spec.num_channels:
+            raise ValueError(f"array has {geom.num_mics} microphones, the spectrogram {spec.num_channels} channels")
         self.shape = (spec.num_bins, spec.num_frames)
         self.frames = _resolve_frames(spec.num_frames, frame_range)
         self.bins = spec.bins[:, :, self.frames]
-        self.steering = steering_matrix(
-            grid, geom, spec.num_bins, spec.sample_rate, spec.window_length
-        ).values
-        self.cut = None
-        if max_freq_hz is not None:
-            self.cut = spec.bin_frequency(np.arange(spec.num_bins)) > max_freq_hz
+        freqs = spec.bin_frequency(np.arange(spec.num_bins))
+        self.cut = None if max_freq_hz is None else freqs > max_freq_hz
+
+        q, k, n = self.bins.shape
+        first, second = np.triu_indices(q, 1)
+        num_pairs = first.size
+        mag = np.abs(self.bins)  # PHAT weight: 1/|Y| where the magnitude exceeds epsilon, else epsilon
+        loud = mag > DEFAULT_PHAT_EPSILON
+        whitened = self.bins * np.where(loud, 1.0 / np.where(loud, mag, 1.0), DEFAULT_PHAT_EPSILON)
+        # X and E are kept real, [Re X; Im X] and [Re E, -Im E] per bin, so that
+        # Re(E X) = Re E Re X - Im E Im X is one real product
+        self.pairs = np.empty((k, 2 * num_pairs, n))  # K x 2P x N
+        for p, (a, b) in enumerate(zip(first, second)):
+            cross = whitened[a] * np.conj(whitened[b])
+            self.pairs[:, p] = cross.real
+            self.pairs[:, num_pairs + p] = cross.imag
+        spacing = geom.mic_distances[second] - geom.mic_distances[first]
+        delays = np.cos(np.deg2rad(grid.angles_deg))[:, None] * spacing[None, :] / geom.speed_of_sound
+        phase = -2.0 * np.pi * freqs[None, :, None] * delays[:, None, :]  # (C, K, P)
+        pair_steering = np.empty((grid.size, k, 2 * num_pairs))
+        np.cos(phase, out=pair_steering[:, :, :num_pairs])
+        np.sin(-phase, out=pair_steering[:, :, num_pairs:])
+        self.pair_steering = pair_steering.reshape(grid.size, -1)  # C x (K 2P)
+        self._scale = 2.0 / float(n * k * max(q - 1, 1) ** 2)
 
     @cached_property
-    def nb(self) -> np.ndarray:
-        """Narrowband SRP-PHAT over the frame range, shape (C, K, N_range)."""
-        return narrowband(self.bins, self.steering)
+    def steering(self) -> np.ndarray:
+        """Steering matrix of the grid, shape (C, K, Q), as :func:`doalab.geometry.steering_matrix`.
+
+        Microphone 1 sits at distance 0, so the column of microphone j > 1 is the pair steering of (1, j).
+        """
+        c, (k, _), q = self.pair_steering.shape[0], self.shape, self.bins.shape[0]
+        pairs = self.pair_steering.reshape(c, k, 2, -1)[..., : q - 1]  # [Re E; -Im E] per bin
+        steering = np.ones((c, k, q), dtype=complex)
+        steering.real[:, :, 1:], steering.imag[:, :, 1:] = pairs[:, :, 0], -pairs[:, :, 1]
+        return steering
 
     @cached_property
     def products(self) -> np.ndarray:
@@ -143,8 +128,9 @@ class EstimatorCore:
         q, k, n = self.bins.shape
         return np.einsum("qkn,jkn->kqjn", self.bins, np.conj(self.bins)).reshape(k, q * q, n)
 
-    def _weights(self, masks) -> np.ndarray:
-        """Mask weights over the frame range, shape (M, K, N_range).
+    def _weights(self, masks) -> tuple[np.ndarray, list[int]]:
+        """Distinct mask weights over the frame range, shape (M', K, N_range), and
+        the index into them of each mask.
 
         ``None`` in ``masks`` is all ones; rows above ``max_freq_hz`` are zeroed.
         """
@@ -157,24 +143,39 @@ class EstimatorCore:
             out[:] = mask.weights[:, self.frames]
         if self.cut is not None:
             stack[:, self.cut, :] = 0.0
-        return stack
+        # equal weights have equal sums, so only masks of equal sum are compared
+        sums = stack.sum(axis=(1, 2))
+        first = [
+            next(j for j in range(i + 1) if sums[j] == sums[i] and np.array_equal(stack[j], stack[i]))
+            for i in range(len(stack))
+        ]
+        distinct = sorted(set(first))
+        return stack[distinct], [distinct.index(j) for j in first]
 
-    def _srp_weights(self, masks) -> np.ndarray:
-        """Weights of :attr:`nb` for SRP-MP, the squared masks, shape (M, K, N_range)."""
-        weights = self._weights(masks)
-        if not np.all(np.any(weights.reshape(len(masks), -1), axis=1)):
+    def _srp_weights(self, masks) -> tuple[np.ndarray, list[int]]:
+        """Squared distinct mask weights for SRP-MP and their index per mask, as :meth:`_weights`."""
+        weights, index = self._weights(masks)
+        if not np.all(np.any(weights.reshape(len(weights), -1), axis=1)):
             raise ValueError("empty attention: mask is all zero")
-        return weights * weights
+        return weights * weights, index
+
+    def power(self, weights: np.ndarray) -> np.ndarray:
+        """Unnormalized SRP-PHAT of M weight matrices over the frame range, shape (C, M).
+
+        ``weights`` is (M, K, N_range) and multiplies the per-bin power of
+        each bin and frame: ``2 Re E (X W)`` divided by ``N * K * (Q-1)^2``.
+        """
+        summed = self.pairs @ np.transpose(weights, (1, 2, 0))  # (K, 2P, M)
+        return self._scale * (self.pair_steering @ summed.reshape(-1, len(weights)))
 
     def srp(self, masks) -> list[SpatialPowerSpectrum]:
         """Normalized mask-modified SRP-PHAT per mask; plain SRP-PHAT for ``None``.
 
-        One product of the C x (K N) narrowband spectrum with the M x (K N)
-        squared masks.
+        One pair-form product for all masks, with the squared masks as weights.
         """
-        c = self.nb.shape[0]
-        values = self.nb.reshape(c, -1) @ self._srp_weights(masks).reshape(len(masks), -1).T
-        return [normalize_sps(SpatialPowerSpectrum(v)) for v in values.T]
+        weights, index = self._srp_weights(masks)
+        spectra = [normalize_sps(SpatialPowerSpectrum(v)) for v in self.power(weights).T]
+        return [spectra[i] for i in index]
 
     def music(self, masks, num_sources: int = 1) -> list[SpatialPowerSpectrum]:
         """Normalized NormMUSIC per mask: band-normalized, mask-weighted MUSIC.
@@ -183,23 +184,23 @@ class EstimatorCore:
         from the Q - num_sources smallest eigenvalues, pseudospectrum
         ``1 / ||E_n^H a(theta)||^2`` normalized to max 1. Bands are averaged
         with weights ``sum_n M[k, n]``; bands below a tiny total weight are
-        dropped. The covariances of every mask come from one weighted
-        product over :attr:`products` and one batched ``eigh`` over every
-        active (mask, bin) pair; the projection onto the manifold runs mask
-        by mask.
+        dropped. The covariances of every distinct mask come from one
+        weighted product over :attr:`products` and one batched ``eigh`` over
+        every active (mask, bin) pair; the projection onto the manifold runs
+        mask by mask.
         """
         q = self.bins.shape[0]
         if not 1 <= num_sources < q:
             raise ValueError("num_sources must satisfy 1 <= num_sources < Q")
         if self.bins.shape[2] < q:
             raise ValueError("need at least Q frames for a full-rank covariance")
-        weights = self._weights(masks)
-        band_weight = weights.sum(axis=2)  # (M, K)
+        weights, index = self._weights(masks)
+        band_weight = weights.sum(axis=2)  # (M', K)
         active = band_weight > MIN_BAND_WEIGHT
         if not np.all(np.any(active, axis=1)):
             raise ValueError("empty attention: mask is all zero")
 
-        # (K, Q*Q, N) @ (K, N, M) -> (M, K, Q*Q): every mask's covariance of every bin
+        # (K, Q*Q, N) @ (K, N, M') -> (M', K, Q*Q): every mask's covariance of every bin
         cov = np.moveaxis(self.products @ weights.transpose(1, 2, 0), 2, 0)
         cov = cov.reshape(*active.shape, q, q)[active]
         cov /= band_weight[active][:, None, None]
@@ -217,12 +218,13 @@ class EstimatorCore:
             pseudo /= pseudo.max(axis=1, keepdims=True)
             values = bands[band_active] @ pseudo / bands[band_active].sum()
             spectra.append(normalize_sps(SpatialPowerSpectrum(values)))
-        return spectra
+        return [spectra[i] for i in index]
 
     def spectra(self, method: str, masks, num_sources: int = 1) -> list[SpatialPowerSpectrum]:
         """Normalized spatial power spectra of one of :data:`METHODS`, one per mask.
 
-        ``srp-p`` ignores the mask, so its spectrum is computed once and shared.
+        ``srp-p`` ignores the mask, so its spectrum is computed once and
+        shared; so are the spectra of masks with equal weights.
         """
         if method == "srp-p":
             return self.srp([None]) * len(masks)
@@ -239,20 +241,9 @@ class EstimatorCore:
         """
         if method not in ("srp-p", "srp-mp"):
             raise ValueError(f"no per-frame spectrum for method {method!r}; valid: srp-p, srp-mp")
-        weights = self._srp_weights([mask if method == "srp-mp" else None])[0]
-        return np.einsum("ckn,kn->cn", self.nb, weights)
-
-
-def output_masking(nb: SpatialPowerSpectrum, mask: AttentionMask) -> SpatialPowerSpectrum:
-    """Mask-weighted average of narrowband spectra over bins and frames."""
-    if nb.values.ndim != 3:
-        raise ValueError("output masking needs a C x K x N narrowband spectrum")
-    if nb.values.shape[1:] != mask.shape:
-        raise ValueError("mask shape must match the narrowband spectrum")
-    total = mask.weights.sum()
-    if total <= 0:
-        raise ValueError("empty attention: mask weights sum to zero")
-    return SpatialPowerSpectrum(combine(nb.values, mask.weights) / total)
+        weights = self._srp_weights([mask if method == "srp-mp" else None])[0][0]
+        weighted = self.pairs * weights[:, None, :]  # (K, 2P, N)
+        return self._scale * (self.pair_steering @ weighted.reshape(-1, weighted.shape[2]))
 
 
 def normalize_sps(sps: SpatialPowerSpectrum) -> SpatialPowerSpectrum:
@@ -261,14 +252,6 @@ def normalize_sps(sps: SpatialPowerSpectrum) -> SpatialPowerSpectrum:
     if peak == 0:
         raise ValueError("cannot normalize an all-zero spectrum")
     return SpatialPowerSpectrum(sps.values / peak, normalized=True)
-
-
-def aggregate_frames(per_frame: SpatialPowerSpectrum, frame_range=None) -> SpatialPowerSpectrum:
-    """Arithmetic mean of a C x N per-frame spectrum over a frame range."""
-    if per_frame.values.ndim != 2:
-        raise ValueError("frame aggregation needs a C x N spectrum")
-    frames = _resolve_frames(per_frame.values.shape[1], frame_range)
-    return SpatialPowerSpectrum(per_frame.values[:, frames].mean(axis=1))
 
 
 def pick_doa(sps: SpatialPowerSpectrum, grid: DoaGrid) -> float:
@@ -288,7 +271,12 @@ def sps_loss(est: SpatialPowerSpectrum, clean: SpatialPowerSpectrum) -> float:
 
 
 def srp_flops(num_bins: int, num_directions: int, num_mics: int) -> int:
-    """Flop count of one SRP-PHAT frame per the published complexity model."""
+    """Flop count of one SRP-PHAT frame per the published complexity model.
+
+    The model counts the GCC-style pair sum, which is how
+    :class:`EstimatorCore` computes SRP: per bin it steers the Q(Q-1)/2
+    microphone pairs, where the model's pair factor is (Q-1)^2/2.
+    """
     if min(num_bins, num_directions, num_mics) < 1:
         raise ValueError("all sizes must be at least 1")
     k, c, q = num_bins, num_directions, num_mics

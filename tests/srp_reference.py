@@ -4,9 +4,13 @@
   steered over the grid pair by pair (``srp``, ``narrowband_srp``).
 - One full pass per mask: mask the PHAT weighting, then steer
   (``reference_srp_mp``), and sum each band's MUSIC covariance from the
-  spectrum (``reference_norm_music``). The library forms ``sum M^2 NB``
-  over one unmasked narrowband spectrum and weights one set of per-bin
-  outer products, which is equal up to rounding.
+  spectrum (``reference_norm_music``). The library forms one product of
+  the pair steering with the mask-weighted PHAT pair cross-spectra and
+  weights one set of per-bin outer products, which is equal up to
+  rounding.
+- Output masking (``output_masking``, a mask-weighted average of a
+  C x K x N narrowband spectrum) and frame aggregation
+  (``aggregate_frames``), which no estimator in the library uses.
 """
 
 from dataclasses import dataclass, field
@@ -15,14 +19,36 @@ import numpy as np
 
 from doalab.attention import AttentionMask
 from doalab.estimate import (
+    DEFAULT_PHAT_EPSILON,
     MIN_BAND_WEIGHT,
-    PhatWeighting,
     SpatialPowerSpectrum,
     normalize_sps,
-    phat_weighting,
 )
 from doalab.geometry import SteeringMatrix, steering_matrix
 from doalab.signal import MultichannelSpectrogram
+
+
+@dataclass(frozen=True)
+class PhatWeighting:
+    """Non-negative spectral weighting, shape (Q, K, N)."""
+
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", v)
+        if v.ndim != 3:
+            raise ValueError("weighting must be a Q x K x N tensor")
+        if not np.all(np.isfinite(v)) or v.min() < 0:
+            raise ValueError("weighting must be finite and non-negative")
+
+
+def phat_weighting(spec: MultichannelSpectrogram, epsilon: float = DEFAULT_PHAT_EPSILON) -> PhatWeighting:
+    """PHAT weighting: 1/|Y| where the magnitude exceeds epsilon, else epsilon."""
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    mag = np.abs(spec.bins)
+    return PhatWeighting(np.where(mag > epsilon, 1.0 / np.where(mag > epsilon, mag, 1.0), epsilon))
 
 
 @dataclass(frozen=True)
@@ -79,7 +105,7 @@ def srp(phi: CrossSpectralTensor, steering: SteeringMatrix, frame_range=None) ->
     return SpatialPowerSpectrum(values)
 
 
-def narrowband_srp(phi: CrossSpectralTensor, steering: SteeringMatrix) -> SpatialPowerSpectrum:
+def narrowband_srp(phi: CrossSpectralTensor, steering: SteeringMatrix) -> np.ndarray:
     """Per-bin steered response power, shape (C, K, N).
 
     Summing over bins and frames recovers :func:`srp` exactly; the same
@@ -89,8 +115,27 @@ def narrowband_srp(phi: CrossSpectralTensor, steering: SteeringMatrix) -> Spatia
     d = steering.values
     total = np.einsum("ckq,knqj,ckj->ckn", np.conj(d), phi.values, d, optimize=True).real
     diag = np.einsum("knqq->kn", phi.values).real
-    values = (total - diag[None, :, :]) / _srp_divisor(n, k, q)
-    return SpatialPowerSpectrum(values)
+    return (total - diag[None, :, :]) / _srp_divisor(n, k, q)
+
+
+def output_masking(nb: np.ndarray, mask: AttentionMask) -> SpatialPowerSpectrum:
+    """Mask-weighted average of a C x K x N narrowband spectrum over bins and frames."""
+    if nb.ndim != 3:
+        raise ValueError("output masking needs a C x K x N narrowband spectrum")
+    if nb.shape[1:] != mask.shape:
+        raise ValueError("mask shape must match the narrowband spectrum")
+    total = mask.weights.sum()
+    if total <= 0:
+        raise ValueError("empty attention: mask weights sum to zero")
+    return SpatialPowerSpectrum(np.tensordot(nb, mask.weights, axes=([1, 2], [0, 1])) / total)
+
+
+def aggregate_frames(per_frame: SpatialPowerSpectrum, frame_range=None) -> SpatialPowerSpectrum:
+    """Arithmetic mean of a C x N per-frame spectrum over a frame range."""
+    if per_frame.values.ndim != 2:
+        raise ValueError("frame aggregation needs a C x N spectrum")
+    frames = _frames(per_frame.values.shape[1], frame_range)
+    return SpatialPowerSpectrum(per_frame.values[:, frames].mean(axis=1))
 
 
 def _alias_limited(weights: np.ndarray, spec: MultichannelSpectrogram, max_freq_hz) -> np.ndarray:

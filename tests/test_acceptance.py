@@ -15,14 +15,13 @@ from doalab import attention, estimate, evaluate, simulate
 from doalab.estimate import (
     EstimatorCore,
     normalize_sps,
-    phat_weighting,
     pick_doa,
     sps_loss,
     srp_flops,
 )
 from doalab.geometry import ArrayGeometry, make_grid
 from doalab.signal import MultichannelSpectrogram, TimeSignal, stft
-from srp_reference import cross_spectral_tensor
+from srp_reference import cross_spectral_tensor, phat_weighting
 
 FS = 16000
 GEOM = ArrayGeometry.uniform(4, 0.08)
@@ -94,13 +93,11 @@ def twosource_scenes():
         ordering_ok = sps_loss(sps_mp, clean) < sps_loss(sps_p, clean)
 
         ratio = attention.magnitude_ratio_mask(direct, mix)
-        sweep = {}
-        for v in vthrs:
-            weights = attention.binarize(ratio, float(v)).weights[:, fr[0] : fr[1]]
-            if not weights.any():
-                continue
-            values = estimate.combine(core.nb, weights)
-            sweep[float(v)] = pick_doa(estimate.SpatialPowerSpectrum(values), GRID37)
+        binarized = {float(v): attention.binarize(ratio, float(v)).weights[:, fr[0] : fr[1]] for v in vthrs}
+        binarized = {v: weights for v, weights in binarized.items() if weights.any()}
+        # binary weights are their own squares: this is SRP-MP, unnormalized
+        power = core.power(np.stack(list(binarized.values())))
+        sweep = {v: pick_doa(estimate.SpatialPowerSpectrum(values), GRID37) for v, values in zip(binarized, power.T)}
         rows.append(
             {
                 "doa": spec.sources[0].doa_deg,

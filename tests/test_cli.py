@@ -98,6 +98,26 @@ class TestEstimate:
         assert main(["estimate", "--input", str(broadside_wav), "--frames", "abc"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "music", "--num-sources", "4"],
+            ["--method", "music", "--num-sources", "0"],
+            ["--frames", "5:3"],
+            ["--frames=-2:3"],
+            ["--frames", "14:20"],
+            ["--grid", "1"],
+            ["--window-length", "0"],
+            ["--window-length", "511"],
+            ["--hop", "0"],
+            ["--mic-spacing", "0"],
+        ],
+    )
+    def test_bad_argument_is_usage_error(self, broadside_wav, capsys, args):
+        assert main(["estimate", "--input", str(broadside_wav)] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         assert main(["estimate", "--input", str(tmp_path / "nope.wav")]) == 2
         assert capsys.readouterr().err.startswith("error: ")

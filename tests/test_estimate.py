@@ -1,4 +1,4 @@
-"""SRP-PHAT, masked SRP, narrowband combination, MUSIC, and the flop model."""
+"""SRP-PHAT, masked SRP, the pair form, MUSIC, and the flop model."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,8 @@ from doalab import estimate
 from doalab.attention import AttentionMask, band_range_mask, ones_mask
 from doalab.estimate import (
     EstimatorCore,
-    PhatWeighting,
     SpatialPowerSpectrum,
-    aggregate_frames,
     normalize_sps,
-    output_masking,
-    phat_weighting,
     pick_doa,
     sps_loss,
     srp_flops,
@@ -22,9 +18,13 @@ from doalab.signal import MultichannelSpectrogram, stft
 from doalab.simulate import plane_wave_synthesize, white_noise
 from srp_reference import (
     CrossSpectralTensor,
+    PhatWeighting,
+    aggregate_frames,
     cross_spectral_tensor,
     mask_weighting,
     narrowband_srp,
+    output_masking,
+    phat_weighting,
     srp,
 )
 
@@ -162,8 +162,13 @@ class TestSrp:
         phi = cross_spectral_tensor(spec, w)
         steering = steering_matrix(GRID, geom, spec.num_bins, FS, spec.window_length)
         slow = srp(phi, steering)
-        fast = EstimatorCore(spec, GRID, geom).nb.sum(axis=(1, 2))
+        fast = EstimatorCore(spec, GRID, geom).power(np.ones((1, spec.num_bins, spec.num_frames)))[:, 0]
         np.testing.assert_allclose(slow.values, fast, rtol=1e-9)
+
+    def test_array_must_match_channel_count(self):
+        spec, _ = _plane_wave_spec(90.0, samples=2000, seed=9)
+        with pytest.raises(ValueError, match="3 microphones"):
+            EstimatorCore(spec, GRID, ArrayGeometry.uniform(3, 0.08))
 
     def test_empty_frame_range_raises(self):
         spec, geom = _plane_wave_spec(90.0, samples=2000, seed=9)
@@ -178,37 +183,32 @@ class TestNarrowband:
         phi = cross_spectral_tensor(spec, w)
         steering = steering_matrix(GRID, geom, spec.num_bins, FS, spec.window_length)
         nb = narrowband_srp(phi, steering)
-        np.testing.assert_allclose(
-            nb.values.sum(axis=(1, 2)), srp(phi, steering).values, rtol=1e-9
-        )
+        np.testing.assert_allclose(nb.sum(axis=(1, 2)), srp(phi, steering).values, rtol=1e-9)
 
     def test_dc_band_is_constant_over_directions(self):
         spec, geom = _plane_wave_spec(35.0, samples=2000, seed=11)
-        nb = EstimatorCore(spec, GRID, geom).nb
-        np.testing.assert_allclose(
-            nb[:, 0, :], np.broadcast_to(nb[0, 0, :], (37, nb.shape[2])), atol=1e-12
-        )
-
-    def test_shape(self):
-        spec, geom = _plane_wave_spec(90.0, samples=2000, seed=12)
-        nb = EstimatorCore(spec, GRID, geom).nb
-        assert nb.shape == (37, spec.num_bins, spec.num_frames)
+        core = EstimatorCore(spec, GRID, geom)
+        # one weight matrix per frame, each selecting the DC bin of that frame
+        weights = np.zeros((spec.num_frames, spec.num_bins, spec.num_frames))
+        weights[np.arange(spec.num_frames), 0, np.arange(spec.num_frames)] = 1.0
+        dc = core.power(weights)
+        np.testing.assert_allclose(dc, np.broadcast_to(dc[0], dc.shape), atol=1e-12)
 
 
 class TestOutputMasking:
     def setup_method(self):
         rng = np.random.default_rng(13)
-        self.nb = SpatialPowerSpectrum(rng.uniform(-1, 1, (5, 4, 3)))
+        self.nb = rng.uniform(-1, 1, (5, 4, 3))
 
     def test_ones_mask_is_plain_average(self):
         out = output_masking(self.nb, ones_mask(4, 3))
-        np.testing.assert_allclose(out.values, self.nb.values.mean(axis=(1, 2)), rtol=1e-12)
+        np.testing.assert_allclose(out.values, self.nb.mean(axis=(1, 2)), rtol=1e-12)
 
     def test_single_bin_mask_selects_bin(self):
         weights = np.zeros((4, 3))
         weights[2, 1] = 1.0
         out = output_masking(self.nb, AttentionMask(weights))
-        np.testing.assert_allclose(out.values, self.nb.values[:, 2, 1], rtol=1e-12)
+        np.testing.assert_allclose(out.values, self.nb[:, 2, 1], rtol=1e-12)
 
     def test_mask_scale_invariance(self):
         a = output_masking(self.nb, AttentionMask(np.full((4, 3), 1.0)))
@@ -351,6 +351,15 @@ class TestNormMusic:
             mask = ones_mask(spec.num_bins, spec.num_frames)
             assert pick_doa(EstimatorCore(spec, GRID, geom).spectra("music", [mask])[0], GRID) == doa
 
+    @pytest.mark.parametrize("distances", [[0.0, 0.08, 0.16, 0.24], [0.0, 0.013, 0.05, 0.11, 0.2], [0.0, 0.3]])
+    @pytest.mark.parametrize("grid_size", [2, 37, 181])
+    def test_steering_matches_geometry_model(self, distances, grid_size):
+        geom = ArrayGeometry(np.array(distances))
+        spec = stft(white_noise(geom.num_mics, 2000, seed=29))
+        grid = make_grid(grid_size)
+        expected = steering_matrix(grid, geom, spec.num_bins, FS, spec.window_length).values
+        np.testing.assert_allclose(EstimatorCore(spec, grid, geom).steering, expected, rtol=0, atol=1e-15)
+
     def test_band_weighted_variant_matches(self):
         spec, geom = _plane_wave_spec(65.0, seed=23)
         mask = band_range_mask(spec.num_bins, spec.num_frames, 30, 200)
@@ -416,6 +425,10 @@ class TestValidation:
     def test_cross_spectra_must_be_square(self):
         with pytest.raises(ValueError):
             CrossSpectralTensor(np.zeros((2, 2, 3, 4), dtype=complex))
+
+    def test_spectrum_is_one_or_two_dimensional(self):
+        with pytest.raises(ValueError, match="1 or 2 dimensions"):
+            SpatialPowerSpectrum(np.zeros((2, 3, 4)))
 
     def test_normalized_flag_checked(self):
         with pytest.raises(ValueError):

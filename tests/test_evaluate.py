@@ -321,7 +321,7 @@ class TestSharedCore:
                     record.mask_kind,
                 )
 
-    def test_one_steering_and_narrowband_per_scene(self, monkeypatch):
+    def test_one_pair_build_per_scene(self, monkeypatch):
         counts = Counter()
 
         def counting(name, fn):
@@ -331,12 +331,13 @@ class TestSharedCore:
 
             return wrapper
 
-        monkeypatch.setattr(estimate, "steering_matrix", counting("steering", estimate.steering_matrix))
-        monkeypatch.setattr(estimate, "narrowband", counting("narrowband", estimate.narrowband))
+        # the core's constructor builds the pair cross-spectra and the pair steering,
+        # from which the MUSIC steering is taken
+        monkeypatch.setattr(estimate, "EstimatorCore", counting("pairs", estimate.EstimatorCore))
         monkeypatch.setattr(evaluate, "stft", counting("stft", evaluate.stft))
         _, records = evaluate._run_scene(_sweep_scenes()[0])
         assert len(records) == len(SWEEP_MASKS) * 3
-        assert counts == {"steering": 1, "narrowband": 1, "stft": 2}
+        assert counts == {"pairs": 1, "stft": 2}
 
     def test_one_eigh_and_one_srp_p_spectrum_per_scene(self, monkeypatch):
         counts = Counter()
@@ -354,8 +355,9 @@ class TestSharedCore:
         monkeypatch.setattr(estimate, "normalize_sps", counting_normalize)
         _, records = evaluate._run_scene(_sweep_scenes()[0])
         assert len(records) == len(SWEEP_MASKS) * 3
-        # srp-p once, srp-mp and music once per mask
-        assert counts == {"eigh": 1, "spectra": 1 + 2 * len(SWEEP_MASKS)}
+        # srp-p once, srp-mp and music once per distinct mask: oracle-ratio-bin:0.00
+        # keeps every bin, so it is the same mask as none
+        assert counts == {"eigh": 1, "spectra": 1 + 2 * (len(SWEEP_MASKS) - 1)}
 
 
 class TestBatchedCore:
@@ -391,6 +393,35 @@ class TestBatchedCore:
                         ref = reference_norm_music(mix, mask, grid, spec.geometry, num_sources, frames, limit)
                     scale = np.max(np.abs(ref.values))
                     assert np.max(np.abs(sps.values - ref.values)) <= 1e-12 * scale, (method, num_sources, kind)
+
+    def test_equal_masks_evaluated_once(self, monkeypatch):
+        _, _, spec, cfg = _sweep_scenes()[0]
+        truth = simulate.mix_scene(spec)
+        mix = stft(truth.mixture)
+        direct = stft(truth.direct[0])
+        kinds = ["none", "oracle-psm", "oracle-ratio-bin:0.00"]
+        masks = [evaluate.build_mask(kind, mix, direct, spec.seed) for kind in kinds]
+        assert np.array_equal(masks[0].weights, masks[2].weights)
+        frames = evaluate._central_frames(mix.num_frames, cfg["eval_frames"])
+        core = estimate.EstimatorCore(mix, make_grid(37), spec.geometry, frames)
+        eigh, power = np.linalg.eigh, core.power
+        eigh_bins, power_masks = [], []
+
+        def counting_eigh(a):
+            eigh_bins.append(len(a))
+            return eigh(a)
+
+        def counting_power(weights):
+            power_masks.append(len(weights))
+            return power(weights)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(core, "power", counting_power)
+        for method in ("srp-mp", "music"):
+            spectra = core.spectra(method, masks)
+            assert np.array_equal(spectra[0].values, spectra[2].values)
+        # every bin of every mask is active, so the duplicate would add K bins
+        assert power_masks == [2] and eigh_bins == [2 * mix.num_bins]
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_all_zero_mask_anywhere_in_batch_raises(self, position):

@@ -1,0 +1,108 @@
+"""Property tests of the pair-form SRP against the K x N x Q x Q cross-spectral oracle."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from doalab.attention import AttentionMask  # noqa: E402
+from doalab.estimate import EstimatorCore, SpatialPowerSpectrum, normalize_sps, pick_doa  # noqa: E402
+from doalab.geometry import ArrayGeometry, make_grid, steering_matrix  # noqa: E402
+from doalab.signal import MultichannelSpectrogram  # noqa: E402
+from srp_reference import cross_spectral_tensor, mask_weighting, narrowband_srp, phat_weighting  # noqa: E402
+
+FS = 16000.0
+SETTINGS = hypothesis.settings(
+    derandomize=True, database=None, deadline=None, suppress_health_check=[hypothesis.HealthCheck.too_slow]
+)
+
+
+def _geometry(draw, min_gap):
+    """Q from 2 to 6 microphones with non-uniform, strictly increasing distances."""
+    q = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(min_gap, 0.1), min_size=q - 1, max_size=q - 1, unique=True))
+    return ArrayGeometry(np.concatenate([[0.0], np.cumsum(gaps)]))
+
+
+def _plane_wave(rng, geom, doa_deg, num_bins, num_frames, noise):
+    """Frequency-domain far-field source at ``doa_deg`` plus complex noise, shape (Q, K, N)."""
+    freqs = np.arange(num_bins) * FS / (2 * (num_bins - 1))
+    source = rng.standard_normal((num_bins, num_frames)) + 1j * rng.standard_normal((num_bins, num_frames))
+    delays = np.cos(np.deg2rad(doa_deg)) * geom.mic_distances / geom.speed_of_sound
+    bins = source[None] * np.exp(-2j * np.pi * freqs[None, :, None] * delays[:, None, None])
+    shape = (geom.num_mics, num_bins, num_frames)
+    bins += noise * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return MultichannelSpectrogram(bins, FS, num_bins - 1, 2 * (num_bins - 1))
+
+
+@st.composite
+def masked_scenes(draw):
+    geom = _geometry(draw, 0.01)
+    grid = make_grid(draw(st.integers(2, 181)))
+    num_bins = draw(st.sampled_from([5, 9, 17, 33]))
+    num_frames = draw(st.integers(1, 12))
+    start = draw(st.integers(0, num_frames - 1))
+    frame_range = draw(st.none() | st.tuples(st.just(start), st.integers(start + 1, num_frames + 3)))
+    max_freq_hz = draw(st.none() | st.floats(0.0, FS / 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = _plane_wave(rng, geom, rng.uniform(0.0, 180.0), num_bins, num_frames, noise=0.3)
+    num_masks = draw(st.integers(1, 4))
+    weights = rng.uniform(0.0, 1.0, (num_masks, num_bins, num_frames))
+    weights *= rng.random(weights.shape) < draw(st.floats(0.05, 1.0))
+    return spec, grid, geom, frame_range, max_freq_hz, [AttentionMask(w) for w in weights]
+
+
+def _reference(spec, mask, grid, geom, frames, max_freq_hz):
+    """Per-bin SRP-MP of one mask over the frame range by the cross-spectral oracle, shape (C, K, N_range)."""
+    weights = mask.weights.copy()
+    if max_freq_hz is not None:
+        weights[spec.bin_frequency(np.arange(spec.num_bins)) > max_freq_hz] = 0.0
+    ranged = MultichannelSpectrogram(spec.bins[:, :, frames], spec.sample_rate, spec.hop, spec.window_length)
+    weighting = mask_weighting(phat_weighting(ranged), AttentionMask(weights[:, frames]))
+    steering = steering_matrix(grid, geom, spec.num_bins, spec.sample_rate, spec.window_length)
+    return narrowband_srp(cross_spectral_tensor(ranged, weighting), steering)
+
+
+@SETTINGS
+@hypothesis.given(masked_scenes())
+def test_pair_form_matches_cross_spectral_oracle(scene):
+    spec, grid, geom, frame_range, max_freq_hz, masks = scene
+    core = EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz)
+    start, stop = frame_range or (0, spec.num_frames)
+    frames = slice(start, min(stop, spec.num_frames))
+    references = [_reference(spec, mask, grid, geom, frames, max_freq_hz) for mask in masks]
+    if any(not np.any(ref) for ref in references):
+        with pytest.raises(ValueError, match="empty attention"):
+            core.spectra("srp-mp", masks)
+        return
+    for mask, ref in zip(masks, references):
+        per_frame, ref_per_frame = core.per_frame("srp-mp", mask), ref.sum(axis=1)
+        assert per_frame.shape == ref_per_frame.shape
+        assert np.max(np.abs(per_frame - ref_per_frame)) <= 1e-12 * np.max(np.abs(ref_per_frame))
+    totals = [ref.sum(axis=(1, 2)) for ref in references]
+    # normalizing by the peak needs a clearly positive peak; a spectrum that is
+    # negative everywhere (few bins, two microphones) has none
+    if all(total.max() > 0.1 * np.abs(total).max() for total in totals):
+        for sps, total in zip(core.spectra("srp-mp", masks), totals):
+            expected = normalize_sps(SpatialPowerSpectrum(total)).values
+            assert np.max(np.abs(sps.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@st.composite
+def on_grid_plane_waves(draw):
+    geom = _geometry(draw, 0.02)
+    grid = make_grid(draw(st.integers(2, 181)))
+    doa = float(grid.angles_deg[draw(st.integers(0, grid.size - 1))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _plane_wave(rng, geom, doa, 257, 3, noise=0.0), grid, geom, doa
+
+
+@SETTINGS
+@hypothesis.given(on_grid_plane_waves())
+def test_plane_wave_recovered_exactly_below_aliasing_limit(scene):
+    spec, grid, geom, doa = scene
+    # below c / (2 * aperture) no pair's phase wraps between two directions
+    limit = 0.99 * geom.speed_of_sound / (2.0 * geom.aperture)
+    core = EstimatorCore(spec, grid, geom, max_freq_hz=limit)
+    assert pick_doa(core.spectra("srp-p", [None])[0], grid) == doa
