@@ -1,12 +1,14 @@
 """Command-line entry point: simulate, estimate, eval, and flops subcommands.
 
-Exit codes: 0 on success, 1 for usage errors (bad arguments, mask
-specifications, ``--vthr-sweep`` ranges, config keys and config
-values), 2 for runtime failures.
-Every failure prints a single machine-parsable line ``error: <message>``
-to stderr. ``eval`` bounds worker parallelism, without affecting output
-bytes, by the first of ``--jobs``, the config's ``jobs``, the environment
-variable ``DOALAB_JOBS`` and 1 that is set.
+Exit codes: 0 on success, 1 for any ``ValueError``, which means bad
+input: a bad argument, mask specification, ``--vthr-sweep`` range, config
+key or config value, a malformed config JSON, WAV or mask file, or a
+spectrogram the estimators cannot use (numpy's ``LinAlgError`` is a
+``ValueError`` too). 2 for I/O failures, such as a missing ``--input``
+file, and internal errors. Every failure prints a single machine-parsable
+line ``error: <message>`` to stderr. ``eval`` bounds worker parallelism,
+without affecting output bytes, by the first of ``--jobs``, the config's
+``jobs``, the environment variable ``DOALAB_JOBS`` and 1 that is set.
 """
 
 from __future__ import annotations
@@ -23,18 +25,14 @@ from .geometry import ArrayGeometry, make_grid
 from .signal import read_wav, stft, write_wav
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _load_config(path) -> dict:
     if not os.path.exists(path):
-        raise _UsageError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     with open(path) as fh:
         return json.load(fh)
 
@@ -45,9 +43,9 @@ def _parse_frames(text):
     try:
         a, b = (int(x) for x in text.split(":"))
     except ValueError as exc:
-        raise _UsageError(f"invalid frame range {text!r}, expected A:B") from exc
+        raise ValueError(f"invalid frame range {text!r}, expected A:B") from exc
     if not 0 <= a < b:
-        raise _UsageError(f"frame range {text!r} needs 0 <= A < B")
+        raise ValueError(f"frame range {text!r} needs 0 <= A < B")
     return (a, b)
 
 
@@ -66,19 +64,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     frame_range = _parse_frames(args.frames)
-    if args.window_length < 2 or args.window_length % 2 or not 0 < args.hop <= args.window_length:
-        raise _UsageError(f"need an even --window-length >= 2 and 0 < --hop <= it: {args.window_length}, {args.hop}")
     signal = read_wav(args.input)
-    if args.method == "music" and not 1 <= args.num_sources < signal.num_channels:
-        raise _UsageError(f"--num-sources for music must be in [1, {signal.num_channels - 1}]: {args.num_sources}")
-    try:
-        geom = ArrayGeometry.uniform(signal.num_channels, args.mic_spacing, args.speed_of_sound)
-        grid = make_grid(args.grid)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    geom = ArrayGeometry.uniform(signal.num_channels, args.mic_spacing, args.speed_of_sound)
+    grid = make_grid(args.grid)
     spec = stft(signal, args.window_length, args.hop)
-    if frame_range is not None and frame_range[0] >= spec.num_frames:
-        raise _UsageError(f"frame range {args.frames!r} starts after the last of {spec.num_frames} frames")
 
     kind = args.mask
     if kind not in ("none", "ones") and os.path.isfile(kind):
@@ -86,12 +75,9 @@ def cmd_estimate(args) -> int:
     direct = None
     if kind.startswith("oracle"):
         if args.direct is None:
-            raise _UsageError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
+            raise ValueError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
         direct = stft(read_wav(args.direct), args.window_length, args.hop)
-    try:
-        mask = evaluate.build_mask(kind, spec, direct)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    mask = evaluate.build_mask(kind, spec, direct)
 
     core = estimate.EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=args.max_freq_hz)
     sps = core.spectra(args.method, [mask], args.num_sources)[0]
@@ -120,14 +106,15 @@ def cmd_eval(args) -> int:
         try:
             lo, hi, step = (float(x) for x in args.vthr_sweep.split(":"))
         except ValueError as exc:
-            raise _UsageError("invalid --vthr-sweep, expected LO:HI:STEP") from exc
+            raise ValueError("invalid --vthr-sweep, expected LO:HI:STEP") from exc
         if not (step > 0 and 0 <= lo <= hi <= 1):
-            raise _UsageError(f"--vthr-sweep {args.vthr_sweep} needs STEP > 0 and 0 <= LO <= HI <= 1")
+            raise ValueError(f"--vthr-sweep {args.vthr_sweep} needs STEP > 0 and 0 <= LO <= HI <= 1")
         thresholds = np.arange(lo, hi + step / 2, step)
-        config.setdefault("masks", [])
-        config["masks"] = list(config["masks"]) + [
-            f"oracle-ratio-bin:{t:.2f}" for t in thresholds
-        ]
+        names = [f"{t:.2f}" for t in thresholds]
+        for t, name in zip(thresholds, names):
+            if abs(t - float(name)) > 1e-9:
+                raise ValueError(f"--vthr-sweep {args.vthr_sweep} gives threshold {t:g}, which is not a two-decimal value")
+        config["masks"] = list(config.get("masks", [])) + [f"oracle-ratio-bin:{name}" for name in names]
     if args.jobs is not None:
         config["jobs"] = args.jobs
     elif "jobs" not in config and "DOALAB_JOBS" in os.environ:
@@ -135,14 +122,12 @@ def cmd_eval(args) -> int:
         try:
             config["jobs"] = int(env_jobs)
         except ValueError as exc:
-            raise _UsageError(f"DOALAB_JOBS must be an integer, got {env_jobs!r}") from exc
+            raise ValueError(f"DOALAB_JOBS must be an integer, got {env_jobs!r}") from exc
     evaluate.run_experiment(config, out_dir=args.out_dir)
     return 0
 
 
 def cmd_flops(args) -> int:
-    if min(args.K, args.C, args.Q) < 1:
-        raise _UsageError("K, C, and Q must all be at least 1")
     print(estimate.srp_flops(args.K, args.C, args.Q))
     return 0
 
@@ -197,12 +182,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, evaluate.ConfigError) as exc:
+    except Exception as exc:  # noqa: BLE001 - the single exit path of every failure
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - single runtime exit path
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValueError) else 2
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ def _resolve_frames(num_frames: int, frame_range) -> slice:
     start = max(0, int(start))
     stop = min(num_frames, int(stop))
     if stop <= start:
-        raise ValueError("empty frame range")
+        raise ValueError(f"empty frame range {frame_range[0]}:{frame_range[1]} of {num_frames} frames")
     return slice(start, stop)
 
 
@@ -191,7 +191,7 @@ class EstimatorCore:
         """
         q = self.bins.shape[0]
         if not 1 <= num_sources < q:
-            raise ValueError("num_sources must satisfy 1 <= num_sources < Q")
+            raise ValueError(f"num_sources must satisfy 1 <= num_sources < Q = {q}, got {num_sources}")
         if self.bins.shape[2] < q:
             raise ValueError("need at least Q frames for a full-rank covariance")
         weights, index = self._weights(masks)
@@ -247,11 +247,15 @@ class EstimatorCore:
 
 
 def normalize_sps(sps: SpatialPowerSpectrum) -> SpatialPowerSpectrum:
-    """Divide by the maximum so the peak sits at 1."""
-    peak = sps.values.max()
-    if peak == 0:
-        raise ValueError("cannot normalize an all-zero spectrum")
-    return SpatialPowerSpectrum(sps.values / peak, normalized=True)
+    """Peak 1 in the same order: divide by a positive maximum, else map [min, max] onto [0, 1]."""
+    values = sps.values
+    peak = values.max()
+    if peak > 0:
+        return SpatialPowerSpectrum(values / peak, normalized=True)
+    low = values.min()
+    if low == peak:
+        raise ValueError("cannot normalize an all-zero spectrum" if peak == 0 else "cannot normalize a constant negative spectrum")
+    return SpatialPowerSpectrum((values - low) / (peak - low), normalized=True)
 
 
 def pick_doa(sps: SpatialPowerSpectrum, grid: DoaGrid) -> float:

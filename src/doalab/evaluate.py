@@ -180,19 +180,31 @@ def validate_config(config: dict) -> dict:
     _check_int(cfg, "eval_frames", 1)
     _check_int(cfg, "grid_size", 2)
     _check_int(cfg, "duration_frames", 1)
+    _check_int(cfg, "seeds_per_doa", 1)
+    _check_int(cfg, "num_sources_music", 1)
     _check_level(cfg, "snr_db")
     _check_level(cfg, "sir_db")
-    if not cfg["methods"]:
-        raise ConfigError("methods list may not be empty")
+    for key in ("acc_threshold_deg", "psacc_threshold_deg", "max_freq_hz"):
+        value = cfg[key]
+        if not ((_is_number(value) and value > 0) or (key == "max_freq_hz" and value is None)):
+            raise ConfigError(f"config key {key!r} must be a number > 0, got {value!r}")
+    if cfg["acc_threshold_deg"] > cfg["psacc_threshold_deg"]:
+        raise ConfigError("config key 'acc_threshold_deg' may not exceed 'psacc_threshold_deg'")
+    for key in ("methods", "masks"):
+        entries = cfg[key]
+        if not isinstance(entries, (list, tuple)) or not entries:
+            raise ConfigError(f"config key {key!r} must be a non-empty list, got {entries!r}")
+        repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
+        if repeated:
+            raise ConfigError(f"config key {key!r} repeats {repeated[0]!r}")
     for method in cfg["methods"]:
         if method not in estimate.METHODS:
             raise ConfigError(f"unknown method {method!r}; valid: {', '.join(estimate.METHODS)}")
-    if not cfg["masks"]:
-        raise ConfigError("masks list may not be empty")
-    if not isinstance(cfg["t60"], (list, tuple)):
-        cfg["t60"] = [cfg["t60"]]
-    if not isinstance(cfg["smd"], (list, tuple)):
-        cfg["smd"] = [cfg["smd"]]
+    for key in ("t60", "smd"):
+        if not isinstance(cfg[key], (list, tuple)):
+            cfg[key] = [cfg[key]]
+        if not all(_is_number(value) for value in cfg[key]):
+            raise ConfigError(f"config key {key!r} must be a number or a list of numbers, got {cfg[key]!r}")
     if cfg["doas"] == "grid":
         cfg["doas"] = list(np.linspace(0.0, 180.0, cfg["grid_size"]))
     return cfg

@@ -39,10 +39,6 @@ class ArrayGeometry:
     @classmethod
     def uniform(cls, num_mics: int, spacing: float, speed_of_sound: float = SPEED_OF_SOUND) -> "ArrayGeometry":
         """ULA with ``num_mics`` microphones and equal ``spacing`` in meters."""
-        if num_mics < 2:
-            raise ValueError("need at least two microphones")
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
         return cls(np.arange(num_mics) * spacing, speed_of_sound)
 
     @property
@@ -90,8 +86,6 @@ class SteeringMatrix:
 
 def make_grid(num_points: int) -> DoaGrid:
     """Uniform DOA grid over [0, 180] degrees with ``num_points`` entries."""
-    if num_points < 2:
-        raise ValueError("grid needs at least two points")
     return DoaGrid(np.linspace(0.0, 180.0, num_points))
 
 

@@ -208,9 +208,9 @@ class TestSimulate:
         assert payload["spec"]["sources"][0]["doa_deg"] == 60.0
         assert payload["doas_deg"] == [60.0]
 
-    def test_bad_room_is_runtime_error(self, tmp_path, capsys):
+    def test_bad_room_is_usage_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json", rooms=[[6.0, -5.0, 2.7]])
-        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 2
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
@@ -335,14 +335,95 @@ class TestEval:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("sweep", ["0:0.9:0", "0.5:0.1:0.1", "0:2:0.5", "-0.1:0.5:0.1"])
-    def test_bad_sweep_range_exits_1_before_simulating(self, tmp_path, capsys, monkeypatch, sweep):
+    @pytest.mark.parametrize(
+        "sweep, masks, message",
+        [
+            pytest.param(sweep, ["none"], sweep, id=sweep)
+            # 0:0.01:0.004 would name 0.004 and 0.008 as 0.00 and 0.01
+            for sweep in ("0:0.9:0", "0.5:0.1:0.1", "0:2:0.5", "-0.1:0.5:0.1", "0:0.01:0.004")
+        ]
+        + [
+            pytest.param(
+                "0.2:0.4:0.1", ["none", "oracle-ratio-bin:0.30"], "repeats 'oracle-ratio-bin:0.30'",
+                id="repeats-a-config-mask",
+            )
+        ],
+    )
+    def test_bad_sweep_range_exits_1_before_simulating(self, tmp_path, capsys, monkeypatch, sweep, masks, message):
         calls = []
         monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
-        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1)
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, masks=masks)
         argv = ["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x"), f"--vthr-sweep={sweep}"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and sweep in err
+        assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
         assert calls == []
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    return err
+
+
+class TestExitCodes:
+    """A ValueError anywhere means bad input and exits 1; I/O failures exit 2."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--input", "{text}"], 1),
+            (["--input", "{wav}", "--method", "srp-mp", "--mask", "{zeros}"], 1),
+            (["--input", "{wav}", "--max-freq-hz", "-1"], 1),
+            (["--input", "{missing}"], 2),
+        ],
+        ids=["input-not-wav", "all-zero-mask-file", "negative-max-freq", "missing-input"],
+    )
+    def test_estimate(self, broadside_wav, tmp_path, capsys, args, code):
+        paths = {"wav": broadside_wav, "text": tmp_path / "text.wav", "zeros": tmp_path / "zeros.mask"}
+        paths["text"].write_text("not a WAV file")
+        save_mask(paths["zeros"], AttentionMask(np.zeros((257, 14))))
+        argv = [arg.format(missing=tmp_path / "nope.wav", **paths) for arg in args]
+        assert main(["estimate", *argv]) == code
+        _one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "overrides, simulated",
+        [
+            ({"t60": [-0.1]}, 0),
+            ({"smd": [0]}, 0),
+            ({"doas": [200]}, 0),
+            ({"geometry": {"num_mics": 1, "mic_spacing_m": 0.08}}, 0),
+            ({"master_seed": -1}, 0),
+            ({"max_freq_hz": -5}, 0),
+            ({"stft": {"window_length": 511, "hop": 256}}, 1),
+            ({"methods": ["music"], "num_sources_music": 4}, 1),
+            ({"masks": ["nope"]}, 1),
+            ({"rooms": [[1.0, 1.0, 1.0]]}, 1),
+            ({"methods": ["music"], "eval_frames": 1}, 1),
+        ],
+        ids=[
+            "t60", "smd", "doas", "num_mics", "master_seed", "max_freq_hz",
+            "window_length", "num_sources_music", "mask", "room", "music-eval_frames",
+        ],
+    )
+    def test_eval_config_value(self, tmp_path, capsys, monkeypatch, overrides, simulated):
+        """Bad values exit 1 before any scene is simulated, or at the first scene."""
+        calls = []
+
+        def mix_scene(spec, real=simulate.mix_scene):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(simulate, "mix_scene", mix_scene)
+        cfg = _write_config(tmp_path / "cfg.json", **{"doas": [90.0], "seeds_per_doa": 1, **overrides})
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        _one_error_line(capsys)
+        assert len(calls) == simulated
+
+    def test_malformed_config_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"t60": [0.3],')
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        _one_error_line(capsys)

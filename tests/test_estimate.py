@@ -239,6 +239,26 @@ class TestNormalizeAndPick:
         with pytest.raises(ValueError):
             normalize_sps(SpatialPowerSpectrum(np.zeros(5)))
 
+    def test_constant_negative_rejected(self):
+        with pytest.raises(ValueError, match="constant negative"):
+            normalize_sps(SpatialPowerSpectrum(np.full(5, -2.0)))
+
+    def test_negative_spectrum_keeps_order(self):
+        # two mics 0.01 m apart, every bin in opposite phase: the SRP power is
+        # below its removed diagonal at every grid angle. The extra 0.2 rad
+        # make 0 degrees the strict maximum; in exact opposite phase 0 and 180
+        # degrees tie, and rounding decides the pick.
+        bins = np.ones((2, 17, 1), dtype=complex)
+        bins[1] = -np.exp(0.2j)
+        grid = make_grid(3)
+        core = EstimatorCore(_spec(bins), grid, ArrayGeometry.uniform(2, 0.01))
+        power = core.power(np.ones((1, 17, 1)))[:, 0]
+        assert power.max() < 0
+        sps = core.spectra("srp-p", [None])[0]
+        assert sps.normalized and sps.values.max() == 1.0
+        assert pick_doa(sps, grid) == 0.0
+        np.testing.assert_array_equal(np.argsort(sps.values), np.argsort(power))
+
     def test_pick_one_hot(self):
         values = np.zeros(37)
         values[18] = 1.0

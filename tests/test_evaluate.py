@@ -169,6 +169,20 @@ class TestValidateConfig:
             ("snr_db", [30.0, 10.0]),
             ("snr_db", [10.0]),
             ("sir_db", "0"),
+            ("methods", ["srp-p", "music", "srp-p"]),
+            ("masks", ["none", "none"]),
+            ("acc_threshold_deg", "x"),
+            ("acc_threshold_deg", 0),
+            ("acc_threshold_deg", 15.0),  # above the default psacc threshold of 10
+            ("psacc_threshold_deg", 4.0),  # below the default acc threshold of 5
+            ("max_freq_hz", "x"),
+            ("max_freq_hz", -5.0),
+            ("seeds_per_doa", 0),
+            ("num_sources_music", 0),
+            ("num_sources_music", 1.5),
+            ("t60", ["x"]),
+            ("smd", "x"),
+            ("masks", "none"),
         ],
     )
     def test_bad_values_name_their_key(self, key, value):
@@ -178,7 +192,8 @@ class TestValidateConfig:
     def test_boundary_values_accepted(self):
         cfg = validate_config(
             {"jobs": 1, "eval_frames": 1, "grid_size": 2, "duration_frames": 1,
-             "snr_db": [10.0, 10.0], "sir_db": None}
+             "snr_db": [10.0, 10.0], "sir_db": None, "seeds_per_doa": 1, "num_sources_music": 1,
+             "acc_threshold_deg": 10.0, "max_freq_hz": None}
         )
         assert cfg["doas"] == [0.0, 180.0]
 
