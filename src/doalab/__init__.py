@@ -7,14 +7,13 @@ estimators, and a seeded evaluation harness with a CLI front end.
 
 __version__ = "0.1.0"
 
-from .geometry import ArrayGeometry, DoaGrid, SteeringMatrix, make_grid, steering_matrix
+from .geometry import ArrayGeometry, DoaGrid, make_grid, steering_matrix
 from .signal import MultichannelSpectrogram, TimeSignal, istft, stft
 
 __all__ = [
     "ArrayGeometry",
     "DoaGrid",
     "MultichannelSpectrogram",
-    "SteeringMatrix",
     "TimeSignal",
     "istft",
     "make_grid",

@@ -34,7 +34,10 @@ def _load_config(path) -> dict:
     if not os.path.exists(path):
         raise ValueError(f"config file not found: {path}")
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _parse_frames(text):

@@ -13,7 +13,8 @@ with the bands' mask weights. :class:`EstimatorCore` keeps the mask-independent
 part (X, E, per-bin outer products) of one spectrogram and frame range and
 evaluates a list of masks at once for any method in :data:`METHODS`: SRP-MP
 is one matrix product, MUSIC one batched eigendecomposition over all
-(mask, bin) pairs.
+(mask, bin) pairs. Spectra are plain float arrays: one (M, C) array with a
+row per mask, each row a length-C spectrum over the DOA grid.
 
 The steering is applied so that a source whose inter-microphone delays
 follow the far-field model of :func:`doalab.geometry.steering_matrix`
@@ -22,33 +23,16 @@ produces the power maximum at its own grid angle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import ArrayGeometry, DoaGrid
+from .geometry import ArrayGeometry, DoaGrid, steering_matrix
 from .signal import MultichannelSpectrogram
 
 DEFAULT_PHAT_EPSILON = 1e-8
 MIN_BAND_WEIGHT = 1e-6
 METHODS = ("srp-p", "srp-mp", "music")
-
-
-@dataclass(frozen=True)
-class SpatialPowerSpectrum:
-    """DOA pseudo-likelihood: length C, or per-frame C x N."""
-
-    values: np.ndarray = field(repr=False)
-    normalized: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim not in (1, 2):
-            raise ValueError("spatial power spectrum must have 1 or 2 dimensions")
-        if self.normalized and v.size and not np.isclose(v.max(), 1.0):
-            raise ValueError("normalized spectrum must have maximum 1")
 
 
 def _resolve_frames(num_frames: int, frame_range) -> slice:
@@ -83,6 +67,7 @@ class EstimatorCore:
         if geom.num_mics != spec.num_channels:
             raise ValueError(f"array has {geom.num_mics} microphones, the spectrogram {spec.num_channels} channels")
         self.shape = (spec.num_bins, spec.num_frames)
+        self._steering_args = (grid, geom, spec.sample_rate, spec.window_length)
         self.frames = _resolve_frames(spec.num_frames, frame_range)
         self.bins = spec.bins[:, :, self.frames]
         freqs = spec.bin_frequency(np.arange(spec.num_bins))
@@ -112,15 +97,8 @@ class EstimatorCore:
 
     @cached_property
     def steering(self) -> np.ndarray:
-        """Steering matrix of the grid, shape (C, K, Q), as :func:`doalab.geometry.steering_matrix`.
-
-        Microphone 1 sits at distance 0, so the column of microphone j > 1 is the pair steering of (1, j).
-        """
-        c, (k, _), q = self.pair_steering.shape[0], self.shape, self.bins.shape[0]
-        pairs = self.pair_steering.reshape(c, k, 2, -1)[..., : q - 1]  # [Re E; -Im E] per bin
-        steering = np.ones((c, k, q), dtype=complex)
-        steering.real[:, :, 1:], steering.imag[:, :, 1:] = pairs[:, :, 0], -pairs[:, :, 1]
-        return steering
+        """Steering matrix of the grid, shape (C, K, Q), from :func:`doalab.geometry.steering_matrix`."""
+        return steering_matrix(*self._steering_args)
 
     @cached_property
     def products(self) -> np.ndarray:
@@ -168,17 +146,16 @@ class EstimatorCore:
         summed = self.pairs @ np.transpose(weights, (1, 2, 0))  # (K, 2P, M)
         return self._scale * (self.pair_steering @ summed.reshape(-1, len(weights)))
 
-    def srp(self, masks) -> list[SpatialPowerSpectrum]:
-        """Normalized mask-modified SRP-PHAT per mask; plain SRP-PHAT for ``None``.
+    def srp(self, masks) -> np.ndarray:
+        """Normalized mask-modified SRP-PHAT, one row per mask; plain SRP-PHAT for ``None``.
 
         One pair-form product for all masks, with the squared masks as weights.
         """
         weights, index = self._srp_weights(masks)
-        spectra = [normalize_sps(SpatialPowerSpectrum(v)) for v in self.power(weights).T]
-        return [spectra[i] for i in index]
+        return np.stack([normalize_sps(v) for v in self.power(weights).T])[index]
 
-    def music(self, masks, num_sources: int = 1) -> list[SpatialPowerSpectrum]:
-        """Normalized NormMUSIC per mask: band-normalized, mask-weighted MUSIC.
+    def music(self, masks, num_sources: int = 1) -> np.ndarray:
+        """Normalized NormMUSIC, one row per mask: band-normalized, mask-weighted MUSIC.
 
         Per band: mask-weighted sample covariance over frames, noise subspace
         from the Q - num_sources smallest eigenvalues, pseudospectrum
@@ -217,17 +194,18 @@ class EstimatorCore:
             pseudo = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=2), 1e-12)
             pseudo /= pseudo.max(axis=1, keepdims=True)
             values = bands[band_active] @ pseudo / bands[band_active].sum()
-            spectra.append(normalize_sps(SpatialPowerSpectrum(values)))
-        return [spectra[i] for i in index]
+            spectra.append(normalize_sps(values))
+        return np.stack(spectra)[index]
 
-    def spectra(self, method: str, masks, num_sources: int = 1) -> list[SpatialPowerSpectrum]:
-        """Normalized spatial power spectra of one of :data:`METHODS`, one per mask.
+    def spectra(self, method: str, masks, num_sources: int = 1) -> np.ndarray:
+        """Normalized spatial power spectra of one of :data:`METHODS`, shape (M, C).
 
-        ``srp-p`` ignores the mask, so its spectrum is computed once and
-        shared; so are the spectra of masks with equal weights.
+        Row m belongs to ``masks[m]``. ``srp-p`` ignores the mask, so its
+        spectrum is computed once and shared; so are the spectra of masks
+        with equal weights.
         """
         if method == "srp-p":
-            return self.srp([None]) * len(masks)
+            return self.srp([None])[[0] * len(masks)]
         if method == "srp-mp":
             return self.srp(masks)
         if method == "music":
@@ -246,32 +224,31 @@ class EstimatorCore:
         return self._scale * (self.pair_steering @ weighted.reshape(-1, weighted.shape[2]))
 
 
-def normalize_sps(sps: SpatialPowerSpectrum) -> SpatialPowerSpectrum:
+def normalize_sps(values: np.ndarray) -> np.ndarray:
     """Peak 1 in the same order: divide by a positive maximum, else map [min, max] onto [0, 1]."""
-    values = sps.values
     peak = values.max()
     if peak > 0:
-        return SpatialPowerSpectrum(values / peak, normalized=True)
+        return values / peak
     low = values.min()
     if low == peak:
         raise ValueError("cannot normalize an all-zero spectrum" if peak == 0 else "cannot normalize a constant negative spectrum")
-    return SpatialPowerSpectrum((values - low) / (peak - low), normalized=True)
+    return (values - low) / (peak - low)
 
 
-def pick_doa(sps: SpatialPowerSpectrum, grid: DoaGrid) -> float:
-    """Grid angle of the spectrum maximum; ties break toward the lowest index."""
-    if sps.values.ndim != 1 or sps.values.size != grid.size:
+def pick_doa(sps: np.ndarray, grid: DoaGrid) -> float:
+    """Grid angle of the maximum of a length-C spectrum; ties break toward the lowest index."""
+    if sps.ndim != 1 or sps.size != grid.size:
         raise ValueError("spectrum length must match the grid")
-    return float(grid.angles_deg[int(np.argmax(sps.values))])
+    return float(grid.angles_deg[int(np.argmax(sps))])
 
 
-def sps_loss(est: SpatialPowerSpectrum, clean: SpatialPowerSpectrum) -> float:
-    """Mean squared difference of two normalized spatial power spectra."""
-    if not (est.normalized and clean.normalized):
-        raise ValueError("sps_loss expects normalized spectra")
-    if est.values.shape != clean.values.shape:
+def sps_loss(est: np.ndarray, clean: np.ndarray) -> float:
+    """Mean squared difference of two spatial power spectra normalized to peak 1."""
+    if est.shape != clean.shape:
         raise ValueError("spectrum length mismatch")
-    return float(np.mean((est.values - clean.values) ** 2))
+    if not (np.isclose(est.max(), 1.0) and np.isclose(clean.max(), 1.0)):
+        raise ValueError("sps_loss expects normalized spectra with peak 1")
+    return float(np.mean((est - clean) ** 2))
 
 
 def srp_flops(num_bins: int, num_directions: int, num_mics: int) -> int:

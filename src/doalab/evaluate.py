@@ -167,16 +167,28 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def validate_config(config: dict) -> dict:
-    """Fill defaults from a fresh copy of the table; raise ConfigError for any bad key or value."""
-    unknown = sorted(set(config) - _DEFAULTS.keys())
+def _merged(defaults: dict, config, prefix: str = "") -> dict:
+    """A fresh copy of ``defaults`` updated by ``config``, nested dicts key by key."""
+    if not isinstance(config, dict):
+        where = f"config key {prefix[:-1]!r}" if prefix else "the config"
+        raise ConfigError(f"{where} must be a JSON object, got {type(config).__name__}")
+    unknown = sorted(prefix + key for key in set(config) - defaults.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = copy.deepcopy(_DEFAULTS)
-    cfg.update(config)
+    merged = copy.deepcopy(defaults)
+    for key, value in config.items():
+        merged[key] = _merged(defaults[key], value, f"{prefix}{key}.") if isinstance(defaults[key], dict) else value
+    return merged
+
+
+def validate_config(config: dict) -> dict:
+    """Fill defaults from a fresh copy of the table, nested dicts key by key;
+    raise ConfigError for any bad key or value."""
+    cfg = _merged(_DEFAULTS, config)
     if cfg["version"] != 1:
         raise ConfigError(f"unsupported config version {cfg['version']!r}")
     _check_int(cfg, "jobs", 1)
+    _check_int(cfg, "master_seed", 0)
     _check_int(cfg, "eval_frames", 1)
     _check_int(cfg, "grid_size", 2)
     _check_int(cfg, "duration_frames", 1)
@@ -200,13 +212,13 @@ def validate_config(config: dict) -> dict:
     for method in cfg["methods"]:
         if method not in estimate.METHODS:
             raise ConfigError(f"unknown method {method!r}; valid: {', '.join(estimate.METHODS)}")
-    for key in ("t60", "smd"):
-        if not isinstance(cfg[key], (list, tuple)):
-            cfg[key] = [cfg[key]]
-        if not all(_is_number(value) for value in cfg[key]):
-            raise ConfigError(f"config key {key!r} must be a number or a list of numbers, got {cfg[key]!r}")
     if cfg["doas"] == "grid":
         cfg["doas"] = list(np.linspace(0.0, 180.0, cfg["grid_size"]))
+    for key in ("t60", "smd", "doas"):
+        values = cfg[key] if isinstance(cfg[key], (list, tuple)) else [cfg[key]]
+        if not all(_is_number(value) for value in values):
+            raise ConfigError(f"config key {key!r} must be a number or a list of numbers, got {cfg[key]!r}")
+        cfg[key] = values
     return cfg
 
 

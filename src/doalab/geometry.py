@@ -7,7 +7,7 @@ only inside the trigonometry. Bin k maps to the physical frequency
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,41 +71,23 @@ class DoaGrid:
         return self.angles_deg.size
 
 
-@dataclass(frozen=True)
-class SteeringMatrix:
-    """Far-field relative transfer functions, shape (C, K, Q), unit modulus."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 3:
-            raise ValueError("steering values must be a C x K x Q tensor")
-
-
 def make_grid(num_points: int) -> DoaGrid:
     """Uniform DOA grid over [0, 180] degrees with ``num_points`` entries."""
     return DoaGrid(np.linspace(0.0, 180.0, num_points))
 
 
-def steering_matrix(
-    grid: DoaGrid,
-    geom: ArrayGeometry,
-    num_bins: int,
-    sample_rate: float,
-    fft_length: int,
-) -> SteeringMatrix:
-    """Relative transfer functions of all grid directions.
+def steering_matrix(grid: DoaGrid, geom: ArrayGeometry, sample_rate: float, fft_length: int) -> np.ndarray:
+    """Relative transfer functions of all grid directions, shape (C, K, Q) with K = fft_length / 2 + 1.
 
     Entry (c, k, q) is ``exp(-j 2 pi f_k cos(theta_c) d_q / c_s)`` with
     ``f_k = k * sample_rate / fft_length``. The first microphone is the
     phase reference, so column q = 0 is identically 1.
     """
-    if num_bins != fft_length // 2 + 1:
-        raise ValueError("num_bins must equal fft_length / 2 + 1")
-    freqs = np.arange(num_bins) * sample_rate / fft_length
+    freqs = np.arange(fft_length // 2 + 1) * sample_rate / fft_length
     cos_theta = np.cos(np.deg2rad(grid.angles_deg))
     delays = cos_theta[:, None] * geom.mic_distances[None, :] / geom.speed_of_sound  # (C, Q)
     phase = -2.0 * np.pi * freqs[None, :, None] * delays[:, None, :]
-    return SteeringMatrix(np.exp(1j * phase))
+    steering = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=steering.real)
+    np.sin(phase, out=steering.imag)
+    return steering

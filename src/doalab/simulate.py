@@ -13,6 +13,7 @@ far-field steering model in :mod:`doalab.geometry`.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,10 @@ _TAP_BASIS = (
     * np.where(_TAP_OFFSETS % 2 == 0, -1.0, 1.0)
     * np.stack([np.ones(_TAP_OFFSETS.size), np.cos(_TAP_ANGLES), np.sin(_TAP_ANGLES)])
 )
+
+
+def _is_positive(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value > 0
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,8 @@ class SourceSpec:
             raise ValueError("source DOA must lie in [0, 180] degrees")
         if self.smd_m <= 0:
             raise ValueError("source-microphone distance must be positive")
+        if not isinstance(self.signal, str):
+            raise ValueError(f"source signal must be 'white', 'speech' or a WAV path, got {self.signal!r}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,11 @@ class SceneSpec:
             raise ValueError("two-source scenes need sir_db")
         if self.duration_frames < 1:
             raise ValueError("duration_frames must be positive")
+        if not _is_positive(self.sample_rate):
+            raise ValueError(f"sample_rate must be a positive number, got {self.sample_rate!r}")
+        length = self.rir_length_s
+        if length is not None and not (_is_positive(length) and round(length * self.sample_rate) >= 1):
+            raise ValueError(f"rir_length_s must be null or at least one sample long, got {length!r}")
 
     @property
     def num_samples(self) -> int:

@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from doalab.attention import AttentionMask
-from doalab.estimate import (
-    DEFAULT_PHAT_EPSILON,
-    MIN_BAND_WEIGHT,
-    SpatialPowerSpectrum,
-    normalize_sps,
-)
-from doalab.geometry import SteeringMatrix, steering_matrix
+from doalab.estimate import DEFAULT_PHAT_EPSILON, MIN_BAND_WEIGHT, normalize_sps
+from doalab.geometry import steering_matrix
 from doalab.signal import MultichannelSpectrogram
 
 
@@ -90,35 +85,32 @@ def _frames(num_frames: int, frame_range) -> slice:
     return slice(max(0, int(frame_range[0])), min(num_frames, int(frame_range[1])))
 
 
-def srp(phi: CrossSpectralTensor, steering: SteeringMatrix, frame_range=None) -> SpatialPowerSpectrum:
-    """Steered response power over the DOA grid.
+def srp(phi: CrossSpectralTensor, steering: np.ndarray, frame_range=None) -> np.ndarray:
+    """Steered response power over the DOA grid, length C; ``steering`` is (C, K, Q).
 
     Sums ``2 Re{D*[c,k,q] Phi[k,n,q,j] D[c,k,j]}`` over frames, bins, and
     microphone pairs q < j, divided by ``N * K * (Q-1)^2``.
     """
     k, n, q, _ = phi.values.shape
     phi_v = phi.values[:, _frames(n, frame_range)]
-    d = steering.values
-    total = np.einsum("ckq,knqj,ckj->c", np.conj(d), phi_v, d, optimize=True).real
+    total = np.einsum("ckq,knqj,ckj->c", np.conj(steering), phi_v, steering, optimize=True).real
     diag = np.einsum("knqq->", phi_v).real
-    values = (total - diag) / _srp_divisor(phi_v.shape[1], k, q)
-    return SpatialPowerSpectrum(values)
+    return (total - diag) / _srp_divisor(phi_v.shape[1], k, q)
 
 
-def narrowband_srp(phi: CrossSpectralTensor, steering: SteeringMatrix) -> np.ndarray:
+def narrowband_srp(phi: CrossSpectralTensor, steering: np.ndarray) -> np.ndarray:
     """Per-bin steered response power, shape (C, K, N).
 
     Summing over bins and frames recovers :func:`srp` exactly; the same
     divisor is applied to every bin.
     """
     k, n, q, _ = phi.values.shape
-    d = steering.values
-    total = np.einsum("ckq,knqj,ckj->ckn", np.conj(d), phi.values, d, optimize=True).real
+    total = np.einsum("ckq,knqj,ckj->ckn", np.conj(steering), phi.values, steering, optimize=True).real
     diag = np.einsum("knqq->kn", phi.values).real
     return (total - diag[None, :, :]) / _srp_divisor(n, k, q)
 
 
-def output_masking(nb: np.ndarray, mask: AttentionMask) -> SpatialPowerSpectrum:
+def output_masking(nb: np.ndarray, mask: AttentionMask) -> np.ndarray:
     """Mask-weighted average of a C x K x N narrowband spectrum over bins and frames."""
     if nb.ndim != 3:
         raise ValueError("output masking needs a C x K x N narrowband spectrum")
@@ -127,15 +119,14 @@ def output_masking(nb: np.ndarray, mask: AttentionMask) -> SpatialPowerSpectrum:
     total = mask.weights.sum()
     if total <= 0:
         raise ValueError("empty attention: mask weights sum to zero")
-    return SpatialPowerSpectrum(np.tensordot(nb, mask.weights, axes=([1, 2], [0, 1])) / total)
+    return np.tensordot(nb, mask.weights, axes=([1, 2], [0, 1])) / total
 
 
-def aggregate_frames(per_frame: SpatialPowerSpectrum, frame_range=None) -> SpatialPowerSpectrum:
+def aggregate_frames(per_frame: np.ndarray, frame_range=None) -> np.ndarray:
     """Arithmetic mean of a C x N per-frame spectrum over a frame range."""
-    if per_frame.values.ndim != 2:
+    if per_frame.ndim != 2:
         raise ValueError("frame aggregation needs a C x N spectrum")
-    frames = _frames(per_frame.values.shape[1], frame_range)
-    return SpatialPowerSpectrum(per_frame.values[:, frames].mean(axis=1))
+    return per_frame[:, _frames(per_frame.shape[1], frame_range)].mean(axis=1)
 
 
 def _alias_limited(weights: np.ndarray, spec: MultichannelSpectrogram, max_freq_hz) -> np.ndarray:
@@ -146,21 +137,21 @@ def _alias_limited(weights: np.ndarray, spec: MultichannelSpectrogram, max_freq_
     return weights
 
 
-def reference_srp_mp(spec, mask, grid, geom, frame_range=None, max_freq_hz=None) -> SpatialPowerSpectrum:
+def reference_srp_mp(spec, mask, grid, geom, frame_range=None, max_freq_hz=None) -> np.ndarray:
     """SRP-MP as one pass per mask: weight ``Y / |Y|`` by the mask, then steer."""
     weights = _alias_limited(mask.weights, spec, max_freq_hz)
     frames = _frames(spec.num_frames, frame_range)
     weighted = (spec.bins * mask_weighting(phat_weighting(spec), AttentionMask(weights)).values)[:, :, frames]
-    steering = steering_matrix(grid, geom, spec.num_bins, spec.sample_rate, spec.window_length).values
+    steering = steering_matrix(grid, geom, spec.sample_rate, spec.window_length)
     beam = np.einsum("ckq,qkn->ckn", np.conj(steering), weighted, optimize=True)
     power = np.abs(beam) ** 2 - np.sum(np.abs(weighted) ** 2, axis=0)[None, :, :]
     q, k, n = weighted.shape
-    return normalize_sps(SpatialPowerSpectrum((power / _srp_divisor(n, k, q)).sum(axis=(1, 2))))
+    return normalize_sps((power / _srp_divisor(n, k, q)).sum(axis=(1, 2)))
 
 
 def reference_norm_music(
     spec, mask, grid, geom, num_sources=1, frame_range=None, max_freq_hz=None
-) -> SpatialPowerSpectrum:
+) -> np.ndarray:
     """Band-normalized MUSIC with each band's covariance summed per mask."""
     q = spec.num_channels
     frames = _frames(spec.num_frames, frame_range)
@@ -173,10 +164,10 @@ def reference_norm_music(
     cov /= band_weight[active][:, None, None]
     _, eigvecs = np.linalg.eigh(cov)
     noise = eigvecs[:, :, : q - num_sources]
-    steering = steering_matrix(grid, geom, spec.num_bins, spec.sample_rate, spec.window_length)
-    manifold = np.conj(steering.values[:, active, :])
+    steering = steering_matrix(grid, geom, spec.sample_rate, spec.window_length)
+    manifold = np.conj(steering[:, active, :])
     proj = np.einsum("ckq,kqm->ckm", manifold, noise, optimize=True)
     pseudo = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=2), 1e-12)
     pseudo /= pseudo.max(axis=0, keepdims=True)
     values = pseudo @ band_weight[active] / band_weight[active].sum()
-    return normalize_sps(SpatialPowerSpectrum(values))
+    return normalize_sps(values)

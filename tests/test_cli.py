@@ -402,10 +402,13 @@ class TestExitCodes:
             ({"masks": ["nope"]}, 1),
             ({"rooms": [[1.0, 1.0, 1.0]]}, 1),
             ({"methods": ["music"], "eval_frames": 1}, 1),
+            ({"source": 5}, 0),
+            ({"interferer": 3, "sir_db": 0}, 0),
         ],
         ids=[
             "t60", "smd", "doas", "num_mics", "master_seed", "max_freq_hz",
             "window_length", "num_sources_music", "mask", "room", "music-eval_frames",
+            "source", "interferer",
         ],
     )
     def test_eval_config_value(self, tmp_path, capsys, monkeypatch, overrides, simulated):
@@ -421,6 +424,28 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         _one_error_line(capsys)
         assert len(calls) == simulated
+
+    @pytest.mark.parametrize(
+        "key, value", [("sample_rate", "x"), ("rir_length_s", 0), ("rir_length_s", "x"), ("rir_length_s", -1)]
+    )
+    def test_scene_value_names_its_key(self, tmp_path, capsys, monkeypatch, key, value):
+        """Values only a scene checks still exit 1 before any scene is simulated."""
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, **{key: value})
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert key in _one_error_line(capsys)
+        assert calls == []
+
+    @pytest.mark.parametrize("flags", [[], ["--methods", "srp-p"], ["--vthr-sweep", "0:0.5:0.1"]])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, monkeypatch, flags):
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x"), *flags]) == 1
+        assert "JSON object" in _one_error_line(capsys)
+        assert calls == []
 
     def test_malformed_config_json(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -7,7 +7,6 @@ from doalab import estimate
 from doalab.attention import AttentionMask, band_range_mask, ones_mask
 from doalab.estimate import (
     EstimatorCore,
-    SpatialPowerSpectrum,
     normalize_sps,
     pick_doa,
     sps_loss,
@@ -31,6 +30,10 @@ from srp_reference import (
 FS = 16000
 GEOM = ArrayGeometry.uniform(4, 0.08)
 GRID = make_grid(37)
+# non-uniform arrays of 3 and 6 microphones with random spacings
+RANDOM_ARRAYS = [
+    np.concatenate([[0.0], np.cumsum(np.random.default_rng(q).uniform(0.005, 0.15, q - 1))]).tolist() for q in (3, 6)
+]
 
 
 def _spec(bins):
@@ -137,8 +140,8 @@ class TestSrp:
             spec.bins * np.exp(0.7j), spec.sample_rate, spec.hop, spec.window_length
         )
         np.testing.assert_allclose(
-            EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0].values,
-            EstimatorCore(rotated, GRID, geom).spectra("srp-p", [None])[0].values,
+            EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0],
+            EstimatorCore(rotated, GRID, geom).spectra("srp-p", [None])[0],
             rtol=1e-9,
         )
 
@@ -150,8 +153,8 @@ class TestSrp:
             spec.bins[::-1], spec.sample_rate, spec.hop, spec.window_length
         )
         np.testing.assert_allclose(
-            EstimatorCore(reversed_spec, GRID, geom).spectra("srp-p", [None])[0].values,
-            EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0].values[::-1],
+            EstimatorCore(reversed_spec, GRID, geom).spectra("srp-p", [None])[0],
+            EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0][::-1],
             rtol=1e-9,
             atol=1e-12,
         )
@@ -160,10 +163,10 @@ class TestSrp:
         spec, geom = _plane_wave_spec(110.0, samples=2000, seed=8)
         w = phat_weighting(spec)
         phi = cross_spectral_tensor(spec, w)
-        steering = steering_matrix(GRID, geom, spec.num_bins, FS, spec.window_length)
+        steering = steering_matrix(GRID, geom, FS, spec.window_length)
         slow = srp(phi, steering)
         fast = EstimatorCore(spec, GRID, geom).power(np.ones((1, spec.num_bins, spec.num_frames)))[:, 0]
-        np.testing.assert_allclose(slow.values, fast, rtol=1e-9)
+        np.testing.assert_allclose(slow, fast, rtol=1e-9)
 
     def test_array_must_match_channel_count(self):
         spec, _ = _plane_wave_spec(90.0, samples=2000, seed=9)
@@ -181,9 +184,9 @@ class TestNarrowband:
         spec, geom = _plane_wave_spec(55.0, samples=2000, seed=10)
         w = phat_weighting(spec)
         phi = cross_spectral_tensor(spec, w)
-        steering = steering_matrix(GRID, geom, spec.num_bins, FS, spec.window_length)
+        steering = steering_matrix(GRID, geom, FS, spec.window_length)
         nb = narrowband_srp(phi, steering)
-        np.testing.assert_allclose(nb.sum(axis=(1, 2)), srp(phi, steering).values, rtol=1e-9)
+        np.testing.assert_allclose(nb.sum(axis=(1, 2)), srp(phi, steering), rtol=1e-9)
 
     def test_dc_band_is_constant_over_directions(self):
         spec, geom = _plane_wave_spec(35.0, samples=2000, seed=11)
@@ -202,18 +205,18 @@ class TestOutputMasking:
 
     def test_ones_mask_is_plain_average(self):
         out = output_masking(self.nb, ones_mask(4, 3))
-        np.testing.assert_allclose(out.values, self.nb.mean(axis=(1, 2)), rtol=1e-12)
+        np.testing.assert_allclose(out, self.nb.mean(axis=(1, 2)), rtol=1e-12)
 
     def test_single_bin_mask_selects_bin(self):
         weights = np.zeros((4, 3))
         weights[2, 1] = 1.0
         out = output_masking(self.nb, AttentionMask(weights))
-        np.testing.assert_allclose(out.values, self.nb[:, 2, 1], rtol=1e-12)
+        np.testing.assert_allclose(out, self.nb[:, 2, 1], rtol=1e-12)
 
     def test_mask_scale_invariance(self):
         a = output_masking(self.nb, AttentionMask(np.full((4, 3), 1.0)))
         b = output_masking(self.nb, AttentionMask(np.full((4, 3), 0.25)))
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_empty_mask_raises(self):
         with pytest.raises(ValueError, match="empty attention"):
@@ -222,26 +225,24 @@ class TestOutputMasking:
 
 class TestNormalizeAndPick:
     def test_normalize_example(self):
-        out = normalize_sps(SpatialPowerSpectrum(np.array([2.0, 4.0, 1.0])))
-        np.testing.assert_array_equal(out.values, [0.5, 1.0, 0.25])
-        assert out.normalized
+        out = normalize_sps(np.array([2.0, 4.0, 1.0]))
+        np.testing.assert_array_equal(out, [0.5, 1.0, 0.25])
 
     def test_normalize_idempotent(self):
-        sps = SpatialPowerSpectrum(np.random.default_rng(14).uniform(0.1, 2, 37))
-        once = normalize_sps(sps)
-        np.testing.assert_array_equal(normalize_sps(once).values, once.values)
+        once = normalize_sps(np.random.default_rng(14).uniform(0.1, 2, 37))
+        np.testing.assert_array_equal(normalize_sps(once), once)
 
     def test_normalize_preserves_argmax(self):
-        sps = SpatialPowerSpectrum(np.random.default_rng(15).uniform(0.1, 2, 37))
-        assert np.argmax(normalize_sps(sps).values) == np.argmax(sps.values)
+        sps = np.random.default_rng(15).uniform(0.1, 2, 37)
+        assert np.argmax(normalize_sps(sps)) == np.argmax(sps)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            normalize_sps(SpatialPowerSpectrum(np.zeros(5)))
+            normalize_sps(np.zeros(5))
 
     def test_constant_negative_rejected(self):
         with pytest.raises(ValueError, match="constant negative"):
-            normalize_sps(SpatialPowerSpectrum(np.full(5, -2.0)))
+            normalize_sps(np.full(5, -2.0))
 
     def test_negative_spectrum_keeps_order(self):
         # two mics 0.01 m apart, every bin in opposite phase: the SRP power is
@@ -255,57 +256,57 @@ class TestNormalizeAndPick:
         power = core.power(np.ones((1, 17, 1)))[:, 0]
         assert power.max() < 0
         sps = core.spectra("srp-p", [None])[0]
-        assert sps.normalized and sps.values.max() == 1.0
+        assert sps.max() == 1.0
         assert pick_doa(sps, grid) == 0.0
-        np.testing.assert_array_equal(np.argsort(sps.values), np.argsort(power))
+        np.testing.assert_array_equal(np.argsort(sps), np.argsort(power))
 
     def test_pick_one_hot(self):
         values = np.zeros(37)
         values[18] = 1.0
-        assert pick_doa(SpatialPowerSpectrum(values), GRID) == 90.0
+        assert pick_doa(values, GRID) == 90.0
 
     def test_pick_tie_breaks_to_lowest_index(self):
-        assert pick_doa(SpatialPowerSpectrum(np.ones(37)), GRID) == 0.0
+        assert pick_doa(np.ones(37), GRID) == 0.0
 
     def test_pick_rescale_invariant(self):
         values = np.random.default_rng(16).uniform(0, 1, 37)
-        a = pick_doa(SpatialPowerSpectrum(values), GRID)
-        b = pick_doa(SpatialPowerSpectrum(3.0 * values), GRID)
-        assert a == b
+        assert pick_doa(values, GRID) == pick_doa(3.0 * values, GRID)
 
     def test_pick_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            pick_doa(SpatialPowerSpectrum(np.ones(5)), GRID)
+            pick_doa(np.ones(5), GRID)
 
     def test_aggregate_frames_mean(self):
-        per_frame = SpatialPowerSpectrum(np.array([[1.0, 3.0], [2.0, 6.0]]))
-        np.testing.assert_array_equal(aggregate_frames(per_frame).values, [2.0, 4.0])
-        np.testing.assert_array_equal(
-            aggregate_frames(per_frame, frame_range=(1, 2)).values, [3.0, 6.0]
-        )
+        per_frame = np.array([[1.0, 3.0], [2.0, 6.0]])
+        np.testing.assert_array_equal(aggregate_frames(per_frame), [2.0, 4.0])
+        np.testing.assert_array_equal(aggregate_frames(per_frame, frame_range=(1, 2)), [3.0, 6.0])
 
 
 class TestSpsLoss:
     def test_identical_spectra_give_zero(self):
-        sps = normalize_sps(SpatialPowerSpectrum(np.array([1.0, 0.5])))
+        sps = normalize_sps(np.array([1.0, 0.5]))
         assert sps_loss(sps, sps) == 0.0
 
     def test_worked_example(self):
-        a = SpatialPowerSpectrum(np.array([1.0, 0.0]), normalized=True)
-        b = SpatialPowerSpectrum(np.array([1.0, 0.5]), normalized=True)
-        assert sps_loss(a, b) == pytest.approx(0.125)
+        assert sps_loss(np.array([1.0, 0.0]), np.array([1.0, 0.5])) == pytest.approx(0.125)
 
     def test_requires_normalized(self):
-        a = SpatialPowerSpectrum(np.array([1.0, 0.0]))
-        b = SpatialPowerSpectrum(np.array([1.0, 0.5]), normalized=True)
+        # peak 2: the estimate was never normalized
         with pytest.raises(ValueError, match="normalized"):
-            sps_loss(a, b)
+            sps_loss(np.array([2.0, 0.0]), np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("peak", [0.5, 1.001])
+    def test_peak_not_one_rejected(self, peak):
+        spectrum = np.array([peak, 0.25])
+        for est, clean in ((spectrum, np.array([1.0, 0.5])), (np.array([1.0, 0.5]), spectrum)):
+            with pytest.raises(ValueError, match="peak 1"):
+                sps_loss(est, clean)
+        # a peak within rounding of 1 is accepted
+        assert sps_loss(np.array([1.0 + 1e-12, 0.25]), np.array([1.0, 0.25])) == pytest.approx(0.0)
 
     def test_length_mismatch_raises(self):
-        a = SpatialPowerSpectrum(np.array([1.0, 0.0]), normalized=True)
-        b = SpatialPowerSpectrum(np.array([1.0, 0.5, 0.0]), normalized=True)
         with pytest.raises(ValueError):
-            sps_loss(a, b)
+            sps_loss(np.array([1.0, 0.0]), np.array([1.0, 0.5, 0.0]))
 
 
 class TestSrpFlops:
@@ -336,13 +337,13 @@ class TestSrpMp:
         mask = ones_mask(spec.num_bins, spec.num_frames)
         plain = core.spectra("srp-p", [mask])[0]
         masked = core.spectra("srp-mp", [mask])[0]
-        np.testing.assert_array_equal(plain.values, masked.values)
+        np.testing.assert_array_equal(plain, masked)
 
     def test_output_is_normalized(self):
         spec, geom = _plane_wave_spec(60.0, seed=18)
         mask = ones_mask(spec.num_bins, spec.num_frames)
         sps = EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])[0]
-        assert sps.normalized and sps.values.max() == 1.0
+        assert sps.max() == 1.0
 
     def test_band_mask_still_recovers_plane_wave(self):
         spec, geom = _plane_wave_spec(70.0, seed=19)
@@ -361,7 +362,7 @@ class TestSrpMp:
         full = EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])[0]
         limited = EstimatorCore(spec, GRID, geom, max_freq_hz=2000.0).spectra("srp-mp", [mask])[0]
         assert pick_doa(limited, GRID) == 100.0
-        assert not np.array_equal(full.values, limited.values)
+        assert not np.array_equal(full, limited)
 
 
 class TestNormMusic:
@@ -371,14 +372,20 @@ class TestNormMusic:
             mask = ones_mask(spec.num_bins, spec.num_frames)
             assert pick_doa(EstimatorCore(spec, GRID, geom).spectra("music", [mask])[0], GRID) == doa
 
-    @pytest.mark.parametrize("distances", [[0.0, 0.08, 0.16, 0.24], [0.0, 0.013, 0.05, 0.11, 0.2], [0.0, 0.3]])
+    @pytest.mark.parametrize("distances", [[0.0, 0.08, 0.16, 0.24], [0.0, 0.013, 0.05, 0.11, 0.2], [0.0, 0.3]] + RANDOM_ARRAYS)
     @pytest.mark.parametrize("grid_size", [2, 37, 181])
     def test_steering_matches_geometry_model(self, distances, grid_size):
         geom = ArrayGeometry(np.array(distances))
         spec = stft(white_noise(geom.num_mics, 2000, seed=29))
         grid = make_grid(grid_size)
-        expected = steering_matrix(grid, geom, spec.num_bins, FS, spec.window_length).values
-        np.testing.assert_allclose(EstimatorCore(spec, grid, geom).steering, expected, rtol=0, atol=1e-15)
+        # exp(-j 2 pi f_k cos(theta_c) d_q / c_s), computed here from the model
+        freqs = np.arange(spec.num_bins) * FS / spec.window_length
+        delays = np.cos(np.deg2rad(grid.angles_deg))[:, None] * geom.mic_distances[None, :] / geom.speed_of_sound
+        expected = np.exp(-2j * np.pi * freqs[None, :, None] * delays[:, None, :])
+        steering = steering_matrix(grid, geom, FS, spec.window_length)
+        assert steering.shape == (grid.size, spec.num_bins, geom.num_mics)
+        np.testing.assert_allclose(steering, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(EstimatorCore(spec, grid, geom).steering, steering)
 
     def test_band_weighted_variant_matches(self):
         spec, geom = _plane_wave_spec(65.0, seed=23)
@@ -389,7 +396,7 @@ class TestNormMusic:
         spec, geom = _plane_wave_spec(90.0, seed=24)
         mask = ones_mask(spec.num_bins, spec.num_frames)
         sps = EstimatorCore(spec, GRID, geom).spectra("music", [mask])[0]
-        assert sps.normalized and sps.values.max() == 1.0
+        assert sps.max() == 1.0
 
     def test_num_sources_must_be_below_channel_count(self):
         spec, geom = _plane_wave_spec(90.0, samples=4000, seed=25)
@@ -422,14 +429,27 @@ class TestMethodDispatch:
             self.core.spectra("srp-x", [self.mask])
         assert all(method in str(info.value) for method in estimate.METHODS)
 
+    @pytest.mark.parametrize("method", estimate.METHODS)
+    def test_spectra_are_rows_in_mask_order(self, method):
+        other = band_range_mask(self.spec.num_bins, self.spec.num_frames, 60, 120)
+        copy = AttentionMask(self.mask.weights.copy())
+        masks = [self.mask, None, copy, other]
+        spectra = self.core.spectra(method, masks)
+        assert isinstance(spectra, np.ndarray) and spectra.shape == (len(masks), GRID.size)
+        for mask, row in zip(masks, spectra):
+            np.testing.assert_allclose(row, self.core.spectra(method, [mask])[0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(spectra[2], spectra[0])
+        if method == "srp-p":
+            np.testing.assert_array_equal(spectra, np.broadcast_to(spectra[0], spectra.shape))
+        else:
+            assert not np.allclose(spectra[0], spectra[1]) and not np.allclose(spectra[0], spectra[3])
+
     @pytest.mark.parametrize("method", ["srp-p", "srp-mp"])
     def test_per_frame_sums_to_the_spectrum(self, method):
         per_frame = self.core.per_frame(method, self.mask)
         assert per_frame.shape == (GRID.size, self.spec.num_frames)
-        summed = normalize_sps(SpatialPowerSpectrum(per_frame.sum(axis=1)))
-        np.testing.assert_allclose(
-            summed.values, self.core.spectra(method, [self.mask])[0].values, rtol=1e-12, atol=1e-12
-        )
+        summed = normalize_sps(per_frame.sum(axis=1))
+        np.testing.assert_allclose(summed, self.core.spectra(method, [self.mask])[0], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("method", ["music", "srp-x"])
     def test_per_frame_needs_an_srp_method(self, method):
@@ -446,10 +466,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             CrossSpectralTensor(np.zeros((2, 2, 3, 4), dtype=complex))
 
-    def test_spectrum_is_one_or_two_dimensional(self):
-        with pytest.raises(ValueError, match="1 or 2 dimensions"):
-            SpatialPowerSpectrum(np.zeros((2, 3, 4)))
-
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError):
-            SpatialPowerSpectrum(np.array([0.5, 0.25]), normalized=True)

@@ -144,6 +144,23 @@ class TestValidateConfig:
 
     def test_scalar_t60_listed(self):
         assert validate_config({"t60": 0.4})["t60"] == [0.4]
+        assert validate_config({"doas": 90})["doas"] == [90]
+
+    def test_nested_dicts_merged_key_by_key(self):
+        cfg = validate_config({"geometry": {"num_mics": 6}, "stft": {"hop": 128}})
+        assert cfg["geometry"] == {"num_mics": 6, "mic_spacing_m": 0.08}
+        assert cfg["stft"] == {"window_length": 512, "hop": 128}
+        _, _, spec = evaluate._scene_specs(dict(cfg, doas=[90.0]))[0]
+        assert spec.geometry.num_mics == 6 and (spec.window_length, spec.hop) == (512, 128)
+
+    def test_unknown_nested_key_named_with_its_parent(self):
+        with pytest.raises(evaluate.ConfigError, match="geometry.extra"):
+            validate_config({"geometry": {"num_mics": 4, "mic_spacing_m": 0.08, "extra": 1}})
+
+    @pytest.mark.parametrize("config", [[], "x", 5, None])
+    def test_config_must_be_an_object(self, config):
+        with pytest.raises(evaluate.ConfigError, match="JSON object"):
+            validate_config(config)
 
     def test_scene_grid_size(self):
         cfg = validate_config({"t60": [0.2, 0.3, 0.4, 0.5, 0.6]})
@@ -183,6 +200,10 @@ class TestValidateConfig:
             ("t60", ["x"]),
             ("smd", "x"),
             ("masks", "none"),
+            ("master_seed", -1),
+            ("doas", "all"),
+            ("doas", [90, "x"]),
+            ("geometry", 4),
         ],
     )
     def test_bad_values_name_their_key(self, key, value):
@@ -306,7 +327,7 @@ class TestSharedCore:
             spectra = []
 
             def recording_pick(sps, grid_):
-                spectra.append(sps.values)
+                spectra.append(sps)
                 return original_pick(sps, grid_)
 
             monkeypatch.setattr(estimate, "pick_doa", recording_pick)
@@ -330,8 +351,8 @@ class TestSharedCore:
                 )
             for record, values, ref in zip(records, spectra, expected):
                 assert record.est_doa == original_pick(ref, grid), (record.method, record.mask_kind)
-                scale = np.max(np.abs(ref.values))
-                assert np.max(np.abs(values - ref.values)) <= 1e-12 * scale, (
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(values - ref)) <= 1e-12 * scale, (
                     record.method,
                     record.mask_kind,
                 )
@@ -406,8 +427,8 @@ class TestBatchedCore:
                         ref = reference_srp_mp(mix, mask, grid, spec.geometry, frames, limit)
                     else:
                         ref = reference_norm_music(mix, mask, grid, spec.geometry, num_sources, frames, limit)
-                    scale = np.max(np.abs(ref.values))
-                    assert np.max(np.abs(sps.values - ref.values)) <= 1e-12 * scale, (method, num_sources, kind)
+                    scale = np.max(np.abs(ref))
+                    assert np.max(np.abs(sps - ref)) <= 1e-12 * scale, (method, num_sources, kind)
 
     def test_equal_masks_evaluated_once(self, monkeypatch):
         _, _, spec, cfg = _sweep_scenes()[0]
@@ -434,7 +455,7 @@ class TestBatchedCore:
         monkeypatch.setattr(core, "power", counting_power)
         for method in ("srp-mp", "music"):
             spectra = core.spectra(method, masks)
-            assert np.array_equal(spectra[0].values, spectra[2].values)
+            assert np.array_equal(spectra[0], spectra[2])
         # every bin of every mask is active, so the duplicate would add K bins
         assert power_masks == [2] and eigh_bins == [2 * mix.num_bins]
 

@@ -45,38 +45,37 @@ class TestSteeringMatrix:
     def setup_method(self):
         self.geom = ArrayGeometry.uniform(4, 0.08)
         self.grid = make_grid(37)
-        self.sm = steering_matrix(self.grid, self.geom, 257, 16000, 512)
+        self.sm = steering_matrix(self.grid, self.geom, 16000, 512)
+
+    def test_shape(self):
+        assert self.sm.shape == (37, 257, 4) and self.sm.dtype == complex
 
     def test_broadside_is_all_ones(self):
         c90 = np.where(self.grid.angles_deg == 90.0)[0][0]
-        np.testing.assert_allclose(self.sm.values[c90], 1.0, atol=1e-12)
+        np.testing.assert_allclose(self.sm[c90], 1.0, atol=1e-12)
 
     def test_dc_bin_is_all_ones(self):
-        np.testing.assert_allclose(self.sm.values[:, 0, :], 1.0, atol=1e-15)
+        np.testing.assert_allclose(self.sm[:, 0, :], 1.0, atol=1e-15)
 
     def test_endfire_phase_at_1khz(self):
         # theta = 0, d = 0.08 m, f = 1000 Hz: phase = -2 pi 1000 0.08 / 343
         k = 32  # 32 * 16000 / 512 = 1000 Hz
         expected = -2.0 * np.pi * 1000.0 * 0.08 / 343.0
-        phase = np.angle(self.sm.values[0, k, 1])
+        phase = np.angle(self.sm[0, k, 1])
         np.testing.assert_allclose(phase, expected, rtol=1e-9)
         assert expected == pytest.approx(-1.4652, abs=1e-3)
 
     def test_unit_modulus(self):
-        np.testing.assert_allclose(np.abs(self.sm.values), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(self.sm), 1.0, atol=1e-12)
 
     def test_reference_channel_identity(self):
-        np.testing.assert_array_equal(self.sm.values[:, :, 0], 1.0)
+        np.testing.assert_array_equal(self.sm[:, :, 0], 1.0)
 
     def test_mirror_symmetry(self):
         # D(180 - theta) = conj(D(theta)) by cosine antisymmetry
         np.testing.assert_allclose(
-            self.sm.values[::-1], np.conj(self.sm.values), rtol=1e-12, atol=1e-12
+            self.sm[::-1], np.conj(self.sm), rtol=1e-12, atol=1e-12
         )
-
-    def test_bin_count_checked(self):
-        with pytest.raises(ValueError):
-            steering_matrix(self.grid, self.geom, 256, 16000, 512)
 
 
 class TestDoaGrid:

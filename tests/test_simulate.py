@@ -384,3 +384,34 @@ class TestSceneSpecValidation:
             RoomSpec(np.array([6.0, -5.0, 2.7]), 0.3)
         with pytest.raises(ValueError):
             RoomSpec(np.array([6.0, 5.0, 2.7]), -0.1)
+
+    @pytest.mark.parametrize("signal", [5, None, b"white"])
+    def test_signal_must_be_a_string(self, signal):
+        # an integer would be opened as a file descriptor by the WAV reader
+        with pytest.raises(ValueError, match="source signal"):
+            SourceSpec(90.0, 1.0, signal)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sample_rate", "x"),
+            ("sample_rate", 0),
+            ("sample_rate", True),
+            ("rir_length_s", 0),
+            ("rir_length_s", -1.0),
+            ("rir_length_s", "x"),
+            ("rir_length_s", 1e-5),  # rounds to zero samples at 16 kHz
+        ],
+    )
+    def test_rates_and_lengths_checked(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SceneSpec(
+                room=ROOM,
+                geometry=ArrayGeometry.uniform(2, 0.08),
+                sources=(SourceSpec(10.0, 1.0),),
+                snr_db=None,
+                sir_db=None,
+                seed=0,
+                duration_frames=4,
+                **{key: value},
+            )
