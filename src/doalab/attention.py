@@ -1,15 +1,17 @@
 """Attention masks: oracle masks from ground truth and synthetic band masks.
 
-A mask is a (K, N) weight matrix in [0, 1] that downweights time-frequency
-bins dominated by noise, interference, or reverberation before DOA
-estimation. Oracle masks are computed from the ground-truth direct-path
-spectrogram; band-selection masks activate fixed frequency rows.
+A mask is a plain float (K, N) array of weights in [0, 1] that downweights
+time-frequency bins dominated by noise, interference, or reverberation
+before DOA estimation. Oracle masks are computed at microphone 1 from the
+ground-truth direct-path spectrogram; band-selection masks activate fixed
+frequency rows. :class:`doalab.estimate.EstimatorCore` checks each mask's
+shape and range once in every estimate, for every method.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,87 +20,51 @@ from .signal import MultichannelSpectrogram
 MASK_MAGIC = b"DOAMASK1"
 
 
-@dataclass(frozen=True)
-class AttentionMask:
-    """Per-bin weights in [0, 1], shape (K bins, N frames)."""
-
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 2:
-            raise ValueError("mask weights must be a K x N matrix")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("mask weights must be finite")
-        if w.min() < 0.0 or w.max() > 1.0:
-            raise ValueError("mask weights must lie in [0, 1]")
-
-    @property
-    def shape(self):
-        return self.weights.shape
-
-
-def ones_mask(num_bins: int, num_frames: int) -> AttentionMask:
-    """All-ones mask; estimators degenerate to their unmasked variants."""
-    return AttentionMask(np.ones((num_bins, num_frames)))
-
-
-def _check_shapes(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram, channel: int):
+def _check_shapes(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram):
     if direct.bins.shape != mixture.bins.shape:
         raise ValueError("direct and mixture spectrograms must have equal shapes")
-    if not 0 <= channel < mixture.num_channels:
-        raise ValueError("channel index out of range")
 
 
-def psm_mask(
-    direct: MultichannelSpectrogram,
-    mixture: MultichannelSpectrogram,
-    channel: int = 0,
-) -> AttentionMask:
-    """Phase-sensitive oracle mask at one microphone.
+def psm_mask(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram) -> np.ndarray:
+    """Phase-sensitive oracle mask at microphone 1.
 
     Per bin: ``max(0, sqrt(|Xd|^2 / (|Xd|^2 + |Y - Xd|^2)) * cos(angle(Xd)
     - angle(Y)))``. Bins where both energies vanish get weight 0, since an
     inactive bin should receive no attention.
     """
-    _check_shapes(direct, mixture, channel)
-    xd = direct.bins[channel]
-    y = mixture.bins[channel]
+    _check_shapes(direct, mixture)
+    xd = direct.bins[0]
+    y = mixture.bins[0]
     num = np.abs(xd) ** 2
     den = num + np.abs(y - xd) ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.sqrt(np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0))
         cos_term = np.cos(np.angle(xd) - np.angle(y))
     weights = np.maximum(0.0, ratio * cos_term)
-    return AttentionMask(np.minimum(weights, 1.0))
+    return np.minimum(weights, 1.0)
 
 
-def magnitude_ratio_mask(
-    direct: MultichannelSpectrogram,
-    mixture: MultichannelSpectrogram,
-    channel: int = 0,
-) -> AttentionMask:
-    """Clipped magnitude-ratio oracle mask: ``min(1, |Xd| / |Y|)``.
+def magnitude_ratio_mask(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram) -> np.ndarray:
+    """Clipped magnitude-ratio oracle mask at microphone 1: ``min(1, |Xd| / |Y|)``.
 
     Bins with zero mixture magnitude get weight 0.
     """
-    _check_shapes(direct, mixture, channel)
-    mag_d = np.abs(direct.bins[channel])
-    mag_y = np.abs(mixture.bins[channel])
+    _check_shapes(direct, mixture)
+    mag_d = np.abs(direct.bins[0])
+    mag_y = np.abs(mixture.bins[0])
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(mag_y > 0, mag_d / np.where(mag_y > 0, mag_y, 1.0), 0.0)
-    return AttentionMask(np.minimum(1.0, ratio))
+    return np.minimum(1.0, ratio)
 
 
-def binarize(mask: AttentionMask, v_thr: float) -> AttentionMask:
+def binarize(mask: np.ndarray, v_thr: float) -> np.ndarray:
     """Threshold a mask to {0, 1}: weights strictly below ``v_thr`` become 0."""
     if not 0.0 <= v_thr <= 1.0:
         raise ValueError("v_thr must lie in [0, 1]")
-    return AttentionMask(np.where(mask.weights < v_thr, 0.0, 1.0))
+    return np.where(mask < v_thr, 0.0, 1.0)
 
 
-def random_band_mask(num_bins: int, num_frames: int, num_bands: int, seed: int) -> AttentionMask:
+def random_band_mask(num_bins: int, num_frames: int, num_bands: int, seed: int) -> np.ndarray:
     """Binary mask activating ``num_bands`` randomly chosen frequency rows.
 
     The same band set is used for all frames, mirroring per-file random
@@ -110,20 +76,20 @@ def random_band_mask(num_bins: int, num_frames: int, num_bands: int, seed: int) 
     bands = rng.choice(num_bins, size=num_bands, replace=False)
     weights = np.zeros((num_bins, num_frames))
     weights[bands, :] = 1.0
-    return AttentionMask(weights)
+    return weights
 
 
-def band_range_mask(num_bins: int, num_frames: int, lo: int, hi: int) -> AttentionMask:
+def band_range_mask(num_bins: int, num_frames: int, lo: int, hi: int) -> np.ndarray:
     """Binary mask activating the contiguous frequency rows lo..hi inclusive."""
     if not (0 <= lo <= hi < num_bins):
         raise ValueError("band range must satisfy 0 <= lo <= hi < K")
     weights = np.zeros((num_bins, num_frames))
     weights[lo : hi + 1, :] = 1.0
-    return AttentionMask(weights)
+    return weights
 
 
-def save_mask(path, mask: AttentionMask) -> None:
-    """Write a mask as raw little-endian float32 with a 16-byte header.
+def save_mask(path, mask: np.ndarray) -> None:
+    """Write a (K, N) mask as raw little-endian float32 with a 16-byte header.
 
     Layout: magic ``DOAMASK1``, u32 K, u32 N, then K*N float32 values in
     row-major order. The format is the interchange point for externally
@@ -133,17 +99,18 @@ def save_mask(path, mask: AttentionMask) -> None:
     with open(path, "wb") as fh:
         fh.write(MASK_MAGIC)
         fh.write(struct.pack("<II", k, n))
-        fh.write(mask.weights.astype("<f4").tobytes())
+        fh.write(mask.astype("<f4").tobytes())
 
 
-def load_mask(path) -> AttentionMask:
-    """Read a mask written by :func:`save_mask`."""
+def load_mask(path) -> np.ndarray:
+    """Read a mask written by :func:`save_mask`; the file size must match its header."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MASK_MAGIC:
+        header = fh.read(16)
+        if len(header) != 16 or header[:8] != MASK_MAGIC:
             raise ValueError("not a DOAMASK1 file")
-        k, n = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(4 * k * n), dtype="<f4")
-        if data.size != k * n:
-            raise ValueError("truncated mask file")
-    return AttentionMask(data.astype(np.float64).reshape(k, n))
+        k, n = struct.unpack("<II", header[8:])
+        size, expected = os.fstat(fh.fileno()).st_size, 16 + 4 * k * n
+        if size != expected:
+            raise ValueError(f"mask file {path} is {size} bytes, but its {k} x {n} header needs {expected}")
+        data = np.frombuffer(fh.read(), dtype="<f4")
+    return data.astype(np.float64).reshape(k, n)

@@ -106,6 +106,18 @@ class EstimatorCore:
         q, k, n = self.bins.shape
         return np.einsum("qkn,jkn->kqjn", self.bins, np.conj(self.bins)).reshape(k, q * q, n)
 
+    def _check_mask(self, mask) -> None:
+        """Reject a mask that is not ``None`` (all ones) or a (K, N) array of weights in [0, 1].
+
+        Every estimate checks its masks here, over all N frames, wherever they came from.
+        """
+        if mask is None:
+            return
+        if mask.shape != self.shape:
+            raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
+        if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN minimum or maximum fails both
+            raise ValueError("mask weights must be finite and lie in [0, 1]")
+
     def _weights(self, masks) -> tuple[np.ndarray, list[int]]:
         """Distinct mask weights over the frame range, shape (M', K, N_range), and
         the index into them of each mask.
@@ -114,11 +126,9 @@ class EstimatorCore:
         """
         stack = np.ones((len(masks), self.shape[0], self.bins.shape[2]))
         for out, mask in zip(stack, masks):
-            if mask is None:
-                continue
-            if mask.shape != self.shape:
-                raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
-            out[:] = mask.weights[:, self.frames]
+            self._check_mask(mask)
+            if mask is not None:
+                out[:] = mask[:, self.frames]
         if self.cut is not None:
             stack[:, self.cut, :] = 0.0
         # equal weights have equal sums, so only masks of equal sum are compared
@@ -200,11 +210,13 @@ class EstimatorCore:
     def spectra(self, method: str, masks, num_sources: int = 1) -> np.ndarray:
         """Normalized spatial power spectra of one of :data:`METHODS`, shape (M, C).
 
-        Row m belongs to ``masks[m]``. ``srp-p`` ignores the mask, so its
-        spectrum is computed once and shared; so are the spectra of masks
+        Row m belongs to ``masks[m]``. ``srp-p`` checks but ignores the masks,
+        so its spectrum is computed once and shared; so are the spectra of masks
         with equal weights.
         """
         if method == "srp-p":
+            for mask in masks:
+                self._check_mask(mask)  # SRP-P ignores the masks but still rejects bad ones
             return self.srp([None])[[0] * len(masks)]
         if method == "srp-mp":
             return self.srp(masks)
@@ -215,11 +227,14 @@ class EstimatorCore:
     def per_frame(self, method: str, mask) -> np.ndarray:
         """Per-frame sums over bins of the SRP spectrum behind a pick, shape (C, N_range).
 
-        Unnormalized; ``srp-p`` ignores the mask. MUSIC has no per-frame form.
+        Unnormalized; ``srp-p`` checks but ignores the mask. MUSIC has no per-frame form.
         """
         if method not in ("srp-p", "srp-mp"):
             raise ValueError(f"no per-frame spectrum for method {method!r}; valid: srp-p, srp-mp")
-        weights = self._srp_weights([mask if method == "srp-mp" else None])[0][0]
+        if method == "srp-p":
+            self._check_mask(mask)  # SRP-P ignores the mask but still rejects a bad one
+            mask = None
+        weights = self._srp_weights([mask])[0][0]
         weighted = self.pairs * weights[:, None, :]  # (K, 2P, N)
         return self._scale * (self.pair_steering @ weighted.reshape(-1, weighted.shape[2]))
 

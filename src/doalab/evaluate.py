@@ -61,7 +61,6 @@ class EvalReport:
     acc: float  # percent with AE strictly below the accuracy threshold
     psacc: float  # percent with AE strictly below the pseudo-accuracy threshold
     count: int
-    confusion: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.acc <= 100.0 and 0.0 <= self.psacc <= 100.0):
@@ -266,8 +265,8 @@ def _scene_specs(cfg: dict):
     return specs
 
 
-def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -> attention.AttentionMask:
-    """Instantiate a mask from its config string for one spectrogram.
+def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -> np.ndarray:
+    """The (K, N) mask array of a config string for one spectrogram.
 
     Kinds: ``none``/``ones``, ``oracle-psm``, ``oracle-ratio``,
     ``oracle-psm-bin:T``, ``oracle-ratio-bin:T``, ``random-band:N``,
@@ -278,7 +277,7 @@ def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -
     """
     k, n = spec.num_bins, spec.num_frames
     if kind in ("none", "ones"):
-        return attention.ones_mask(k, n)
+        return np.ones((k, n))
     if kind.startswith("random-band:"):
         return attention.random_band_mask(k, n, int(kind.split(":")[1]), seed=scene_seed)
     if kind.startswith("band-range:"):

@@ -45,10 +45,6 @@ class TimeSignal:
     def num_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.num_samples / self.sample_rate
-
 
 @dataclass(frozen=True)
 class MultichannelSpectrogram:

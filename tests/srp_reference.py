@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from doalab.attention import AttentionMask
 from doalab.estimate import DEFAULT_PHAT_EPSILON, MIN_BAND_WEIGHT, normalize_sps
 from doalab.geometry import steering_matrix
 from doalab.signal import MultichannelSpectrogram
@@ -59,11 +58,11 @@ class CrossSpectralTensor:
             raise ValueError("cross spectra must be a K x N x Q x Q tensor")
 
 
-def mask_weighting(weighting: PhatWeighting, mask: AttentionMask) -> PhatWeighting:
-    """Apply an attention mask to a weighting, broadcast over channels."""
+def mask_weighting(weighting: PhatWeighting, mask: np.ndarray) -> PhatWeighting:
+    """Apply a (K, N) attention mask to a weighting, broadcast over channels."""
     if weighting.values.shape[1:] != mask.shape:
         raise ValueError("mask shape must match the weighting's K x N plane")
-    return PhatWeighting(weighting.values * mask.weights[None, :, :])
+    return PhatWeighting(weighting.values * mask[None, :, :])
 
 
 def cross_spectral_tensor(spec: MultichannelSpectrogram, weighting: PhatWeighting) -> CrossSpectralTensor:
@@ -110,16 +109,16 @@ def narrowband_srp(phi: CrossSpectralTensor, steering: np.ndarray) -> np.ndarray
     return (total - diag[None, :, :]) / _srp_divisor(n, k, q)
 
 
-def output_masking(nb: np.ndarray, mask: AttentionMask) -> np.ndarray:
+def output_masking(nb: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Mask-weighted average of a C x K x N narrowband spectrum over bins and frames."""
     if nb.ndim != 3:
         raise ValueError("output masking needs a C x K x N narrowband spectrum")
     if nb.shape[1:] != mask.shape:
         raise ValueError("mask shape must match the narrowband spectrum")
-    total = mask.weights.sum()
+    total = mask.sum()
     if total <= 0:
         raise ValueError("empty attention: mask weights sum to zero")
-    return np.tensordot(nb, mask.weights, axes=([1, 2], [0, 1])) / total
+    return np.tensordot(nb, mask, axes=([1, 2], [0, 1])) / total
 
 
 def aggregate_frames(per_frame: np.ndarray, frame_range=None) -> np.ndarray:
@@ -139,9 +138,9 @@ def _alias_limited(weights: np.ndarray, spec: MultichannelSpectrogram, max_freq_
 
 def reference_srp_mp(spec, mask, grid, geom, frame_range=None, max_freq_hz=None) -> np.ndarray:
     """SRP-MP as one pass per mask: weight ``Y / |Y|`` by the mask, then steer."""
-    weights = _alias_limited(mask.weights, spec, max_freq_hz)
+    weights = _alias_limited(mask, spec, max_freq_hz)
     frames = _frames(spec.num_frames, frame_range)
-    weighted = (spec.bins * mask_weighting(phat_weighting(spec), AttentionMask(weights)).values)[:, :, frames]
+    weighted = (spec.bins * mask_weighting(phat_weighting(spec), weights).values)[:, :, frames]
     steering = steering_matrix(grid, geom, spec.sample_rate, spec.window_length)
     beam = np.einsum("ckq,qkn->ckn", np.conj(steering), weighted, optimize=True)
     power = np.abs(beam) ** 2 - np.sum(np.abs(weighted) ** 2, axis=0)[None, :, :]
@@ -156,7 +155,7 @@ def reference_norm_music(
     q = spec.num_channels
     frames = _frames(spec.num_frames, frame_range)
     bins = spec.bins[:, :, frames]
-    weights = _alias_limited(mask.weights, spec, max_freq_hz)[:, frames]
+    weights = _alias_limited(mask, spec, max_freq_hz)[:, frames]
     band_weight = weights.sum(axis=1)
     active = band_weight > MIN_BAND_WEIGHT
     yb = bins[:, active]

@@ -93,7 +93,7 @@ def twosource_scenes():
         ordering_ok = sps_loss(sps_mp, clean) < sps_loss(sps_p, clean)
 
         ratio = attention.magnitude_ratio_mask(direct, mix)
-        binarized = {float(v): attention.binarize(ratio, float(v)).weights[:, fr[0] : fr[1]] for v in vthrs}
+        binarized = {float(v): attention.binarize(ratio, float(v))[:, fr[0] : fr[1]] for v in vthrs}
         binarized = {v: weights for v, weights in binarized.items() if weights.any()}
         # binary weights are their own squares: this is SRP-MP, unnormalized
         power = core.power(np.stack(list(binarized.values())))
@@ -260,7 +260,7 @@ class TestCriterion8:
                 attention.psm_mask(direct, mixture),
                 attention.magnitude_ratio_mask(direct, mixture),
             ):
-                assert mask.weights.min() >= 0.0 and mask.weights.max() <= 1.0
+                assert mask.min() >= 0.0 and mask.max() <= 1.0
 
         # cross-spectral tensor conjugate symmetry
         for _ in range(self.CASES):
@@ -278,7 +278,7 @@ class TestCriterion8:
             spec = MultichannelSpectrogram(common + 0.3 * noise, FS, 8, 16)
             core = EstimatorCore(spec, grid5, geom3)
             plain = core.spectra("srp-p", [None])[0]
-            masked = core.spectra("srp-mp", [attention.ones_mask(9, 4)])[0]
+            masked = core.spectra("srp-mp", [np.ones((9, 4))])[0]
             assert np.array_equal(plain, masked)
 
         # exact scene decomposition: mixture equals directs + reverbs + noise
@@ -330,7 +330,7 @@ class TestCriterion9:
         scenes, _ = ongrid_scenes
         errors = []
         for doa, spec in scenes:
-            mask = attention.ones_mask(spec.num_bins, spec.num_frames)
+            mask = np.ones((spec.num_bins, spec.num_frames))
             sps = EstimatorCore(spec, GRID37, GEOM).spectra("music", [mask], num_sources=1)[0]
             errors.append(abs(pick_doa(sps, GRID37) - doa))
         frac_exact = float(np.mean(np.array(errors) == 0.0))

@@ -7,7 +7,7 @@ import pytest
 import scipy.signal
 
 from doalab import simulate
-from doalab.attention import AttentionMask, save_mask
+from doalab.attention import save_mask
 from doalab.cli import main
 from doalab.estimate import srp_flops
 from doalab.geometry import ArrayGeometry
@@ -127,7 +127,7 @@ class TestEstimate:
     def test_mask_file(self, broadside_wav, tmp_path, capsys, prefix, method):
         # 4000 samples give 14 frames of 257 bins
         path = tmp_path / "ones.mask"
-        save_mask(path, AttentionMask(np.ones((257, 14))))
+        save_mask(path, np.ones((257, 14)))
         argv = ["estimate", "--input", str(broadside_wav), "--method", method]
         assert main(argv + ["--mask", f"{prefix}{path}"]) == 0
         assert json.loads(capsys.readouterr().out)["picked_doa_deg"] == 90.0
@@ -135,7 +135,7 @@ class TestEstimate:
     @pytest.mark.parametrize("method", ["srp-p", "srp-mp", "music"])
     def test_mask_file_shape_mismatch_is_usage_error(self, broadside_wav, tmp_path, capsys, method):
         path = tmp_path / "small.mask"
-        save_mask(path, AttentionMask(np.ones((100, 7))))
+        save_mask(path, np.ones((100, 7)))
         argv = ["estimate", "--input", str(broadside_wav), "--method", method, "--mask", str(path)]
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -375,15 +375,40 @@ class TestExitCodes:
         [
             (["--input", "{text}"], 1),
             (["--input", "{wav}", "--method", "srp-mp", "--mask", "{zeros}"], 1),
+            (["--input", "{wav}", "--method", "srp-mp", "--mask", "{short}"], 1),
+            (["--input", "{wav}", "--method", "srp-mp", "--mask", "{huge}"], 1),
+            (["--input", "{wav}", "--method", "srp-mp", "--mask", "{trailing}"], 1),
+            (["--input", "{wav}", "--method", "srp-mp", "--mask", "{truncated}"], 1),
+            (["--input", "{wav}", "--method", "srp-mp", "--mask", "{above_one}"], 1),
+            (["--input", "{wav}", "--mask", "{above_one}"], 1),
+            (["--input", "{wav}", "--method", "music", "--mask", "{nan}"], 1),
             (["--input", "{wav}", "--max-freq-hz", "-1"], 1),
             (["--input", "{missing}"], 2),
         ],
-        ids=["input-not-wav", "all-zero-mask-file", "negative-max-freq", "missing-input"],
+        ids=[
+            "input-not-wav", "all-zero-mask-file", "short-mask-header", "overflowing-mask-header",
+            "mask-file-trailing-bytes", "truncated-mask-file", "mask-value-1.5", "mask-value-1.5-srp-p",
+            "mask-value-nan", "negative-max-freq", "missing-input",
+        ],
     )
     def test_estimate(self, broadside_wav, tmp_path, capsys, args, code):
-        paths = {"wav": broadside_wav, "text": tmp_path / "text.wav", "zeros": tmp_path / "zeros.mask"}
+        names = ("zeros", "short", "huge", "trailing", "truncated", "above_one", "nan")
+        paths = {name: tmp_path / f"{name}.mask" for name in names}
+        paths.update(wav=broadside_wav, text=tmp_path / "text.wav")
         paths["text"].write_text("not a WAV file")
-        save_mask(paths["zeros"], AttentionMask(np.zeros((257, 14))))
+        save_mask(paths["zeros"], np.zeros((257, 14)))
+        paths["short"].write_bytes(b"DOAMASK1\x01")
+        # a header of K = N = 2^32 - 1 with no payload
+        paths["huge"].write_bytes(b"DOAMASK1" + b"\xff" * 8)
+        save_mask(paths["trailing"], np.ones((257, 14)))
+        with open(paths["trailing"], "ab") as fh:
+            fh.write(np.ones(5, dtype="<f4").tobytes())
+        save_mask(paths["truncated"], np.ones((257, 14)))
+        paths["truncated"].write_bytes(paths["truncated"].read_bytes()[:-4])
+        for name, value in (("above_one", 1.5), ("nan", np.nan)):
+            mask = np.ones((257, 14))
+            mask[40, 3] = value
+            save_mask(paths[name], mask)
         argv = [arg.format(missing=tmp_path / "nope.wav", **paths) for arg in args]
         assert main(["estimate", *argv]) == code
         _one_error_line(capsys)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from doalab import estimate
-from doalab.attention import AttentionMask, band_range_mask, ones_mask
+from doalab.attention import band_range_mask
 from doalab.estimate import (
     EstimatorCore,
     normalize_sps,
@@ -73,7 +73,7 @@ class TestPhatWeighting:
 class TestMaskWeighting:
     def test_ones_mask_is_identity(self):
         w = PhatWeighting(np.random.default_rng(1).uniform(0, 1, (2, 3, 4)))
-        out = mask_weighting(w, ones_mask(3, 4))
+        out = mask_weighting(w, np.ones((3, 4)))
         np.testing.assert_array_equal(out.values, w.values)
 
     def test_half_mask_scales_cross_spectra_by_quarter(self):
@@ -82,20 +82,20 @@ class TestMaskWeighting:
         spec = _spec(bins)
         w = phat_weighting(spec)
         full = cross_spectral_tensor(spec, w)
-        half = cross_spectral_tensor(spec, mask_weighting(w, AttentionMask(np.full((3, 4), 0.5))))
+        half = cross_spectral_tensor(spec, mask_weighting(w, np.full((3, 4), 0.5)))
         np.testing.assert_allclose(half.values, 0.25 * full.values, rtol=1e-12)
 
     def test_zeroed_band_removes_bin(self):
         w = PhatWeighting(np.ones((2, 3, 4)))
         weights = np.ones((3, 4))
         weights[1] = 0.0
-        out = mask_weighting(w, AttentionMask(weights))
+        out = mask_weighting(w, weights)
         assert not out.values[:, 1, :].any()
         np.testing.assert_array_equal(out.values[:, [0, 2], :], 1.0)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            mask_weighting(PhatWeighting(np.ones((2, 3, 4))), ones_mask(3, 5))
+            mask_weighting(PhatWeighting(np.ones((2, 3, 4))), np.ones((3, 5)))
 
 
 class TestCrossSpectralTensor:
@@ -204,23 +204,23 @@ class TestOutputMasking:
         self.nb = rng.uniform(-1, 1, (5, 4, 3))
 
     def test_ones_mask_is_plain_average(self):
-        out = output_masking(self.nb, ones_mask(4, 3))
+        out = output_masking(self.nb, np.ones((4, 3)))
         np.testing.assert_allclose(out, self.nb.mean(axis=(1, 2)), rtol=1e-12)
 
     def test_single_bin_mask_selects_bin(self):
         weights = np.zeros((4, 3))
         weights[2, 1] = 1.0
-        out = output_masking(self.nb, AttentionMask(weights))
+        out = output_masking(self.nb, weights)
         np.testing.assert_allclose(out, self.nb[:, 2, 1], rtol=1e-12)
 
     def test_mask_scale_invariance(self):
-        a = output_masking(self.nb, AttentionMask(np.full((4, 3), 1.0)))
-        b = output_masking(self.nb, AttentionMask(np.full((4, 3), 0.25)))
+        a = output_masking(self.nb, np.full((4, 3), 1.0))
+        b = output_masking(self.nb, np.full((4, 3), 0.25))
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_empty_mask_raises(self):
         with pytest.raises(ValueError, match="empty attention"):
-            output_masking(self.nb, AttentionMask(np.zeros((4, 3))))
+            output_masking(self.nb, np.zeros((4, 3)))
 
 
 class TestNormalizeAndPick:
@@ -334,14 +334,14 @@ class TestSrpMp:
     def test_ones_mask_matches_srp_phat_bitwise(self):
         spec, geom = _plane_wave_spec(125.0, seed=17)
         core = EstimatorCore(spec, GRID, geom)
-        mask = ones_mask(spec.num_bins, spec.num_frames)
+        mask = np.ones((spec.num_bins, spec.num_frames))
         plain = core.spectra("srp-p", [mask])[0]
         masked = core.spectra("srp-mp", [mask])[0]
         np.testing.assert_array_equal(plain, masked)
 
     def test_output_is_normalized(self):
         spec, geom = _plane_wave_spec(60.0, seed=18)
-        mask = ones_mask(spec.num_bins, spec.num_frames)
+        mask = np.ones((spec.num_bins, spec.num_frames))
         sps = EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])[0]
         assert sps.max() == 1.0
 
@@ -352,13 +352,13 @@ class TestSrpMp:
 
     def test_all_zero_mask_raises(self):
         spec, geom = _plane_wave_spec(90.0, samples=2000, seed=20)
-        mask = AttentionMask(np.zeros((spec.num_bins, spec.num_frames)))
+        mask = np.zeros((spec.num_bins, spec.num_frames))
         with pytest.raises(ValueError, match="empty attention"):
             EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])
 
     def test_max_freq_limit_zeroes_high_bins(self):
         spec, geom = _plane_wave_spec(100.0, seed=21)
-        mask = ones_mask(spec.num_bins, spec.num_frames)
+        mask = np.ones((spec.num_bins, spec.num_frames))
         full = EstimatorCore(spec, GRID, geom).spectra("srp-mp", [mask])[0]
         limited = EstimatorCore(spec, GRID, geom, max_freq_hz=2000.0).spectra("srp-mp", [mask])[0]
         assert pick_doa(limited, GRID) == 100.0
@@ -369,7 +369,7 @@ class TestNormMusic:
     def test_plane_wave_peaks_on_grid_angle(self):
         for doa in (45.0, 90.0, 130.0):
             spec, geom = _plane_wave_spec(doa, seed=22)
-            mask = ones_mask(spec.num_bins, spec.num_frames)
+            mask = np.ones((spec.num_bins, spec.num_frames))
             assert pick_doa(EstimatorCore(spec, GRID, geom).spectra("music", [mask])[0], GRID) == doa
 
     @pytest.mark.parametrize("distances", [[0.0, 0.08, 0.16, 0.24], [0.0, 0.013, 0.05, 0.11, 0.2], [0.0, 0.3]] + RANDOM_ARRAYS)
@@ -394,26 +394,26 @@ class TestNormMusic:
 
     def test_output_is_normalized(self):
         spec, geom = _plane_wave_spec(90.0, seed=24)
-        mask = ones_mask(spec.num_bins, spec.num_frames)
+        mask = np.ones((spec.num_bins, spec.num_frames))
         sps = EstimatorCore(spec, GRID, geom).spectra("music", [mask])[0]
         assert sps.max() == 1.0
 
     def test_num_sources_must_be_below_channel_count(self):
         spec, geom = _plane_wave_spec(90.0, samples=4000, seed=25)
-        mask = ones_mask(spec.num_bins, spec.num_frames)
+        mask = np.ones((spec.num_bins, spec.num_frames))
         with pytest.raises(ValueError, match="num_sources"):
             EstimatorCore(spec, GRID, geom).spectra("music", [mask], num_sources=4)
 
     def test_too_few_frames_raise(self):
         spec, geom = _plane_wave_spec(90.0, samples=1100, seed=26)
         assert spec.num_frames < 4
-        mask = ones_mask(spec.num_bins, spec.num_frames)
+        mask = np.ones((spec.num_bins, spec.num_frames))
         with pytest.raises(ValueError, match="full-rank"):
             EstimatorCore(spec, GRID, geom).spectra("music", [mask])
 
     def test_all_zero_mask_raises(self):
         spec, geom = _plane_wave_spec(90.0, seed=27)
-        mask = AttentionMask(np.zeros((spec.num_bins, spec.num_frames)))
+        mask = np.zeros((spec.num_bins, spec.num_frames))
         with pytest.raises(ValueError, match="empty attention"):
             EstimatorCore(spec, GRID, geom).spectra("music", [mask])
 
@@ -432,7 +432,7 @@ class TestMethodDispatch:
     @pytest.mark.parametrize("method", estimate.METHODS)
     def test_spectra_are_rows_in_mask_order(self, method):
         other = band_range_mask(self.spec.num_bins, self.spec.num_frames, 60, 120)
-        copy = AttentionMask(self.mask.weights.copy())
+        copy = self.mask.copy()
         masks = [self.mask, None, copy, other]
         spectra = self.core.spectra(method, masks)
         assert isinstance(spectra, np.ndarray) and spectra.shape == (len(masks), GRID.size)
@@ -455,6 +455,44 @@ class TestMethodDispatch:
     def test_per_frame_needs_an_srp_method(self, method):
         with pytest.raises(ValueError, match="per-frame"):
             self.core.per_frame(method, self.mask)
+
+
+class TestMaskValidation:
+    """Every estimate checks the whole (K, N) mask, frames outside the frame range included."""
+
+    def setup_method(self):
+        spec, geom = _plane_wave_spec(80.0, seed=28)
+        self.core = EstimatorCore(spec, GRID, geom, frame_range=(2, 10))
+        self.shape = (spec.num_bins, spec.num_frames)
+
+    def _estimates(self, mask):
+        return [
+            lambda: self.core.spectra("srp-p", [mask]),
+            lambda: self.core.spectra("srp-mp", [None, mask]),
+            lambda: self.core.spectra("music", [mask]),
+            lambda: self.core.per_frame("srp-p", mask),
+            lambda: self.core.per_frame("srp-mp", mask),
+        ]
+
+    def _bad_masks(self, value):
+        for frame in (5, 0):  # inside and outside the frame range
+            mask = np.ones(self.shape)
+            mask[3, frame] = value
+            yield mask
+
+    def test_out_of_range_rejected(self):
+        for value in (1.5, -0.1):
+            for mask in self._bad_masks(value):
+                for estimate_with in self._estimates(mask):
+                    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                        estimate_with()
+
+    def test_non_finite_rejected(self):
+        for value in (np.nan, np.inf):
+            for mask in self._bad_masks(value):
+                for estimate_with in self._estimates(mask):
+                    with pytest.raises(ValueError, match="finite"):
+                        estimate_with()
 
 
 class TestValidation:

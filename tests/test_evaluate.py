@@ -410,7 +410,7 @@ class TestBatchedCore:
         kinds = SWEEP_MASKS + ["oracle-psm-bin:0.99", "band-range:0:0", "band-range:30:40", "random-band:5"]
         masks = [evaluate.build_mask(kind, mix, direct, spec.seed) for kind in kinds]
         # the masks' active-bin sets differ, binarized masks have all-zero rows
-        active_rows = [np.any(m.weights, axis=1) for m in masks]
+        active_rows = [np.any(m, axis=1) for m in masks]
         assert len({rows.tobytes() for rows in active_rows}) >= 6
         assert any(not rows.all() for kind, rows in zip(kinds, active_rows) if "-bin:" in kind)
         for frames in (None, evaluate._central_frames(mix.num_frames, cfg["eval_frames"])):
@@ -437,7 +437,7 @@ class TestBatchedCore:
         direct = stft(truth.direct[0])
         kinds = ["none", "oracle-psm", "oracle-ratio-bin:0.00"]
         masks = [evaluate.build_mask(kind, mix, direct, spec.seed) for kind in kinds]
-        assert np.array_equal(masks[0].weights, masks[2].weights)
+        assert np.array_equal(masks[0], masks[2])
         frames = evaluate._central_frames(mix.num_frames, cfg["eval_frames"])
         core = estimate.EstimatorCore(mix, make_grid(37), spec.geometry, frames)
         eigh, power = np.linalg.eigh, core.power
@@ -464,7 +464,7 @@ class TestBatchedCore:
         mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
         core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))
         masks = [evaluate.build_mask(kind, mix) for kind in ("none", "band-range:10:20", "random-band:30")]
-        masks[position] = attention.AttentionMask(np.zeros(masks[0].shape))
+        masks[position] = np.zeros(masks[0].shape)
         with pytest.raises(ValueError, match="empty attention"):
             core.srp(masks)
         with pytest.raises(ValueError, match="empty attention"):
@@ -473,7 +473,7 @@ class TestBatchedCore:
     def test_mask_shape_checked_per_mask(self):
         mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
         core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))
-        masks = [evaluate.build_mask("none", mix), attention.ones_mask(mix.num_bins, mix.num_frames - 1)]
+        masks = [evaluate.build_mask("none", mix), np.ones((mix.num_bins, mix.num_frames - 1))]
         for method in (core.srp, core.music):
             with pytest.raises(ValueError, match="must match"):
                 method(masks)
