@@ -9,11 +9,10 @@ are taken without centering or padding: frame ``n`` covers samples
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io.wavfile
-import scipy.signal
 
 DEFAULT_SAMPLE_RATE = 16_000
 DEFAULT_WINDOW_LENGTH = 512
@@ -85,11 +84,19 @@ class MultichannelSpectrogram:
         return np.asarray(k) * self.sample_rate / self.window_length
 
 
+WINDOWS = ("hann", "rect", "rectangular", "boxcar")
+
+
 def analysis_window(name: str, window_length: int) -> np.ndarray:
-    """Tapering window by name ('hann' is periodic, suited for 50% overlap)."""
-    if name in ("rect", "rectangular", "boxcar"):
+    """Tapering window by name: periodic 'hann' (suited for 50% overlap) or 'rect'.
+
+    'rectangular' and 'boxcar' are aliases of 'rect'; any other name raises.
+    """
+    if name == "hann":
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_length + 1))[:-1]
+    if name in WINDOWS:
         return np.ones(window_length)
-    return scipy.signal.get_window(name, window_length, fftbins=True)
+    raise ValueError(f"unknown window {name!r}, expected one of {', '.join(WINDOWS)}")
 
 
 def stft(
@@ -167,32 +174,79 @@ def istft(spec: MultichannelSpectrogram, window: str = "hann") -> TimeSignal:
     return TimeSignal(samples=out, sample_rate=spec.sample_rate)
 
 
-def read_wav(path, expected_rate: float | None = None) -> TimeSignal:
-    """Read a PCM16 or float32 WAV file as (channels, length).
+# (format tag, bits per sample) -> sample dtype; tag 1 is PCM, 3 is IEEE float
+_WAV_DTYPES = {(1, 16): "<i2", (1, 32): "<i4", (3, 32): "<f4", (3, 64): "<f8"}
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
-    Resampling is out of scope: a rate mismatch raises.
+
+def read_wav(path, expected_rate: float | None = None) -> TimeSignal:
+    """Read a 16/32-bit PCM or 32/64-bit float WAV file as (channels, length).
+
+    Integer samples are scaled to [-1, 1). Resampling is out of scope: a
+    rate mismatch raises. Malformed or unsupported files raise a
+    ``ValueError`` that names the file.
     """
-    rate, data = scipy.io.wavfile.read(path)
+    with open(path, "rb") as fh:
+        raw = memoryview(fh.read())
+    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    fmt, pos = None, 12
+    while pos + 8 <= len(raw):
+        chunk, size = struct.unpack_from("<4sI", raw, pos)
+        body = raw[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{path}: truncated {chunk.decode('latin-1')!r} chunk")
+        if chunk == b"fmt ":
+            if size < 16:
+                raise ValueError(f"{path}: fmt chunk too short")
+            tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", body)
+            if tag == _WAVE_FORMAT_EXTENSIBLE and size >= 26:
+                (tag,) = struct.unpack_from("<H", body, 24)  # first bytes of the SubFormat GUID
+            if (tag, bits) not in _WAV_DTYPES or channels < 1:
+                raise ValueError(
+                    f"{path}: unsupported WAV format (tag {tag}, {bits}-bit, {channels} channel(s));"
+                    " expected 16/32-bit PCM or 32/64-bit float"
+                )
+            fmt = (np.dtype(_WAV_DTYPES[tag, bits]), channels, rate)
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError(f"{path}: data chunk before fmt chunk")
+            dtype, channels, rate = fmt
+            if size % (dtype.itemsize * channels):
+                raise ValueError(f"{path}: data chunk is not a whole number of frames")
+            break
+        pos += 8 + size + (size & 1)
+    else:
+        raise ValueError(f"{path}: no data chunk")
     if expected_rate is not None and rate != expected_rate:
         raise ValueError(f"sample rate mismatch: file has {rate} Hz, expected {expected_rate} Hz")
-    if data.dtype == np.int16:
-        data = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        data = data.astype(np.float64) / 2147483648.0
-    else:
-        data = data.astype(np.float64)
-    if data.ndim == 1:
-        data = data[None, :]
-    else:
-        data = data.T
-    return TimeSignal(samples=data, sample_rate=float(rate))
+    data = np.frombuffer(body, dtype=dtype).astype(np.float64)
+    if dtype.kind == "i":
+        data /= 2.0 ** (8 * dtype.itemsize - 1)
+    return TimeSignal(samples=data.reshape(-1, channels).T, sample_rate=float(rate))
 
 
 def write_wav(path, signal: TimeSignal, pcm16: bool = False) -> None:
-    """Write a TimeSignal as float32 (default) or PCM16 WAV."""
+    """Write a TimeSignal as float32 (default) or PCM16 WAV.
+
+    The layout is the canonical one: a ``fmt `` chunk, a ``fact`` chunk for
+    float data, then ``data``.
+    """
     data = signal.samples.T
     if pcm16:
-        data = np.clip(np.round(data * 32767.0), -32768, 32767).astype(np.int16)
+        data, tag = np.clip(np.round(data * 32767.0), -32768, 32767).astype("<i2"), 1
     else:
-        data = data.astype(np.float32)
-    scipy.io.wavfile.write(path, int(signal.sample_rate), data)
+        data, tag = data.astype("<f4"), 3
+    frames, channels = data.shape
+    rate, width = int(signal.sample_rate), data.itemsize
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * width * channels, width * channels, 8 * width)
+    fact = b""
+    if tag == 3:
+        # non-PCM formats carry cbSize and a fact chunk holding the frame count
+        fmt += b"\0\0"
+        fact = b"fact" + struct.pack("<II", 4, frames)
+    payload = data.tobytes()
+    header = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data" + struct.pack("<I", len(payload))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(header) + len(payload)) + header)
+        fh.write(payload)

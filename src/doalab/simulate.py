@@ -17,7 +17,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .geometry import ArrayGeometry
 from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, TimeSignal, read_wav
@@ -198,10 +197,58 @@ def speech_shaped_noise(length: int, seed: int, sample_rate: float = DEFAULT_SAM
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(length)
-    y = scipy.signal.lfilter([1.0], [1.0, -0.9], x)
-    y = scipy.signal.lfilter([1.0, -1.0], [1.0, -0.995], y)
+    y = _one_pole(_one_pole(x, 0.9), 0.995, highpass=True)
     y /= np.sqrt(np.mean(y**2))
     return TimeSignal(y[None, :], sample_rate)
+
+
+def _one_pole(x: np.ndarray, a: float, highpass: bool = False) -> np.ndarray:
+    """Filter ``y[n] = x[n] + a * y[n - 1]``, from rest, along the last axis.
+
+    With ``highpass`` the input is first differenced (a zero at DC), which
+    is the ``(1 - z^-1) / (1 - a z^-1)`` section. The recursion runs as a
+    doubling scan, ``log2(len(x))`` vector steps instead of a Python loop:
+    after the step with shift ``s``, ``y[n]`` sums ``a^j x[n - j]`` for
+    ``j < 2s``. It agrees with the direct recursion to rounding.
+    """
+    y = np.diff(x, prepend=0.0) if highpass else np.array(x, dtype=np.float64)
+    s = 1
+    while s < y.shape[-1] and a != 0.0:
+        y[..., s:] += a * y[..., :-s]
+        a *= a
+        s *= 2
+    return y
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 5-smooth integer (2^i 3^j 5^k) that is at least ``n``.
+
+    Real FFTs of such lengths take the fast radix path; awkward lengths
+    fall back to Bluestein and run several times slower.
+    """
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < n:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution along the last axis, rows broadcast.
+
+    ``a`` of shape (1, n) against ``b`` of shape (R, L) gives (R, n + L - 1),
+    with the transform of ``a`` taken once.
+    """
+    n = a.shape[-1] + b.shape[-1] - 1
+    size = _fft_size(n)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
 
 
 def _scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -357,7 +404,7 @@ def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) 
     center = SINC_HALF_TAPS + int(np.ceil(np.max(np.abs(delays)))) + 1
     klen = 2 * center + 1
     kernels = np.stack([_scatter_pulses(klen, np.array([center + tau]), np.array([1.0])) for tau in delays])
-    full = scipy.signal.fftconvolve(src.samples, kernels, axes=1)
+    full = _convolve(src.samples, kernels)
     return TimeSignal(full[:, center : center + src.num_samples], src.sample_rate)
 
 
@@ -443,7 +490,7 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
         )
         # one call for both responses, so the source FFT is taken once
         responses = np.vstack([rir.taps, rir.direct_taps])
-        both = scipy.signal.fftconvolve(samples[None, :], responses, axes=1)
+        both = _convolve(samples[None, :], responses)
         full, direct = np.split(both[:, :n], 2)
         directs.append(direct)
         reverbs.append(full - direct)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output files, and exit codes."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -367,6 +368,16 @@ def _one_error_line(capsys) -> str:
     return err
 
 
+def _fmt_chunk(tag, bits, channels=1, rate=FS):
+    width = bits // 8
+    return b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, rate * width * channels, width * channels, bits)
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 class TestExitCodes:
     """A ValueError anywhere means bad input and exits 1; I/O failures exit 2."""
 
@@ -384,11 +395,16 @@ class TestExitCodes:
             (["--input", "{wav}", "--method", "music", "--mask", "{nan}"], 1),
             (["--input", "{wav}", "--max-freq-hz", "-1"], 1),
             (["--input", "{missing}"], 2),
+            (["--input", "{riff_truncated}"], 1),
+            (["--input", "{data_first}"], 1),
+            (["--input", "{pcm8}"], 1),
+            (["--input", "{pcm24}"], 1),
         ],
         ids=[
             "input-not-wav", "all-zero-mask-file", "short-mask-header", "overflowing-mask-header",
             "mask-file-trailing-bytes", "truncated-mask-file", "mask-value-1.5", "mask-value-1.5-srp-p",
-            "mask-value-nan", "negative-max-freq", "missing-input",
+            "mask-value-nan", "negative-max-freq", "missing-input", "truncated-riff-header",
+            "data-chunk-before-fmt", "pcm-8-bit", "pcm-24-bit",
         ],
     )
     def test_estimate(self, broadside_wav, tmp_path, capsys, args, code):
@@ -396,6 +412,17 @@ class TestExitCodes:
         paths = {name: tmp_path / f"{name}.mask" for name in names}
         paths.update(wav=broadside_wav, text=tmp_path / "text.wav")
         paths["text"].write_text("not a WAV file")
+        wav = broadside_wav.read_bytes()
+        data = b"data" + struct.pack("<I", 8) + bytes(8)
+        malformed = {
+            "riff_truncated": wav[:30],
+            "data_first": _riff(data, _fmt_chunk(3, 32)),
+            "pcm8": _riff(_fmt_chunk(1, 8), data),
+            "pcm24": _riff(_fmt_chunk(1, 24), data),
+        }
+        for name, raw in malformed.items():
+            paths[name] = tmp_path / f"{name}.wav"
+            paths[name].write_bytes(raw)
         save_mask(paths["zeros"], np.zeros((257, 14)))
         paths["short"].write_bytes(b"DOAMASK1\x01")
         # a header of K = N = 2^32 - 1 with no payload
@@ -411,7 +438,9 @@ class TestExitCodes:
             save_mask(paths[name], mask)
         argv = [arg.format(missing=tmp_path / "nope.wav", **paths) for arg in args]
         assert main(["estimate", *argv]) == code
-        _one_error_line(capsys)
+        err = _one_error_line(capsys)
+        if code == 1 and argv[1] != str(broadside_wav):
+            assert argv[1] in err, "a malformed input must be named"
 
     @pytest.mark.parametrize(
         "overrides, simulated",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from doalab.signal import MultichannelSpectrogram, TimeSignal, istft, read_wav, stft, write_wav
+from doalab.signal import MultichannelSpectrogram, TimeSignal, analysis_window, istft, read_wav, stft, write_wav
 
 FS = 16000
 
@@ -58,8 +58,6 @@ class TestStft:
         rng = np.random.default_rng(2)
         x = rng.standard_normal(512)
         spec = stft(TimeSignal(x[None, :], FS), 512, 512, window="hann")
-        from doalab.signal import analysis_window
-
         windowed = x * analysis_window("hann", 512)
         time_energy = np.sum(windowed**2)
         mags = np.abs(spec.bins[0, :, 0]) ** 2
@@ -128,6 +126,16 @@ class TestValidation:
     def test_bad_bin_count_rejected(self):
         with pytest.raises(ValueError):
             MultichannelSpectrogram(np.zeros((1, 256, 2), dtype=complex), FS, 256, 512)
+
+    @pytest.mark.parametrize("name", ["hamming", "blackman", "Hann", ""])
+    def test_unknown_window_rejected(self, name):
+        sig = TimeSignal(np.zeros((1, 1000)), FS)
+        with pytest.raises(ValueError, match="expected one of hann, rect, rectangular, boxcar"):
+            stft(sig, 512, 256, window=name)
+
+    @pytest.mark.parametrize("name", ["rect", "rectangular", "boxcar"])
+    def test_rectangular_aliases(self, name):
+        np.testing.assert_array_equal(analysis_window(name, 16), np.ones(16))
 
     def test_odd_window_rejected(self):
         with pytest.raises(ValueError):
