@@ -8,14 +8,13 @@ estimators, and a seeded evaluation harness with a CLI front end.
 __version__ = "0.1.0"
 
 from .geometry import ArrayGeometry, DoaGrid, make_grid, steering_matrix
-from .signal import MultichannelSpectrogram, TimeSignal, istft, stft
+from .signal import MultichannelSpectrogram, TimeSignal, stft
 
 __all__ = [
     "ArrayGeometry",
     "DoaGrid",
     "MultichannelSpectrogram",
     "TimeSignal",
-    "istft",
     "make_grid",
     "steering_matrix",
     "stft",

@@ -73,10 +73,10 @@ def cmd_estimate(args) -> int:
     spec = stft(signal, args.window_length, args.hop)
 
     kind = args.mask
-    if kind not in ("none", "ones") and os.path.isfile(kind):
+    if kind != "none" and os.path.isfile(kind):
         kind = f"file:{kind}"
     direct = None
-    if kind.startswith("oracle"):
+    if evaluate.parse_mask(kind)[0].startswith("oracle"):
         if args.direct is None:
             raise ValueError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
         direct = stft(read_wav(args.direct), args.window_length, args.hop)

@@ -9,7 +9,8 @@ steering ``E = D*_q D_j`` over the P = Q(Q-1)/2 microphone pairs. A mask
 scales all channels of a bin alike, so SRP-MP with mask M is ``2 Re E (X M^2)``
 summed over bins and frames, SRP-PHAT the case M = 1. MUSIC averages
 per-band pseudospectra of mask-weighted covariances, each normalized to max 1,
-with the bands' mask weights. :class:`EstimatorCore` keeps the mask-independent
+with the bands' mask weights, over the bands whose covariance can have rank
+``num_sources``. :class:`EstimatorCore` keeps the mask-independent
 part (X, E, per-bin outer products) of one spectrogram and frame range and
 evaluates a list of masks at once for any method in :data:`METHODS`: SRP-MP
 is one matrix product, MUSIC one batched eigendecomposition over all
@@ -31,7 +32,7 @@ from .geometry import ArrayGeometry, DoaGrid, steering_matrix
 from .signal import MultichannelSpectrogram
 
 DEFAULT_PHAT_EPSILON = 1e-8
-MIN_BAND_WEIGHT = 1e-6
+MIN_BAND_WEIGHT = 1e-6  # MUSIC drops bands below this share of the mask's largest band weight
 METHODS = ("srp-p", "srp-mp", "music")
 
 
@@ -170,11 +171,14 @@ class EstimatorCore:
         Per band: mask-weighted sample covariance over frames, noise subspace
         from the Q - num_sources smallest eigenvalues, pseudospectrum
         ``1 / ||E_n^H a(theta)||^2`` normalized to max 1. Bands are averaged
-        with weights ``sum_n M[k, n]``; bands below a tiny total weight are
-        dropped. The covariances of every distinct mask come from one
-        weighted product over :attr:`products` and one batched ``eigh`` over
-        every active (mask, bin) pair; the projection onto the manifold runs
-        mask by mask.
+        with weights ``sum_n M[k, n]``. A band is dropped when its weight is
+        at most ``MIN_BAND_WEIGHT`` times the mask's largest band weight, so
+        scaling a mask drops no band, or when fewer than ``num_sources`` of
+        its frames have weight: its covariance then has rank below
+        ``num_sources`` and no unique noise subspace. The covariances of
+        every distinct mask come from one weighted product over
+        :attr:`products` and one batched ``eigh`` over every active (mask,
+        bin) pair; the projection onto the manifold runs mask by mask.
         """
         q = self.bins.shape[0]
         if not 1 <= num_sources < q:
@@ -183,9 +187,10 @@ class EstimatorCore:
             raise ValueError("need at least Q frames for a full-rank covariance")
         weights, index = self._weights(masks)
         band_weight = weights.sum(axis=2)  # (M', K)
-        active = band_weight > MIN_BAND_WEIGHT
+        active = band_weight > MIN_BAND_WEIGHT * band_weight.max(axis=1, keepdims=True)
+        active &= np.count_nonzero(weights, axis=2) >= num_sources
         if not np.all(np.any(active, axis=1)):
-            raise ValueError("empty attention: mask is all zero")
+            raise ValueError(f"empty attention: no band of the mask has weight in {num_sources} or more frames")
 
         # (K, Q*Q, N) @ (K, N, M') -> (M', K, Q*Q): every mask's covariance of every bin
         cov = np.moveaxis(self.products @ weights.transpose(1, 2, 0), 2, 0)

@@ -1,10 +1,13 @@
-"""Metrics, confusion matrices, and the seeded experiment runner.
+"""Metrics, confusion matrices, mask specs and the seeded experiment runner.
 
 The runner sweeps a scene grid (rooms x T60 x SMD x DOAs x seeds), applies
 each configured estimator/mask combination, and emits deterministic
 per-record CSV plus aggregate reports. Accuracy counts absolute errors
 strictly below 5 degrees, pseudo accuracy strictly below 10 degrees; both
-thresholds can be overridden in the config.
+thresholds can be overridden in the config. A mask spec such as
+``random-band:50`` is checked by :func:`parse_mask`, once when the config is
+validated and again when :func:`build_mask` builds it for a spectrogram; only
+the checks that need the spectrogram's size wait for the first scene.
 """
 
 from __future__ import annotations
@@ -30,10 +33,18 @@ PSACC_THRESHOLD_DEG = 10.0
 
 CSV_COLUMNS = ["scene_id", "method", "mask", "true_doa_deg", "est_doa_deg", "ae_deg", "frames_used"]
 
-MASK_KINDS = (
-    "none, oracle-psm, oracle-ratio, oracle-psm-bin:T, oracle-ratio-bin:T, "
-    "random-band:N, band-range:LO:HI, file:PATH"
-)
+# mask kind -> the form of its spec and the condition on its parameters
+_MASK_FORMS = {
+    "none": ("none", "no parameter"),
+    "oracle-psm": ("oracle-psm", "no parameter"),
+    "oracle-ratio": ("oracle-ratio", "no parameter"),
+    "oracle-psm-bin": ("oracle-psm-bin:T", "0 <= T <= 1"),
+    "oracle-ratio-bin": ("oracle-ratio-bin:T", "0 <= T <= 1"),
+    "random-band": ("random-band:N", "an integer N >= 0"),
+    "band-range": ("band-range:LO:HI", "integers 0 <= LO <= HI"),
+    "file": ("file:PATH", "a non-empty PATH"),
+}
+MASK_KINDS = ", ".join(form for form, _ in _MASK_FORMS.values())
 
 
 @dataclass(frozen=True)
@@ -211,6 +222,11 @@ def validate_config(config: dict) -> dict:
     for method in cfg["methods"]:
         if method not in estimate.METHODS:
             raise ConfigError(f"unknown method {method!r}; valid: {', '.join(estimate.METHODS)}")
+    for kind in cfg["masks"]:
+        try:
+            parse_mask(kind)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'masks': {exc}") from None
     if cfg["doas"] == "grid":
         cfg["doas"] = list(np.linspace(0.0, 180.0, cfg["grid_size"]))
     for key in ("t60", "smd", "doas"):
@@ -265,48 +281,75 @@ def _scene_specs(cfg: dict):
     return specs
 
 
-def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -> np.ndarray:
-    """The (K, N) mask array of a config string for one spectrogram.
+def parse_mask(kind: str) -> tuple:
+    """Check the syntax of a mask spec and split it into ``(kind, *parameters)``.
 
-    Kinds: ``none``/``ones``, ``oracle-psm``, ``oracle-ratio``,
-    ``oracle-psm-bin:T``, ``oracle-ratio-bin:T``, ``random-band:N``,
-    ``band-range:LO:HI``, ``file:PATH``. Oracle kinds need ``direct``, the
-    direct-path spectrogram; ``oracle``, when given, is a dict that keeps
-    the unthresholded oracle masks of one scene across calls. A mask file
-    must match the spectrogram's K x N shape.
+    ``oracle-psm-bin:0.4`` gives ``("oracle-psm-bin", 0.4)``, ``band-range:3:9``
+    gives ``("band-range", 3, 9)``. A malformed spec raises a ``ValueError``
+    that names it and its expected form. Ranges that depend on the
+    spectrogram, such as ``random-band:N`` with N at most K, are left to
+    :func:`build_mask`.
     """
+    if not isinstance(kind, str):
+        raise ValueError(f"a mask spec must be a string, got {kind!r}")
+    name, colon, arg = kind.partition(":")
+    if name not in _MASK_FORMS:
+        raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}")
+    try:
+        if name in ("none", "oracle-psm", "oracle-ratio"):
+            params, ok = (), not colon
+        elif name == "file":
+            params, ok = (arg,), bool(arg)
+        elif name == "band-range":
+            params = tuple(int(x) for x in arg.split(":"))
+            ok = len(params) == 2 and 0 <= params[0] <= params[1]
+        elif name == "random-band":
+            params = (int(arg),)
+            ok = params[0] >= 0
+        else:
+            params = (float(arg),)
+            ok = 0.0 <= params[0] <= 1.0
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"bad mask {kind!r}: expected {' with '.join(_MASK_FORMS[name])}")
+    return (name, *params)
+
+
+def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -> np.ndarray:
+    """The (K, N) mask array of a mask spec for one spectrogram.
+
+    Kinds: ``none``, ``oracle-psm``, ``oracle-ratio``, ``oracle-psm-bin:T``,
+    ``oracle-ratio-bin:T``, ``random-band:N``, ``band-range:LO:HI``,
+    ``file:PATH``, checked by :func:`parse_mask`. Oracle kinds need
+    ``direct``, the direct-path spectrogram; ``oracle``, when given, is a
+    dict that keeps the unthresholded oracle masks of one scene across
+    calls. A mask file must match the spectrogram's K x N shape.
+    """
+    name, *params = parse_mask(kind)
     k, n = spec.num_bins, spec.num_frames
-    if kind in ("none", "ones"):
+    if name == "none":
         return np.ones((k, n))
-    if kind.startswith("random-band:"):
-        return attention.random_band_mask(k, n, int(kind.split(":")[1]), seed=scene_seed)
-    if kind.startswith("band-range:"):
-        _, lo, hi = kind.split(":")
-        return attention.band_range_mask(k, n, int(lo), int(hi))
-    if kind.startswith("file:"):
-        path = kind.split(":", 1)[1]
-        mask = attention.load_mask(path)
+    if name == "random-band":
+        return attention.random_band_mask(k, n, *params, seed=scene_seed)
+    if name == "band-range":
+        return attention.band_range_mask(k, n, *params)
+    if name == "file":
+        mask = attention.load_mask(*params)
         if mask.shape != (k, n):
             shape = " x ".join(map(str, mask.shape))
-            raise ValueError(f"mask file {path} is {shape} (bins x frames), the spectrogram {k} x {n}")
+            raise ValueError(f"mask file {params[0]} is {shape} (bins x frames), the spectrogram {k} x {n}")
         return mask
-    if kind.startswith("oracle"):
-        if direct is None:
-            raise ValueError(f"mask {kind!r} needs the direct-path spectrogram")
-        base, _, thr = kind.partition(":")
-        source = base.removesuffix("-bin")
+    if direct is None:
+        raise ValueError(f"mask {kind!r} needs the direct-path spectrogram")
+    source = name.removesuffix("-bin")
+    oracle = {} if oracle is None else oracle
+    if source not in oracle:
         makers = {"oracle-psm": attention.psm_mask, "oracle-ratio": attention.magnitude_ratio_mask}
-        if source not in makers:
-            raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}")
-        oracle = {} if oracle is None else oracle
-        if source not in oracle:
-            oracle[source] = makers[source](direct, spec)
-        if base == source:
-            return oracle[source]
-        if not thr:
-            raise ValueError(f"mask {kind!r} needs a threshold, e.g. oracle-psm-bin:0.4")
-        return attention.binarize(oracle[source], float(thr))
-    raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}")
+        oracle[source] = makers[source](direct, spec)
+    if name == source:
+        return oracle[source]
+    return attention.binarize(oracle[source], *params)
 
 
 def _central_frames(num_frames: int, eval_frames: int):

@@ -1,10 +1,12 @@
-"""Time-domain signal containers and the STFT analysis front end.
+"""Time-domain signal containers, the STFT analysis front end and WAV I/O.
 
 All estimators in the package consume the one-sided multichannel STFT
-produced here. The default analysis setup is a periodic Hann window of
-32 ms with a 16 ms hop at 16 kHz, which gives 257 frequency bins. Frames
-are taken without centering or padding: frame ``n`` covers samples
-``[n * hop, n * hop + window_length)``.
+produced here. The analysis window is always the periodic Hann; the
+default setup is 32 ms windows with a 16 ms hop at 16 kHz, which gives 257
+frequency bins. Frames are taken without centering or padding: frame ``n``
+covers samples ``[n * hop, n * hop + window_length)``. There is no inverse
+STFT, since no estimator resynthesizes. WAV files are read as 16/32-bit
+PCM or 32/64-bit float and written as 32-bit float.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class MultichannelSpectrogram:
 
     bins: np.ndarray
     sample_rate: float
-    hop: int
     window_length: int
 
     def __post_init__(self):
@@ -84,28 +85,17 @@ class MultichannelSpectrogram:
         return np.asarray(k) * self.sample_rate / self.window_length
 
 
-WINDOWS = ("hann", "rect", "rectangular", "boxcar")
-
-
-def analysis_window(name: str, window_length: int) -> np.ndarray:
-    """Tapering window by name: periodic 'hann' (suited for 50% overlap) or 'rect'.
-
-    'rectangular' and 'boxcar' are aliases of 'rect'; any other name raises.
-    """
-    if name == "hann":
-        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_length + 1))[:-1]
-    if name in WINDOWS:
-        return np.ones(window_length)
-    raise ValueError(f"unknown window {name!r}, expected one of {', '.join(WINDOWS)}")
+def analysis_window(window_length: int) -> np.ndarray:
+    """The periodic Hann window, suited for 50% overlap."""
+    return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, window_length + 1))[:-1]
 
 
 def stft(
     signal: TimeSignal,
     window_length: int = DEFAULT_WINDOW_LENGTH,
     hop: int = DEFAULT_HOP,
-    window: str = "hann",
 ) -> MultichannelSpectrogram:
-    """Short-time Fourier transform of all channels.
+    """Short-time Fourier transform of all channels with the periodic Hann window.
 
     Parameters
     ----------
@@ -115,8 +105,6 @@ def stft(
         Analysis window length in samples, must be even.
     hop : int
         Frame advance in samples, at most ``window_length``.
-    window : str
-        Tapering window name; 'hann' or 'rect' cover the package defaults.
 
     Returns
     -------
@@ -129,7 +117,7 @@ def stft(
         raise ValueError("hop must be in (0, window_length]")
     if signal.num_samples < window_length:
         raise ValueError("insufficient samples: signal shorter than one window")
-    win = analysis_window(window, window_length)
+    win = analysis_window(window_length)
     num_frames = 1 + (signal.num_samples - window_length) // hop
     starts = np.arange(num_frames) * hop
     # frames: (Q, N, window_length)
@@ -139,39 +127,8 @@ def stft(
     return MultichannelSpectrogram(
         bins=np.transpose(bins, (0, 2, 1)),
         sample_rate=signal.sample_rate,
-        hop=hop,
         window_length=window_length,
     )
-
-
-def istft(spec: MultichannelSpectrogram, window: str = "hann") -> TimeSignal:
-    """Inverse STFT via weighted overlap-add.
-
-    Uses the analysis window as synthesis window and divides by the
-    accumulated squared window, which reconstructs the interior samples of
-    the original signal exactly for any window/hop pair whose squared
-    window sum stays positive over the interior. Edge samples where the
-    window sum vanishes are returned as zero.
-    """
-    win = analysis_window(window, spec.window_length)
-    q, k, n = spec.bins.shape
-    length = (n - 1) * spec.hop + spec.window_length
-    frames = np.fft.irfft(np.transpose(spec.bins, (0, 2, 1)), n=spec.window_length, axis=-1)
-    out = np.zeros((q, length))
-    norm = np.zeros(length)
-    for m in range(n):
-        lo = m * spec.hop
-        hi = lo + spec.window_length
-        out[:, lo:hi] += frames[:, m, :] * win
-        norm[lo:hi] += win**2
-    tiny = 1e-10 * max(norm.max(), 1.0)
-    interior = slice(spec.window_length, length - spec.window_length)
-    if length > 2 * spec.window_length and np.any(norm[interior] < 1e-3 * norm.max()):
-        raise ValueError("window/hop pair does not permit reconstruction")
-    nz = norm > tiny
-    out[:, nz] /= norm[nz]
-    out[:, ~nz] = 0.0
-    return TimeSignal(samples=out, sample_rate=spec.sample_rate)
 
 
 # (format tag, bits per sample) -> sample dtype; tag 1 is PCM, 3 is IEEE float
@@ -226,25 +183,19 @@ def read_wav(path, expected_rate: float | None = None) -> TimeSignal:
     return TimeSignal(samples=data.reshape(-1, channels).T, sample_rate=float(rate))
 
 
-def write_wav(path, signal: TimeSignal, pcm16: bool = False) -> None:
-    """Write a TimeSignal as float32 (default) or PCM16 WAV.
+def write_wav(path, signal: TimeSignal) -> None:
+    """Write a TimeSignal as a 32-bit float WAV.
 
-    The layout is the canonical one: a ``fmt `` chunk, a ``fact`` chunk for
-    float data, then ``data``.
+    The layout is the canonical one: a ``fmt `` chunk with ``cbSize``, a
+    ``fact`` chunk holding the frame count (both required of non-PCM
+    formats), then ``data``.
     """
-    data = signal.samples.T
-    if pcm16:
-        data, tag = np.clip(np.round(data * 32767.0), -32768, 32767).astype("<i2"), 1
-    else:
-        data, tag = data.astype("<f4"), 3
+    data = signal.samples.T.astype("<f4")
     frames, channels = data.shape
     rate, width = int(signal.sample_rate), data.itemsize
-    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * width * channels, width * channels, 8 * width)
-    fact = b""
-    if tag == 3:
-        # non-PCM formats carry cbSize and a fact chunk holding the frame count
-        fmt += b"\0\0"
-        fact = b"fact" + struct.pack("<II", 4, frames)
+    # format tag 3 (IEEE float), then a cbSize of 0
+    fmt = struct.pack("<HHIIHHH", 3, channels, rate, rate * width * channels, width * channels, 8 * width, 0)
+    fact = b"fact" + struct.pack("<II", 4, frames)
     payload = data.tobytes()
     header = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data" + struct.pack("<I", len(payload))
     with open(path, "wb") as fh:

@@ -3,7 +3,10 @@
 Scenes are built from image-method room impulse responses split into a
 direct-path and a reverberant part, so the generated mixture decomposes
 exactly into per-source direct components, per-source reverberation, and
-sensor noise. Everything is deterministic given the scene seed.
+sensor noise. Everything is deterministic given the scene seed. The image
+order follows from the response length, and the array and sources keep
+``WALL_MARGIN`` meters from every wall. A :class:`SceneSpec` is written to
+the ``truth.json`` sidecar but never read back.
 
 Convention: a source at DOA theta delays microphone q by
 ``cos(theta) * d_q / c_s`` seconds relative to microphone 1, matching the
@@ -23,6 +26,7 @@ from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, Tim
 
 SINC_HALF_TAPS = 40  # 81-tap Hann-windowed sinc for fractional delays
 SABINE_CONSTANT = 24.0 * np.log(10.0)
+WALL_MARGIN = 1.0  # meters between every wall and the array and sources
 
 # per-tap constants of _scatter_pulses, tap m = -SINC_HALF_TAPS .. SINC_HALF_TAPS
 _TAP_OFFSETS = np.arange(-SINC_HALF_TAPS, SINC_HALF_TAPS + 1)
@@ -86,7 +90,6 @@ class SceneSpec:
     window_length: int = DEFAULT_WINDOW_LENGTH
     hop: int = DEFAULT_HOP
     rir_length_s: float | None = None
-    wall_margin: float = 1.0
 
     def __post_init__(self):
         sources = tuple(self.sources)
@@ -123,31 +126,8 @@ class SceneSpec:
             "window_length": self.window_length,
             "hop": self.hop,
             "rir_length_s": self.rir_length_s,
-            "wall_margin": self.wall_margin,
+            "wall_margin": WALL_MARGIN,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SceneSpec":
-        return cls(
-            room=RoomSpec(np.asarray(data["room"]["dimensions"]), data["room"]["t60"]),
-            geometry=ArrayGeometry(
-                np.asarray(data["mic_distances_m"]),
-                data.get("speed_of_sound", 343.0),
-            ),
-            sources=tuple(
-                SourceSpec(s["doa_deg"], s["smd_m"], s.get("signal", "white"))
-                for s in data["sources"]
-            ),
-            snr_db=data.get("snr_db"),
-            sir_db=data.get("sir_db"),
-            seed=int(data["seed"]),
-            duration_frames=int(data["duration_frames"]),
-            sample_rate=data.get("sample_rate", DEFAULT_SAMPLE_RATE),
-            window_length=data.get("window_length", DEFAULT_WINDOW_LENGTH),
-            hop=data.get("hop", DEFAULT_HOP),
-            rir_length_s=data.get("rir_length_s"),
-            wall_margin=data.get("wall_margin", 1.0),
-        )
 
 
 @dataclass(frozen=True)
@@ -156,7 +136,6 @@ class Rir:
 
     taps: np.ndarray = field(repr=False)
     direct_taps: np.ndarray = field(repr=False)
-    sample_rate: float = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -165,6 +144,7 @@ class Rir:
         object.__setattr__(self, "direct_taps", direct)
         if taps.shape != direct.shape or taps.ndim != 2:
             raise ValueError("taps and direct_taps must be matching Q x L matrices")
+        # a microphone on the source puts a pulse of infinite amplitude here
         if not (np.all(np.isfinite(taps)) and np.all(np.isfinite(direct))):
             raise ValueError("RIR taps must be finite")
 
@@ -314,7 +294,6 @@ def image_method_rir(
     room: RoomSpec,
     source_pos,
     mic_positions,
-    max_order: int | None = None,
     length: int | None = None,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     speed_of_sound: float = 343.0,
@@ -326,9 +305,8 @@ def image_method_rir(
     fractional-delay windowed-sinc interpolation and 1/(4 pi r) spreading.
     ``direct_taps`` holds only the order-zero image.
 
-    Either ``max_order`` (images per axis) or ``length`` (taps) may be
-    given; by default the response covers t60 plus a small margin and the
-    image set covers every delay representable within it.
+    By default the response covers t60 plus a small margin; ``length`` sets
+    it in taps. The image set covers every delay representable within it.
     """
     source_pos = np.asarray(source_pos, dtype=np.float64)
     mic_positions = np.atleast_2d(np.asarray(mic_positions, dtype=np.float64))
@@ -356,10 +334,7 @@ def image_method_rir(
     if room.t60 == 0:
         orders, parities = np.zeros(3, dtype=int), (0,)  # the source alone
     else:
-        if max_order is None:
-            orders = np.ceil((reach + dims) / (2.0 * dims)).astype(int)
-        else:
-            orders = np.full(3, max_order, dtype=int)
+        orders = np.ceil((reach + dims) / (2.0 * dims)).astype(int)
         parities = (0, 1)
     coords, refl = [], []
     for ax in range(3):
@@ -386,7 +361,7 @@ def image_method_rir(
             np.array([d0 / speed_of_sound * sample_rate]),
             np.array([1.0 / (4.0 * np.pi * d0)]),
         )
-    return Rir(taps=taps, direct_taps=direct, sample_rate=sample_rate)
+    return Rir(taps=taps, direct_taps=direct)
 
 
 def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) -> TimeSignal:
@@ -428,9 +403,9 @@ def _place_scene(spec: SceneSpec, rng: np.random.Generator):
     ``cos(theta) * d_q / c_s`` seconds after microphone 1.
     """
     dims = spec.room.dimensions
-    margin = spec.wall_margin
+    margin = WALL_MARGIN
     if np.any(dims <= 2 * margin):
-        raise ValueError("room too small for the configured wall margin")
+        raise ValueError(f"room too small for the {WALL_MARGIN} m wall margin")
     aperture = spec.geometry.aperture
     for _ in range(500):
         phi = rng.uniform(0.0, 2.0 * np.pi)

@@ -157,7 +157,8 @@ def reference_norm_music(
     bins = spec.bins[:, :, frames]
     weights = _alias_limited(mask, spec, max_freq_hz)[:, frames]
     band_weight = weights.sum(axis=1)
-    active = band_weight > MIN_BAND_WEIGHT
+    # a band needs a weight above the relative floor and num_sources weighted frames
+    active = (band_weight > MIN_BAND_WEIGHT * band_weight.max()) & (np.count_nonzero(weights, axis=1) >= num_sources)
     yb = bins[:, active]
     cov = np.einsum("qkn,jkn,kn->kqj", yb, np.conj(yb), weights[active], optimize=True)
     cov /= band_weight[active][:, None, None]

@@ -250,7 +250,7 @@ class TestCriterion8:
 
         def random_spec(q, k, n):
             bins = rng.standard_normal((q, k, n)) + 1j * rng.standard_normal((q, k, n))
-            return MultichannelSpectrogram(bins, FS, k - 1, 2 * (k - 1))
+            return MultichannelSpectrogram(bins, FS, 2 * (k - 1))
 
         # masks bounded to [0, 1]
         for _ in range(self.CASES):
@@ -275,7 +275,7 @@ class TestCriterion8:
             # a coherent common component keeps the steered power peak positive
             common = rng.standard_normal((1, 9, 4)) + 1j * rng.standard_normal((1, 9, 4))
             noise = rng.standard_normal((3, 9, 4)) + 1j * rng.standard_normal((3, 9, 4))
-            spec = MultichannelSpectrogram(common + 0.3 * noise, FS, 8, 16)
+            spec = MultichannelSpectrogram(common + 0.3 * noise, FS, 16)
             core = EstimatorCore(spec, grid5, geom3)
             plain = core.spectra("srp-p", [None])[0]
             masked = core.spectra("srp-mp", [np.ones((9, 4))])[0]

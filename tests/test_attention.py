@@ -12,7 +12,7 @@ FS = 16000
 def _spec(bins):
     bins = np.asarray(bins, dtype=complex)
     k = bins.shape[1]
-    return MultichannelSpectrogram(bins, FS, (k - 1), 2 * (k - 1))
+    return MultichannelSpectrogram(bins, FS, 2 * (k - 1))
 
 
 class TestPsmMask:

@@ -453,7 +453,7 @@ class TestExitCodes:
             ({"max_freq_hz": -5}, 0),
             ({"stft": {"window_length": 511, "hop": 256}}, 1),
             ({"methods": ["music"], "num_sources_music": 4}, 1),
-            ({"masks": ["nope"]}, 1),
+            ({"masks": ["nope"]}, 0),
             ({"rooms": [[1.0, 1.0, 1.0]]}, 1),
             ({"methods": ["music"], "eval_frames": 1}, 1),
             ({"source": 5}, 0),
@@ -478,6 +478,34 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         _one_error_line(capsys)
         assert len(calls) == simulated
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "oracle-psm:0.5",
+            "oracle-ratio:junk",
+            "none:1",
+            "ones",
+            "random-band:abc",
+            "random-band:-3",
+            "band-range:1",
+            "band-range:9:3",
+            "oracle-psm-bin:1.5",
+            "oracle-ratio-bin",
+            "file:",
+        ],
+    )
+    def test_malformed_mask_spec(self, broadside_wav, tmp_path, capsys, monkeypatch, spec):
+        """A malformed mask spec exits 1 naming it, in eval before any scene is simulated."""
+        argv = ["estimate", "--input", str(broadside_wav), "--direct", str(broadside_wav), "--mask", spec]
+        assert main(argv) == 1
+        assert repr(spec) in _one_error_line(capsys)
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda scene: calls.append(scene))
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, masks=[spec])
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert repr(spec) in _one_error_line(capsys)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "key, value", [("sample_rate", "x"), ("rir_length_s", 0), ("rir_length_s", "x"), ("rir_length_s", -1)]

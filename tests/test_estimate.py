@@ -39,7 +39,7 @@ RANDOM_ARRAYS = [
 def _spec(bins):
     bins = np.asarray(bins, dtype=complex)
     k = bins.shape[1]
-    return MultichannelSpectrogram(bins, FS, k - 1, 2 * (k - 1))
+    return MultichannelSpectrogram(bins, FS, 2 * (k - 1))
 
 
 def _plane_wave_spec(doa_deg, samples=4000, seed=0, channels=4):
@@ -136,9 +136,7 @@ class TestSrp:
 
     def test_global_phase_invariance(self):
         spec, geom = _plane_wave_spec(75.0, seed=6)
-        rotated = MultichannelSpectrogram(
-            spec.bins * np.exp(0.7j), spec.sample_rate, spec.hop, spec.window_length
-        )
+        rotated = MultichannelSpectrogram(spec.bins * np.exp(0.7j), spec.sample_rate, spec.window_length)
         np.testing.assert_allclose(
             EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0],
             EstimatorCore(rotated, GRID, geom).spectra("srp-p", [None])[0],
@@ -149,9 +147,7 @@ class TestSrp:
         # reversing the microphone order negates all delay differences,
         # which maps the response of theta onto 180 - theta
         spec, geom = _plane_wave_spec(40.0, seed=7)
-        reversed_spec = MultichannelSpectrogram(
-            spec.bins[::-1], spec.sample_rate, spec.hop, spec.window_length
-        )
+        reversed_spec = MultichannelSpectrogram(spec.bins[::-1], spec.sample_rate, spec.window_length)
         np.testing.assert_allclose(
             EstimatorCore(reversed_spec, GRID, geom).spectra("srp-p", [None])[0],
             EstimatorCore(spec, GRID, geom).spectra("srp-p", [None])[0][::-1],

@@ -32,7 +32,7 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("length", [2, 8, 255, 256, 511, 512, 1024])
 def test_hann_bit_equal_to_scipy(length):
     expected = scipy.signal.get_window("hann", length, fftbins=True)
-    np.testing.assert_array_equal(analysis_window("hann", length), expected)
+    np.testing.assert_array_equal(analysis_window(length), expected)
 
 
 def test_fft_size_is_next_fast_len():
@@ -84,13 +84,10 @@ def test_convolve_matches_fftconvolve(n, taps, rows):
 
 class TestWav:
     @pytest.mark.parametrize("channels", [1, 4])
-    @pytest.mark.parametrize("pcm16", [False, True])
-    def test_write_bytes_equal_scipy(self, tmp_path, channels, pcm16):
+    def test_write_bytes_equal_scipy(self, tmp_path, channels):
         sig = TimeSignal(np.random.default_rng(channels).uniform(-1.0, 1.0, (channels, 999)), FS)
-        write_wav(tmp_path / "ours.wav", sig, pcm16=pcm16)
+        write_wav(tmp_path / "ours.wav", sig)
         data = sig.samples.T.astype(np.float32)
-        if pcm16:
-            data = np.clip(np.round(sig.samples.T * 32767.0), -32768, 32767).astype(np.int16)
         scipy.io.wavfile.write(tmp_path / "scipy.wav", FS, data[:, 0] if channels == 1 else data)
         assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 

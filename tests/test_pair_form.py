@@ -36,7 +36,7 @@ def _plane_wave(rng, geom, doa_deg, num_bins, num_frames, noise):
     bins = source[None] * np.exp(-2j * np.pi * freqs[None, :, None] * delays[:, None, None])
     shape = (geom.num_mics, num_bins, num_frames)
     bins += noise * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return MultichannelSpectrogram(bins, FS, num_bins - 1, 2 * (num_bins - 1))
+    return MultichannelSpectrogram(bins, FS, 2 * (num_bins - 1))
 
 
 @st.composite
@@ -61,7 +61,7 @@ def _reference(spec, mask, grid, geom, frames, max_freq_hz):
     weights = mask.copy()
     if max_freq_hz is not None:
         weights[spec.bin_frequency(np.arange(spec.num_bins)) > max_freq_hz] = 0.0
-    ranged = MultichannelSpectrogram(spec.bins[:, :, frames], spec.sample_rate, spec.hop, spec.window_length)
+    ranged = MultichannelSpectrogram(spec.bins[:, :, frames], spec.sample_rate, spec.window_length)
     weighting = mask_weighting(phat_weighting(ranged), weights[:, frames])
     steering = steering_matrix(grid, geom, spec.sample_rate, spec.window_length)
     return narrowband_srp(cross_spectral_tensor(ranged, weighting), steering)
@@ -144,9 +144,38 @@ def test_spectra_invariant_to_mask_scale(seed, density, alpha):
     rng = np.random.default_rng(seed)
     mask = rng.uniform(0.0, 1.0, core.shape) * (rng.random(core.shape) < density)
     mask[:LOW_BINS] = 0.0
-    # a band with one active frame has a rank-1 covariance, whose two-source noise
-    # subspace is not unique: rounding picks it, so such bands are left out there
-    two_source_mask = np.where(np.count_nonzero(mask, axis=1)[:, None] > 1, mask, 0.0)
-    for method, num_sources, m in (("srp-mp", 1, mask), ("music", 1, mask), ("music", 2, two_source_mask)):
-        base, scaled = core.spectra(method, [m, alpha * m], num_sources)
+    for method, num_sources in (("srp-mp", 1), ("music", 1), ("music", 2)):
+        base, scaled = core.spectra(method, [mask, alpha * mask], num_sources)
         assert np.max(np.abs(scaled - base)) <= 1e-12 * np.max(np.abs(base)), (method, num_sources)
+
+
+def _band_mask(core, bands):
+    """Mask of the reverberant core that weights every frame of ``bands`` by 1."""
+    mask = np.zeros(core.shape)
+    mask[bands] = 1.0
+    return mask
+
+
+def test_music_ignores_bands_with_fewer_active_frames_than_sources():
+    # a band weighted in one frame has a rank-1 covariance, whose two-source
+    # noise subspace is not unique, so it must not count in the average
+    core = _reverberant_core()
+    mask = _band_mask(core, slice(20, 60))
+    sparse = mask.copy()
+    sparse[80, 7] = 1.0
+    base, with_sparse = core.spectra("music", [mask, sparse], num_sources=2)
+    np.testing.assert_array_equal(with_sparse, base)
+    # one source needs one frame: the band counts
+    base, with_sparse = core.spectra("music", [mask, sparse], num_sources=1)
+    assert np.max(np.abs(with_sparse - base)) > 1e-6
+
+
+def test_music_band_floor_is_relative_to_the_mask():
+    # a faint band keeps counting when the whole mask is scaled down
+    core = _reverberant_core()
+    mask = _band_mask(core, slice(20, 60))
+    mask[80] = 5e-5 / core.shape[1]
+    base, scaled = core.spectra("music", [mask, 0.01 * mask])
+    assert np.max(np.abs(scaled - base)) <= 1e-12
+    without = core.spectra("music", [np.where(mask == 1.0, mask, 0.0)])[0]
+    assert np.max(np.abs(without - base)) > 1e-12
