@@ -73,10 +73,14 @@ def cmd_estimate(args) -> int:
     spec = stft(signal, args.window_length, args.hop)
 
     kind = args.mask
-    if kind != "none" and os.path.isfile(kind):
-        kind = f"file:{kind}"
+    try:
+        name = evaluate.parse_mask(kind)[0]
+    except ValueError:  # a value that is no mask spec but names a file is a mask file
+        if not os.path.isfile(kind):
+            raise
+        kind, name = f"file:{kind}", "file"
     direct = None
-    if evaluate.parse_mask(kind)[0].startswith("oracle"):
+    if name.startswith("oracle"):
         if args.direct is None:
             raise ValueError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
         direct = stft(read_wav(args.direct), args.window_length, args.hop)

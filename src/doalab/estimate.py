@@ -10,16 +10,18 @@ scales all channels of a bin alike, so SRP-MP with mask M is ``2 Re E (X M^2)``
 summed over bins and frames, SRP-PHAT the case M = 1. MUSIC averages
 per-band pseudospectra of mask-weighted covariances, each normalized to max 1,
 with the bands' mask weights, over the bands whose covariance can have rank
-``num_sources``. :class:`EstimatorCore` keeps the mask-independent
-part (X, E, per-bin outer products) of one spectrogram and frame range and
-evaluates a list of masks at once for any method in :data:`METHODS`: SRP-MP
-is one matrix product, MUSIC one batched eigendecomposition over all
-(mask, bin) pairs. Spectra are plain float arrays: one (M, C) array with a
-row per mask, each row a length-C spectrum over the DOA grid.
+``num_sources``. The methods differ only in the weight they give a mask:
+1 (SRP-PHAT), M^2 (SRP-MP) or M (MUSIC).
 
-The steering is applied so that a source whose inter-microphone delays
-follow the far-field model of :func:`doalab.geometry.steering_matrix`
-produces the power maximum at its own grid angle.
+:class:`EstimatorCore` keeps the mask-independent part (X, E, per-bin outer
+products) of one spectrogram and frame range. Its one entry,
+:meth:`EstimatorCore.spectra`, checks and weights a list of masks in one
+place and evaluates them all at once: SRP is one matrix product, MUSIC one
+batched eigendecomposition over all (mask, bin) pairs. Spectra are plain
+float arrays: one (M, C) array, a row per mask over the DOA grid. The pair
+steering and :func:`doalab.geometry.steering_matrix` share the phase of
+:func:`doalab.geometry.far_field_phase`, so a source that follows that delay
+model produces the power maximum at its own grid angle.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import ArrayGeometry, DoaGrid, steering_matrix
+from .geometry import ArrayGeometry, DoaGrid, far_field_phase, steering_matrix
 from .signal import MultichannelSpectrogram
 
 DEFAULT_PHAT_EPSILON = 1e-8
@@ -52,9 +54,10 @@ class EstimatorCore:
 
     The PHAT pair cross-spectra and the pair steering are built here,
     :attr:`steering` and :attr:`products` (MUSIC only) on first use.
-    ``max_freq_hz`` zeroes the mask rows above that frequency (aliasing
-    ablation) in every estimate. Masks with equal weights over the frame
-    range are evaluated once.
+    Estimates come from :meth:`spectra`, per-frame SRP sums from
+    :meth:`per_frame`. ``max_freq_hz`` zeroes the mask rows above that
+    frequency (aliasing ablation) in every estimate. Masks with equal
+    weights over the frame range are evaluated once.
     """
 
     def __init__(
@@ -88,8 +91,7 @@ class EstimatorCore:
             self.pairs[:, p] = cross.real
             self.pairs[:, num_pairs + p] = cross.imag
         spacing = geom.mic_distances[second] - geom.mic_distances[first]
-        delays = np.cos(np.deg2rad(grid.angles_deg))[:, None] * spacing[None, :] / geom.speed_of_sound
-        phase = -2.0 * np.pi * freqs[None, :, None] * delays[:, None, :]  # (C, K, P)
+        phase = far_field_phase(grid, spacing, geom.speed_of_sound, freqs)  # (C, K, P)
         pair_steering = np.empty((grid.size, k, 2 * num_pairs))
         np.cos(phase, out=pair_steering[:, :, :num_pairs])
         np.sin(-phase, out=pair_steering[:, :, num_pairs:])
@@ -107,31 +109,37 @@ class EstimatorCore:
         q, k, n = self.bins.shape
         return np.einsum("qkn,jkn->kqjn", self.bins, np.conj(self.bins)).reshape(k, q * q, n)
 
-    def _check_mask(self, mask) -> None:
-        """Reject a mask that is not ``None`` (all ones) or a (K, N) array of weights in [0, 1].
+    def _weights(self, method: str, masks) -> tuple[np.ndarray, list[int]]:
+        """Distinct weights of ``method`` over the frame range, shape (M', K, N_range),
+        and the index into them of each mask.
 
-        Every estimate checks its masks here, over all N frames, wherever they came from.
+        Every mask must be ``None`` (all ones) or a (K, N) array of finite
+        weights in [0, 1]; each is checked here, over all N frames, wherever
+        it came from. The weight is all ones for ``srp-p``, the squared mask
+        for ``srp-mp`` and the mask itself for ``music``; rows above
+        ``max_freq_hz`` are zeroed, and an SRP weight must not be all zero.
         """
-        if mask is None:
-            return
-        if mask.shape != self.shape:
-            raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
-        if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN minimum or maximum fails both
-            raise ValueError("mask weights must be finite and lie in [0, 1]")
-
-    def _weights(self, masks) -> tuple[np.ndarray, list[int]]:
-        """Distinct mask weights over the frame range, shape (M', K, N_range), and
-        the index into them of each mask.
-
-        ``None`` in ``masks`` is all ones; rows above ``max_freq_hz`` are zeroed.
-        """
-        stack = np.ones((len(masks), self.shape[0], self.bins.shape[2]))
-        for out, mask in zip(stack, masks):
-            self._check_mask(mask)
-            if mask is not None:
-                out[:] = mask[:, self.frames]
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+        # SRP-PHAT is SRP-MP with one all-ones mask
+        stack = np.ones((1 if method == "srp-p" else len(masks), self.shape[0], self.bins.shape[2]))
+        for i, mask in enumerate(masks):
+            if mask is None:
+                continue
+            if mask.shape != self.shape:
+                raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
+            if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN minimum or maximum fails both
+                raise ValueError("mask weights must be finite and lie in [0, 1]")
+            if method != "srp-p":
+                stack[i] = mask[:, self.frames]
         if self.cut is not None:
             stack[:, self.cut, :] = 0.0
+        if method != "music":
+            if not np.all(np.any(stack.reshape(len(stack), -1), axis=1)):
+                raise ValueError("empty attention: mask is all zero")
+            stack *= stack
+        if method == "srp-p":
+            return stack, [0] * len(masks)
         # equal weights have equal sums, so only masks of equal sum are compared
         sums = stack.sum(axis=(1, 2))
         first = [
@@ -140,13 +148,6 @@ class EstimatorCore:
         ]
         distinct = sorted(set(first))
         return stack[distinct], [distinct.index(j) for j in first]
-
-    def _srp_weights(self, masks) -> tuple[np.ndarray, list[int]]:
-        """Squared distinct mask weights for SRP-MP and their index per mask, as :meth:`_weights`."""
-        weights, index = self._weights(masks)
-        if not np.all(np.any(weights.reshape(len(weights), -1), axis=1)):
-            raise ValueError("empty attention: mask is all zero")
-        return weights * weights, index
 
     def power(self, weights: np.ndarray) -> np.ndarray:
         """Unnormalized SRP-PHAT of M weight matrices over the frame range, shape (C, M).
@@ -157,16 +158,8 @@ class EstimatorCore:
         summed = self.pairs @ np.transpose(weights, (1, 2, 0))  # (K, 2P, M)
         return self._scale * (self.pair_steering @ summed.reshape(-1, len(weights)))
 
-    def srp(self, masks) -> np.ndarray:
-        """Normalized mask-modified SRP-PHAT, one row per mask; plain SRP-PHAT for ``None``.
-
-        One pair-form product for all masks, with the squared masks as weights.
-        """
-        weights, index = self._srp_weights(masks)
-        return np.stack([normalize_sps(v) for v in self.power(weights).T])[index]
-
-    def music(self, masks, num_sources: int = 1) -> np.ndarray:
-        """Normalized NormMUSIC, one row per mask: band-normalized, mask-weighted MUSIC.
+    def _music(self, weights: np.ndarray, num_sources: int) -> np.ndarray:
+        """Normalized NormMUSIC, band-normalized and mask-weighted, of M' weights, shape (M', C).
 
         Per band: mask-weighted sample covariance over frames, noise subspace
         from the Q - num_sources smallest eigenvalues, pseudospectrum
@@ -175,17 +168,13 @@ class EstimatorCore:
         at most ``MIN_BAND_WEIGHT`` times the mask's largest band weight, so
         scaling a mask drops no band, or when fewer than ``num_sources`` of
         its frames have weight: its covariance then has rank below
-        ``num_sources`` and no unique noise subspace. The covariances of
-        every distinct mask come from one weighted product over
-        :attr:`products` and one batched ``eigh`` over every active (mask,
-        bin) pair; the projection onto the manifold runs mask by mask.
+        ``num_sources`` and no unique noise subspace.
         """
         q = self.bins.shape[0]
         if not 1 <= num_sources < q:
             raise ValueError(f"num_sources must satisfy 1 <= num_sources < Q = {q}, got {num_sources}")
         if self.bins.shape[2] < q:
             raise ValueError("need at least Q frames for a full-rank covariance")
-        weights, index = self._weights(masks)
         band_weight = weights.sum(axis=2)  # (M', K)
         active = band_weight > MIN_BAND_WEIGHT * band_weight.max(axis=1, keepdims=True)
         active &= np.count_nonzero(weights, axis=2) >= num_sources
@@ -210,24 +199,19 @@ class EstimatorCore:
             pseudo /= pseudo.max(axis=1, keepdims=True)
             values = bands[band_active] @ pseudo / bands[band_active].sum()
             spectra.append(normalize_sps(values))
-        return np.stack(spectra)[index]
+        return np.stack(spectra)
 
     def spectra(self, method: str, masks, num_sources: int = 1) -> np.ndarray:
         """Normalized spatial power spectra of one of :data:`METHODS`, shape (M, C).
 
-        Row m belongs to ``masks[m]``. ``srp-p`` checks but ignores the masks,
-        so its spectrum is computed once and shared; so are the spectra of masks
-        with equal weights.
+        Row m belongs to ``masks[m]``. Both SRPs are one :meth:`power` of the
+        method's weights. ``srp-p`` checks but ignores the masks, so its
+        spectrum is computed once; so are the spectra of masks with equal weights.
         """
-        if method == "srp-p":
-            for mask in masks:
-                self._check_mask(mask)  # SRP-P ignores the masks but still rejects bad ones
-            return self.srp([None])[[0] * len(masks)]
-        if method == "srp-mp":
-            return self.srp(masks)
+        weights, index = self._weights(method, masks)
         if method == "music":
-            return self.music(masks, num_sources)
-        raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+            return self._music(weights, num_sources)[index]
+        return np.stack([normalize_sps(v) for v in self.power(weights).T])[index]
 
     def per_frame(self, method: str, mask) -> np.ndarray:
         """Per-frame sums over bins of the SRP spectrum behind a pick, shape (C, N_range).
@@ -236,10 +220,7 @@ class EstimatorCore:
         """
         if method not in ("srp-p", "srp-mp"):
             raise ValueError(f"no per-frame spectrum for method {method!r}; valid: srp-p, srp-mp")
-        if method == "srp-p":
-            self._check_mask(mask)  # SRP-P ignores the mask but still rejects a bad one
-            mask = None
-        weights = self._srp_weights([mask])[0][0]
+        weights = self._weights(method, [mask])[0][0]
         weighted = self.pairs * weights[:, None, :]  # (K, 2P, N)
         return self._scale * (self.pair_steering @ weighted.reshape(-1, weighted.shape[2]))
 

@@ -169,8 +169,8 @@ def _check_level(cfg: dict, key: str) -> None:
     value = cfg[key]
     pair = isinstance(value, (list, tuple)) and len(value) == 2
     lo, hi = value if pair else (value, value)
-    if value is not None and not (_is_number(lo) and _is_number(hi) and lo <= hi):
-        raise ConfigError(f"config key {key!r} must be null, a number or a [lo, hi] range, got {value!r}")
+    if value is not None and not (_is_number(lo) and _is_number(hi) and -np.inf < lo <= hi < np.inf):
+        raise ConfigError(f"config key {key!r} must be null, a finite number or a [lo, hi] range, got {value!r}")
 
 
 def _is_number(value) -> bool:
@@ -246,7 +246,7 @@ def _scene_specs(cfg: dict):
         cfg["doas"],
         range(cfg["seeds_per_doa"]),
     )
-    specs = []
+    specs, scene_ids = [], set()
     for index, ((room_idx, room_dims), t60, smd, doa, rep) in enumerate(grid_points):
         seed = int(np.random.SeedSequence([cfg["master_seed"], index]).generate_state(1)[0])
         rng = np.random.default_rng(seed)
@@ -262,6 +262,9 @@ def _scene_specs(cfg: dict):
             sir = _as_range(cfg["sir_db"], rng)
         snr = _as_range(cfg["snr_db"], rng)
         scene_id = f"r{room_idx}_t{t60:.2f}_s{smd:.2f}_d{doa:07.3f}_k{rep}"
+        if scene_id in scene_ids:  # records, reports and WAV names need one scene per id
+            raise ConfigError(f"two scenes get the id {scene_id!r}: t60 and smd must differ in 2 decimals, doas in 3")
+        scene_ids.add(scene_id)
         spec = simulate.SceneSpec(
             room=simulate.RoomSpec(np.asarray(room_dims), t60),
             geometry=ArrayGeometry.uniform(

@@ -76,17 +76,25 @@ def make_grid(num_points: int) -> DoaGrid:
     return DoaGrid(np.linspace(0.0, 180.0, num_points))
 
 
+def far_field_phase(grid: DoaGrid, distances: np.ndarray, speed_of_sound: float, freqs: np.ndarray) -> np.ndarray:
+    """Far-field phase ``-2 pi f_k cos(theta_c) d / c_s`` of each grid angle, frequency
+    in Hz and distance, shape (C, K, D); a distance is a signed offset along the
+    array axis in meters, such as a microphone distance or a pair spacing.
+    """
+    delays = np.cos(np.deg2rad(grid.angles_deg))[:, None] * distances[None, :] / speed_of_sound  # (C, D)
+    return -2.0 * np.pi * freqs[None, :, None] * delays[:, None, :]
+
+
 def steering_matrix(grid: DoaGrid, geom: ArrayGeometry, sample_rate: float, fft_length: int) -> np.ndarray:
     """Relative transfer functions of all grid directions, shape (C, K, Q) with K = fft_length / 2 + 1.
 
-    Entry (c, k, q) is ``exp(-j 2 pi f_k cos(theta_c) d_q / c_s)`` with
-    ``f_k = k * sample_rate / fft_length``. The first microphone is the
-    phase reference, so column q = 0 is identically 1.
+    Entry (c, k, q) is ``exp(j phi)`` with the phase ``phi`` of
+    :func:`far_field_phase` at ``f_k = k * sample_rate / fft_length`` and the
+    microphone distance ``d_q``. The first microphone is the phase
+    reference, so column q = 0 is identically 1.
     """
     freqs = np.arange(fft_length // 2 + 1) * sample_rate / fft_length
-    cos_theta = np.cos(np.deg2rad(grid.angles_deg))
-    delays = cos_theta[:, None] * geom.mic_distances[None, :] / geom.speed_of_sound  # (C, Q)
-    phase = -2.0 * np.pi * freqs[None, :, None] * delays[:, None, :]
+    phase = far_field_phase(grid, geom.mic_distances, geom.speed_of_sound, freqs)
     steering = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=steering.real)
     np.sin(phase, out=steering.imag)

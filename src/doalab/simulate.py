@@ -98,6 +98,8 @@ class SceneSpec:
             raise ValueError("scenes support one or two sources")
         if len(sources) == 2 and self.sir_db is None:
             raise ValueError("two-source scenes need sir_db")
+        if not np.all(np.isfinite([level for level in (self.snr_db, self.sir_db) if level is not None])):
+            raise ValueError(f"snr_db and sir_db must be null or finite, got {self.snr_db!r} and {self.sir_db!r}")
         if self.duration_frames < 1:
             raise ValueError("duration_frames must be positive")
         if not _is_positive(self.sample_rate):
@@ -481,7 +483,7 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
         reverbs[1] *= g
         gains[1] = float(g)
 
-    if spec.snr_db is None or np.isinf(spec.snr_db):
+    if spec.snr_db is None:
         noise = np.zeros((spec.geometry.num_mics, n))
     else:
         p_src = np.mean((directs[0][0] + reverbs[0][0]) ** 2)

@@ -133,6 +133,15 @@ class TestEstimate:
         assert main(argv + ["--mask", f"{prefix}{path}"]) == 0
         assert json.loads(capsys.readouterr().out)["picked_doa_deg"] == 90.0
 
+    def test_mask_spec_is_not_read_as_a_file_of_that_name(self, broadside_wav, tmp_path, capsys, monkeypatch):
+        argv = ["estimate", "--input", str(broadside_wav), "--direct", str(broadside_wav), "--mask", "oracle-psm"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "oracle-psm").write_text("not a mask file")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("method", ["srp-p", "srp-mp", "music"])
     def test_mask_file_shape_mismatch_is_usage_error(self, broadside_wav, tmp_path, capsys, method):
         path = tmp_path / "small.mask"
@@ -458,11 +467,18 @@ class TestExitCodes:
             ({"methods": ["music"], "eval_frames": 1}, 1),
             ({"source": 5}, 0),
             ({"interferer": 3, "sir_db": 0}, 0),
+            ({"doas": [10, 10]}, 0),
+            ({"t60": [0.301, 0.304]}, 0),
+            ({"snr_db": float("-inf")}, 0),
+            ({"snr_db": [0, float("inf")]}, 0),
+            ({"sir_db": float("-inf")}, 0),
+            ({"sir_db": float("inf")}, 0),
         ],
         ids=[
             "t60", "smd", "doas", "num_mics", "master_seed", "max_freq_hz",
             "window_length", "num_sources_music", "mask", "room", "music-eval_frames",
-            "source", "interferer",
+            "source", "interferer", "repeated-doa", "t60-equal-in-2-decimals",
+            "snr_db-minus-infinity", "snr_db-range-to-infinity", "sir_db-minus-infinity", "sir_db-infinity",
         ],
     )
     def test_eval_config_value(self, tmp_path, capsys, monkeypatch, overrides, simulated):
@@ -478,6 +494,16 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         _one_error_line(capsys)
         assert len(calls) == simulated
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_repeated_scene_id_is_named(self, tmp_path, capsys, monkeypatch, command):
+        """Two scenes with one id exit 1 naming it, before any scene is simulated or written."""
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = _write_config(tmp_path / "cfg.json", doas=[10.0, 90.0, 10.0], seeds_per_doa=1)
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert "'r0_t0.00_s1.50_d010.000_k0'" in _one_error_line(capsys)
+        assert calls == [] and not any((tmp_path / "x").glob("*"))
 
     @pytest.mark.parametrize(
         "spec",

@@ -416,9 +416,9 @@ class TestBatchedCore:
         for frames in (None, evaluate._central_frames(mix.num_frames, cfg["eval_frames"])):
             core = estimate.EstimatorCore(mix, grid, spec.geometry, frames, max_freq_hz=limit)
             batches = {
-                ("srp-mp", 0): core.srp(masks),
-                ("music", 1): core.music(masks, 1),
-                ("music", 2): core.music(masks, 2),
+                ("srp-mp", 0): core.spectra("srp-mp", masks),
+                ("music", 1): core.spectra("music", masks, 1),
+                ("music", 2): core.spectra("music", masks, 2),
             }
             for (method, num_sources), spectra in batches.items():
                 assert len(spectra) == len(masks)
@@ -466,14 +466,14 @@ class TestBatchedCore:
         masks = [evaluate.build_mask(kind, mix) for kind in ("none", "band-range:10:20", "random-band:30")]
         masks[position] = np.zeros(masks[0].shape)
         with pytest.raises(ValueError, match="empty attention"):
-            core.srp(masks)
+            core.spectra("srp-mp", masks)
         with pytest.raises(ValueError, match="empty attention"):
-            core.music(masks)
+            core.spectra("music", masks)
 
     def test_mask_shape_checked_per_mask(self):
         mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
         core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))
         masks = [evaluate.build_mask("none", mix), np.ones((mix.num_bins, mix.num_frames - 1))]
-        for method in (core.srp, core.music):
+        for method in ("srp-mp", "music"):
             with pytest.raises(ValueError, match="must match"):
-                method(masks)
+                core.spectra(method, masks)

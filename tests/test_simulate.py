@@ -408,6 +408,14 @@ class TestSceneSpecValidation:
             SourceSpec(90.0, 1.0, signal)
 
     @pytest.mark.parametrize(
+        "snr_db, sir_db", [(-np.inf, 0.0), (np.inf, 0.0), (np.nan, 0.0), (30.0, -np.inf), (None, np.inf)]
+    )
+    def test_levels_must_be_finite(self, snr_db, sir_db):
+        # null is the one way to a noiseless scene; an infinite SIR would scale source 2 by 0 or inf
+        with pytest.raises(ValueError, match="snr_db and sir_db"):
+            _two_source_spec(snr_db=snr_db, sir_db=sir_db)
+
+    @pytest.mark.parametrize(
         "key, value",
         [
             ("sample_rate", "x"),
