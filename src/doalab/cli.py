@@ -53,15 +53,14 @@ def _parse_frames(text):
 
 
 def cmd_simulate(args) -> int:
-    cfg = evaluate.validate_config(_load_config(args.config))
+    # every scene is built, and so checked, before the output directory is made
+    scenes = evaluate._scene_specs(evaluate.validate_config(_load_config(args.config)))
     os.makedirs(args.out_dir, exist_ok=True)
-    for scene_id, _, spec in evaluate._scene_specs(cfg):
+    for scene_id, _, spec in scenes:
         truth = simulate.mix_scene(spec)
         write_wav(os.path.join(args.out_dir, f"{scene_id}.wav"), truth.mixture)
         write_wav(os.path.join(args.out_dir, f"{scene_id}.direct.wav"), truth.direct[0])
-        simulate.save_scene_sidecar(
-            os.path.join(args.out_dir, f"{scene_id}.truth.json"), spec, truth
-        )
+        simulate.save_scene_sidecar(os.path.join(args.out_dir, f"{scene_id}.truth.json"), spec, truth)
     return 0
 
 

@@ -8,6 +8,10 @@ order follows from the response length, and the array and sources keep
 ``WALL_MARGIN`` meters from every wall. A :class:`SceneSpec` is written to
 the ``truth.json`` sidecar but never read back.
 
+Each image is an 81-tap Hann-windowed sinc pulse; its taps are tabulated
+Chebyshev polynomials of the fractional delay, so placing every pulse of a
+response takes histograms and one small GEMM per row (:func:`_scatter_rows`).
+
 Convention: a source at DOA theta delays microphone q by
 ``cos(theta) * d_q / c_s`` seconds relative to microphone 1, matching the
 far-field steering model in :mod:`doalab.geometry`.
@@ -20,22 +24,35 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .geometry import ArrayGeometry
 from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, TimeSignal, read_wav
 
 SINC_HALF_TAPS = 40  # 81-tap Hann-windowed sinc for fractional delays
+TAP_DEGREE = 12  # Chebyshev degree of every kernel tap on each half of the fraction
+_PASS_PULSES = 1 << 15  # pulses per pass of _scatter_rows
 SABINE_CONSTANT = 24.0 * np.log(10.0)
 WALL_MARGIN = 1.0  # meters between every wall and the array and sources
 
-# per-tap constants of _scatter_pulses, tap m = -SINC_HALF_TAPS .. SINC_HALF_TAPS
-_TAP_OFFSETS = np.arange(-SINC_HALF_TAPS, SINC_HALF_TAPS + 1)
-_TAP_ANGLES = np.pi * _TAP_OFFSETS / SINC_HALF_TAPS
-_TAP_BASIS = (
-    0.5
-    * np.where(_TAP_OFFSETS % 2 == 0, -1.0, 1.0)
-    * np.stack([np.ones(_TAP_OFFSETS.size), np.cos(_TAP_ANGLES), np.sin(_TAP_ANGLES)])
-)
+
+def _tap_table(degree: int) -> np.ndarray:
+    """Chebyshev coefficients of the 2H + 1 kernel taps, ``T_k(u)``'s on half h in column ``2 k + h``.
+
+    Tap m of a pulse at ``base + f`` is the Hann-windowed ``sinc(m - f)``. On
+    half h = 0, f in [0, 1/2] and u = 4 f - 1; on h = 1, f in [-1/2, 0) and
+    u = 4 f + 1. There every tap is entire in u (the one with |m - f| > H is
+    zero on the whole half), so Chebyshev interpolation converges to rounding.
+    """
+    half, n = SINC_HALF_TAPS, degree + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    cheb = np.cos(np.outer(np.arange(n), theta)) * np.r_[1.0, np.full(degree, 2.0)][:, None] / n
+    x = np.arange(-half, half + 1) - (np.cos(theta) + np.c_[[1.0, -1.0]])[..., None] / 4.0  # (h, point, m)
+    kernel = np.sinc(x) * np.where(np.abs(x) <= half, 0.5 * (1.0 + np.cos(np.pi * x / half)), 0.0)
+    return (cheb @ kernel).transpose(2, 1, 0).reshape(2 * half + 1, 2 * n)
+
+
+_TAP_TABLE = _tap_table(TAP_DEGREE)
 
 
 def _is_positive(value) -> bool:
@@ -117,9 +134,7 @@ class SceneSpec:
             "room": {"dimensions": list(self.room.dimensions), "t60": self.room.t60},
             "mic_distances_m": list(self.geometry.mic_distances),
             "speed_of_sound": self.geometry.speed_of_sound,
-            "sources": [
-                {"doa_deg": s.doa_deg, "smd_m": s.smd_m, "signal": s.signal} for s in self.sources
-            ],
+            "sources": [{"doa_deg": s.doa_deg, "smd_m": s.smd_m, "signal": s.signal} for s in self.sources],
             "snr_db": self.snr_db,
             "sir_db": self.sir_db,
             "seed": self.seed,
@@ -140,14 +155,8 @@ class Rir:
     direct_taps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.float64)
-        direct = np.asarray(self.direct_taps, dtype=np.float64)
-        object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "direct_taps", direct)
-        if taps.shape != direct.shape or taps.ndim != 2:
-            raise ValueError("taps and direct_taps must be matching Q x L matrices")
         # a microphone on the source puts a pulse of infinite amplitude here
-        if not (np.all(np.isfinite(taps)) and np.all(np.isfinite(direct))):
+        if not (np.all(np.isfinite(self.taps)) and np.all(np.isfinite(self.direct_taps))):
             raise ValueError("RIR taps must be finite")
 
 
@@ -233,56 +242,68 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
 
 
-def _scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Accumulate fractional-delay pulses into a tap buffer of ``length``.
+def _scatter_rows(length: int, delays, amps) -> np.ndarray:
+    """Sum rows of fractional-delay pulses into an (R, length) tap buffer.
 
-    Each pulse is the 81-tap Hann-windowed sinc centred on its delay,
-    evaluated with three trig calls per pulse instead of two per tap. The delay is split
-    at the nearest integer, ``d = base + f`` with ``|f| <= 0.5``, so that
-    ``f`` is exact and ``sin(pi f)`` keeps full precision near integers.
-    On tap ``base + m``, with ``H = SINC_HALF_TAPS``:
-
-    - sinc: ``sin(pi (m - f)) = -(-1)**m sin(pi f)``;
-    - Hann: ``cos(pi (m - f) / H) = cos(pi m / H) cos(pi f / H)
-      + sin(pi m / H) sin(pi f / H)``.
-
-    So the numerator of every tap is a per-pulse 3-vector times the fixed
-    3 x (2H + 1) ``_TAP_BASIS``, and only the division by ``m - f`` is
-    per tap.
+    Row r gets the 81-tap Hann-windowed sinc of each delay ``delays[r]`` (in
+    taps) times its ``amps[r]``. For a delay ``base + f``, ``|f| <= 1/2``, tap
+    m is ``sum_k _TAP_TABLE[m, 2 k + h] T_k(u)``. So one bincount per degree k
+    sums ``amp T_k(u)`` per half and base, for many rows at once; per row, one
+    GEMM turns these histograms into the taps of every base, and a skewed view
+    adds the taps along their diagonals in one sum. Rows do not interact, and
+    the taps match the per-tap kernel to ~1e-15 of the peak.
     """
+    out = np.zeros((len(delays), length))
+    # passes over rows of about _PASS_PULSES pulses bound the temporaries
+    cuts = np.flatnonzero(np.diff(np.cumsum([len(d) for d in delays]) // _PASS_PULSES)) + 1
+    for r0, r1 in zip([0, *cuts], [*cuts, len(delays)]):
+        _scatter_pass(length, delays[r0:r1], amps[r0:r1], out[r0:r1])
+    return out
+
+
+def _scatter_pass(length: int, delays, amps, out: np.ndarray) -> None:
+    """Add the pulses of rows ``delays``, ``amps`` into the rows of ``out``."""
     half = SINC_HALF_TAPS
-    base = np.rint(delays)
-    # pulses whose kernel misses [0, length) are dropped, so a buffer padded
-    # by 2H on each side holds every tap of the rest
+    # a pulse touches [0, length) iff its base lies in [-H, length + H); the
+    # bases lo .. lo + span - 1 of a row are histogram columns from `column`
+    spans, width = [], 0
+    for d in delays:
+        lo, hi = (max(np.rint(d.min()), -half), min(np.rint(d.max()), length + half - 1)) if d.size else (0, -1)
+        spans.append((width, int(lo), max(int(hi - lo) + 1, 0)))
+        width += spans[-1][2]
+    d = np.concatenate(delays)
+    base = np.rint(d)
     touches = (base + half >= 0) & (base - half < length)
-    base, delays, amps = base[touches], delays[touches], amps[touches]
-    frac = delays - base
-    base = base.astype(np.int64)
-    tap_index = np.arange(half, 3 * half + 1)  # buffer index of tap m, less base
-    padded = np.zeros(length + 4 * half)
-    chunk = 2048  # keeps the chunk x (2H + 1) temporaries in cache
-    for lo in range(0, delays.size, chunk):
-        f = frac[lo : lo + chunk]
-        a = amps[lo : lo + chunk]
-        coef = a * np.sin(np.pi * f) / np.pi
-        angle = np.pi * f / half
-        per_pulse = np.empty((f.size, 3))
-        per_pulse[:, 0] = coef
-        per_pulse[:, 1] = coef * np.cos(angle)
-        per_pulse[:, 2] = coef * np.sin(angle)
-        taps = per_pulse @ _TAP_BASIS
-        x = _TAP_OFFSETS - f[:, None]
-        # f == 0: sin(pi f) is 0, so every tap is 0 except m == 0, which is 0/0
-        integer = f == 0.0
-        x[integer, half] = 1.0
-        taps /= x
-        taps[integer, half] = a[integer]
-        # |m - f| > H only at the end taps, where the window is zero
-        taps[f > 0.0, 0] = 0.0
-        taps[f < 0.0, -1] = 0.0
-        idx = base[lo : lo + chunk, None] + tap_index
-        padded += np.bincount(idx.ravel(), weights=taps.ravel(), minlength=padded.size)
-    return padded[2 * half : 2 * half + length]
+    u = (d - base)[touches]
+    base += np.repeat([column - lo for column, lo, _ in spans], [len(x) for x in delays])
+    index = base[touches].astype(np.int64)
+    amp = np.concatenate(amps)[touches]
+    del d, base, touches  # bound the memory: only the pulses that touch go on
+    index += (u < 0.0) * width  # f in [-1/2, 0) is half 1, u = 4 f + 1; else u = 4 f - 1
+    u = 4.0 * u + np.where(u < 0.0, 1.0, -1.0)
+    hist = np.empty((2 * (TAP_DEGREE + 1), width))  # row 2 k + h
+    prev = amp * u  # T_{-1} = T_1 starts T_{k+1} = 2 u T_k - T_{k-1}
+    for k in range(TAP_DEGREE + 1):
+        hist[2 * k : 2 * k + 2] = np.bincount(index, amp, 2 * width).reshape(2, width)
+        prev, amp = amp, 2.0 * u * amp - prev
+    del u, index, amp, prev
+    for row, (column, lo, span) in zip(out, spans):
+        if span == 0:  # no pulse of this row touches it
+            continue
+        # the 2H zero columns after the taps hold the spill of the last bases
+        taps = np.zeros((2 * half + 1, span + 2 * half))
+        np.matmul(_TAP_TABLE, hist[:, column : column + span], out=taps[:, :span])
+        # element (m, j) of the view is taps[m, j - m], tap m of base lo + j - m;
+        # for j < m it reads the zero columns of the row above
+        skew = as_strided(taps, taps.shape, ((taps.shape[1] - 1) * taps.itemsize, taps.itemsize))
+        start = lo - half  # output tap of view column 0
+        a, b = max(start, 0), min(start + span + 2 * half, length)
+        row[a:b] = skew.sum(axis=0)[a - start : b - start]
+
+
+def _scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """One row of :func:`_scatter_rows`: the pulses summed into ``length`` taps."""
+    return _scatter_rows(length, [delays], [amps])[0]
 
 
 def _sabine_absorption(room: RoomSpec, speed_of_sound: float) -> float:
@@ -304,8 +325,9 @@ def image_method_rir(
 
     The wall reflection coefficient is derived from t60 via Sabine's
     formula and shared by all six walls. Image pulses are placed with
-    fractional-delay windowed-sinc interpolation and 1/(4 pi r) spreading.
-    ``direct_taps`` holds only the order-zero image.
+    fractional-delay windowed-sinc interpolation and 1/(4 pi r) spreading,
+    every microphone's images and direct path in one :func:`_scatter_rows`
+    call. ``direct_taps`` holds only the order-zero image.
 
     By default the response covers t60 plus a small margin; ``length`` sets
     it in taps. The image set covers every delay representable within it.
@@ -313,9 +335,9 @@ def image_method_rir(
     source_pos = np.asarray(source_pos, dtype=np.float64)
     mic_positions = np.atleast_2d(np.asarray(mic_positions, dtype=np.float64))
     dims = room.dimensions
-    for point in np.vstack([source_pos[None, :], mic_positions]):
-        if np.any(point <= 0) or np.any(point >= dims):
-            raise ValueError("source and microphones must lie strictly inside the room")
+    points = np.vstack([source_pos[None, :], mic_positions])
+    if np.any(points <= 0) or np.any(points >= dims):
+        raise ValueError("source and microphones must lie strictly inside the room")
 
     if room.t60 > 0:
         alpha = _sabine_absorption(room, speed_of_sound)
@@ -342,27 +364,22 @@ def image_method_rir(
     for ax in range(3):
         m = np.arange(-orders[ax], orders[ax] + 1)
         coords.append(np.concatenate([(1 - 2 * p) * source_pos[ax] + 2.0 * m * dims[ax] for p in parities]))
-        refl.append(np.concatenate([np.abs(m - p) + np.abs(m) for p in parities]))
-    num_reflections = refl[0][:, None, None] + refl[1][None, :, None] + refl[2][None, None, :]
-    gains = (beta ** num_reflections.astype(np.float64)).ravel()
+        refl.append(np.concatenate([np.abs(m - p) + np.abs(m) for p in parities], dtype=np.float64))
+    gains = (beta ** (refl[0][:, None, None] + refl[1][None, :, None] + refl[2][None, None, :])).ravel()
 
-    taps = np.zeros((mic_positions.shape[0], length))
-    direct = np.zeros_like(taps)
-    for q, mic in enumerate(mic_positions):
+    delays, amps = [], []  # every mic's images, then every mic's direct path
+    for mic in mic_positions:
         sx, sy, sz = ((c - mic[ax]) ** 2 for ax, c in enumerate(coords))
         # summed in the order of np.linalg.norm over (x, y, z) rows
         dist = np.sqrt((sx[:, None, None] + sy[None, :, None]) + sz[None, None, :]).ravel()
         keep = dist <= reach
-        d = dist[keep]
-        amp = gains[keep] / (4.0 * np.pi * d)
-        delay = d / speed_of_sound * sample_rate
-        taps[q] = _scatter_pulses(length, delay, amp)
-        d0 = np.linalg.norm(source_pos - mic)
-        direct[q] = _scatter_pulses(
-            length,
-            np.array([d0 / speed_of_sound * sample_rate]),
-            np.array([1.0 / (4.0 * np.pi * d0)]),
-        )
+        dist = dist[keep]
+        delays.append(dist / speed_of_sound * sample_rate)
+        amps.append(gains[keep] / (4.0 * np.pi * dist))
+    d0 = [np.linalg.norm(source_pos - mic) for mic in mic_positions]
+    delays += [np.array([d / speed_of_sound * sample_rate]) for d in d0]
+    amps += [np.array([1.0 / (4.0 * np.pi * d)]) for d in d0]
+    taps, direct = np.split(_scatter_rows(length, delays, amps), 2)
     return Rir(taps=taps, direct_taps=direct)
 
 
@@ -375,12 +392,9 @@ def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) 
     """
     if src.num_channels != 1:
         raise ValueError("plane-wave source must be single-channel")
-    delays = (
-        np.cos(np.deg2rad(doa_deg)) * geom.mic_distances / geom.speed_of_sound * src.sample_rate
-    )
+    delays = np.cos(np.deg2rad(doa_deg)) * geom.mic_distances / geom.speed_of_sound * src.sample_rate
     center = SINC_HALF_TAPS + int(np.ceil(np.max(np.abs(delays)))) + 1
-    klen = 2 * center + 1
-    kernels = np.stack([_scatter_pulses(klen, np.array([center + tau]), np.array([1.0])) for tau in delays])
+    kernels = _scatter_rows(2 * center + 1, center + delays[:, None], np.ones((delays.size, 1)))
     full = _convolve(src.samples, kernels)
     return TimeSignal(full[:, center : center + src.num_samples], src.sample_rate)
 
@@ -413,13 +427,7 @@ def _place_scene(spec: SceneSpec, rng: np.random.Generator):
         phi = rng.uniform(0.0, 2.0 * np.pi)
         axis = np.array([np.cos(phi), np.sin(phi), 0.0])
         normal = np.array([-np.sin(phi), np.cos(phi), 0.0])
-        center = np.array(
-            [
-                rng.uniform(margin, dims[0] - margin),
-                rng.uniform(margin, dims[1] - margin),
-                rng.uniform(margin, dims[2] - margin),
-            ]
-        )
+        center = np.array([rng.uniform(margin, dim - margin) for dim in dims])
         # microphone 1 sits on the +axis end so that larger d_q means
         # larger distance to a source at DOA 0 (positive relative delay)
         mics = center + (aperture / 2.0 - spec.geometry.mic_distances)[:, None] * axis[None, :]
@@ -457,14 +465,7 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
         samples = _source_samples(spec, source, n, src_seed)
         if not np.any(samples):
             raise ValueError("zero-energy source")
-        rir = image_method_rir(
-            spec.room,
-            srcs[i],
-            mics,
-            length=rir_length,
-            sample_rate=spec.sample_rate,
-            speed_of_sound=spec.geometry.speed_of_sound,
-        )
+        rir = image_method_rir(spec.room, srcs[i], mics, rir_length, spec.sample_rate, spec.geometry.speed_of_sound)
         # one call for both responses, so the source FFT is taken once
         responses = np.vstack([rir.taps, rir.direct_taps])
         both = _convolve(samples[None, :], responses)

@@ -505,6 +505,13 @@ class TestExitCodes:
         assert "'r0_t0.00_s1.50_d010.000_k0'" in _one_error_line(capsys)
         assert calls == [] and not any((tmp_path / "x").glob("*"))
 
+    def test_rejected_simulate_config_makes_no_directory(self, tmp_path, capsys):
+        """A config whose scenes cannot be built exits 1 before --out-dir is created."""
+        cfg = _write_config(tmp_path / "cfg.json", doas=[10, 10], seeds_per_doa=1)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert "'r0_t0.00_s1.50_d010.000_k0'" in _one_error_line(capsys)
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "spec",
         [

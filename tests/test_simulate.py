@@ -2,6 +2,8 @@
 
 import json
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -110,6 +112,81 @@ class TestScatterPulses:
     def test_empty_delays(self):
         out = simulate._scatter_pulses(self.LENGTH, np.array([]), np.array([]))
         np.testing.assert_array_equal(out, np.zeros(self.LENGTH))
+
+
+class TestTapTable:
+    """The Chebyshev table of the 81 kernel taps, on both halves of the fraction."""
+
+    BOUND = 1e-14  # of the kernel peak, 1 at offset 0
+
+    @staticmethod
+    def _table_taps(table, frac):
+        # every tap of pulses at base + frac, from the table alone: (len(frac), 81)
+        lower = frac < 0
+        u = 4.0 * frac + np.where(lower, 1.0, -1.0)
+        coefs = table.reshape(table.shape[0], -1, 2)  # (tap, k, half)
+        cheb = np.polynomial.chebyshev.chebvander(u, coefs.shape[1] - 1)  # (pulse, k)
+        return np.einsum("pk,mkp->pm", cheb, coefs[:, :, lower.astype(int)])
+
+    def _max_error(self, table):
+        upper = np.linspace(0.0, 0.5, 4001)
+        frac = np.concatenate([upper, -upper[1:], [1e-13, -1e-13, 0.5 - 1e-13, -0.5 + 1e-13]])
+        exact = _windowed_sinc(np.arange(-40, 41)[None, :] - frac[:, None])
+        return np.max(np.abs(self._table_taps(table, frac) - exact))
+
+    def test_every_tap_within_bound_of_the_kernel(self):
+        assert simulate._TAP_TABLE.shape == (81, 2 * (simulate.TAP_DEGREE + 1))
+        assert self._max_error(simulate._TAP_TABLE) <= self.BOUND
+
+    def test_degree_is_where_the_series_falls_below_the_bound(self):
+        # the largest coefficient of each degree, over taps and halves, from a
+        # longer series: TAP_DEGREE is the first below the bound, so every
+        # omitted term is smaller still; two degrees less misses the bound
+        coefs = np.abs(simulate._tap_table(20)).reshape(81, 21, 2).max(axis=(0, 2))
+        assert np.flatnonzero(coefs < self.BOUND)[0] == simulate.TAP_DEGREE
+        assert self._max_error(simulate._tap_table(simulate.TAP_DEGREE - 2)) > self.BOUND
+
+
+@st.composite
+def _pulses(draw, length):
+    """Delays that hit the kernel's special cases, with amplitudes."""
+    n = draw(st.integers(0, 12))
+    # bases at which the kernel just reaches either end of the buffer, or not
+    edges = st.sampled_from([-41, -40, -39, length + 38, length + 39, length + 40])
+    span = st.integers(-45, length + 45) | edges
+    kinds = [
+        span.map(float),  # integers
+        span.map(lambda i: i + 1e-13),
+        span.map(lambda i: i - 1e-13),
+        span.map(lambda i: i + 0.5),
+        st.floats(-45.0, length + 45.0),  # overhanging either end
+    ]
+    delays = draw(st.lists(st.one_of(kinds), min_size=n, max_size=n))
+    amps = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return np.array(delays, dtype=float), np.array(amps, dtype=float)
+
+
+class TestScatterProperties:
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @hypothesis.given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), _pulses(n))))
+    def test_matches_per_tap_reference(self, case):
+        length, (delays, amps) = case
+        got = simulate._scatter_pulses(length, delays, amps)
+        ref = _reference_scatter(length, delays, amps)
+        assert got.shape == (length,)
+        # the peak of the unclipped kernel: near the ends the buffer may hold only its tails
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(amps).max(initial=0.0))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @hypothesis.given(
+        st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.lists(_pulses(n), min_size=1, max_size=6)))
+    )
+    def test_batched_rows_equal_per_row_calls(self, case):
+        length, rows = case
+        got = simulate._scatter_rows(length, [d for d, _ in rows], [a for _, a in rows])
+        assert got.shape == (len(rows), length)
+        for row, (delays, amps) in zip(got, rows):
+            np.testing.assert_array_equal(row, simulate._scatter_pulses(length, delays, amps))
 
 
 class TestImageMethodRir:
