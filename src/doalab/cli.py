@@ -14,6 +14,7 @@ without affecting output bytes, by the first of ``--jobs``, the config's
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -138,6 +139,7 @@ def cmd_flops(args) -> int:
     return 0
 
 
+@functools.cache  # argparse keeps no state between parse_args calls, so one parser serves every main
 def build_parser() -> _Parser:
     parser = _Parser(prog="doalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,7 +14,9 @@ with the bands' mask weights, over the bands whose covariance can have rank
 1 (SRP-PHAT), M^2 (SRP-MP) or M (MUSIC).
 
 :class:`EstimatorCore` keeps the mask-independent part (X, E, per-bin outer
-products) of one spectrogram and frame range. Its one entry,
+products) of one spectrogram and frame range. The steering tables depend
+only on the grid, the array and the STFT, so they are built once per
+geometry and every core shares them. Its one entry,
 :meth:`EstimatorCore.spectra`, checks and weights a list of masks in one
 place and evaluates them all at once: SRP is one matrix product, MUSIC one
 batched eigendecomposition over all (mask, bin) pairs. Spectra are plain
@@ -26,7 +28,7 @@ model produces the power maximum at its own grid angle.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,15 +51,46 @@ def _resolve_frames(num_frames: int, frame_range) -> slice:
     return slice(start, stop)
 
 
+@lru_cache(maxsize=8)  # a run uses one geometry, so a few entries suffice
+def _steering_tables(
+    angles_deg: tuple, mic_distances: tuple, speed_of_sound: float, sample_rate: float, window_length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only pair steering (C, K 2P) and steering matrix (C, K, Q) of one geometry.
+
+    The pair steering E holds ``[Re E, -Im E]`` per bin, with E = D*_q D_j
+    over the pairs q < j; the steering matrix is
+    :func:`doalab.geometry.steering_matrix`. Both depend only on these plain
+    values, so the tables are built once per geometry and shared by every
+    core that uses it.
+    """
+    grid = DoaGrid(np.array(angles_deg))
+    geom = ArrayGeometry(np.array(mic_distances), speed_of_sound)
+    freqs = np.arange(window_length // 2 + 1) * sample_rate / window_length
+    first, second = np.triu_indices(geom.num_mics, 1)
+    spacing = geom.mic_distances[second] - geom.mic_distances[first]
+    phase = far_field_phase(grid, spacing, speed_of_sound, freqs)  # (C, K, P)
+    num_pairs = first.size
+    pair_steering = np.empty((grid.size, freqs.size, 2 * num_pairs))
+    np.cos(phase, out=pair_steering[:, :, :num_pairs])
+    np.sin(-phase, out=pair_steering[:, :, num_pairs:])
+    tables = (pair_steering.reshape(grid.size, -1), steering_matrix(grid, geom, sample_rate, window_length))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class EstimatorCore:
     """Mask-independent estimator state of one spectrogram, grid and frame range.
 
-    The PHAT pair cross-spectra and the pair steering are built here,
-    :attr:`steering` and :attr:`products` (MUSIC only) on first use.
-    Estimates come from :meth:`spectra`, per-frame SRP sums from
-    :meth:`per_frame`. ``max_freq_hz`` zeroes the mask rows above that
-    frequency (aliasing ablation) in every estimate. Masks with equal
-    weights over the frame range are evaluated once.
+    The constructor only checks its arguments and takes the frame range.
+    Every table is built on first use and kept: :attr:`pairs` (the PHAT pair
+    cross-spectra, SRP only), :attr:`products` (MUSIC only), and the
+    geometry's :attr:`pair_steering` (SRP) and :attr:`steering` (MUSIC),
+    which come from :func:`_steering_tables` and so are built once per
+    geometry and shared between cores. Estimates come from :meth:`spectra`,
+    per-frame SRP sums from :meth:`per_frame`. ``max_freq_hz`` zeroes the
+    mask rows above that frequency (aliasing ablation) in every estimate.
+    Masks with equal weights over the frame range are evaluated once.
     """
 
     def __init__(
@@ -71,37 +104,49 @@ class EstimatorCore:
         if geom.num_mics != spec.num_channels:
             raise ValueError(f"array has {geom.num_mics} microphones, the spectrogram {spec.num_channels} channels")
         self.shape = (spec.num_bins, spec.num_frames)
-        self._steering_args = (grid, geom, spec.sample_rate, spec.window_length)
+        self._geometry = (
+            tuple(grid.angles_deg.tolist()),
+            tuple(geom.mic_distances.tolist()),
+            geom.speed_of_sound,
+            spec.sample_rate,
+            spec.window_length,
+        )
         self.frames = _resolve_frames(spec.num_frames, frame_range)
         self.bins = spec.bins[:, :, self.frames]
-        freqs = spec.bin_frequency(np.arange(spec.num_bins))
-        self.cut = None if max_freq_hz is None else freqs > max_freq_hz
+        self.cut = None if max_freq_hz is None else spec.bin_frequency(np.arange(spec.num_bins)) > max_freq_hz
+        q, k, n = self.bins.shape
+        self._scale = 2.0 / float(n * k * max(q - 1, 1) ** 2)
 
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """PHAT pair cross-spectra over the frame range, shape (K, 2P, N_range).
+
+        Real and imaginary parts are stacked, ``[Re X; Im X]`` per bin, so
+        that with the pair steering's ``[Re E, -Im E]`` the real part
+        ``Re E Re X - Im E Im X`` is one real product.
+        """
         q, k, n = self.bins.shape
         first, second = np.triu_indices(q, 1)
         num_pairs = first.size
         mag = np.abs(self.bins)  # PHAT weight: 1/|Y| where the magnitude exceeds epsilon, else epsilon
         loud = mag > DEFAULT_PHAT_EPSILON
         whitened = self.bins * np.where(loud, 1.0 / np.where(loud, mag, 1.0), DEFAULT_PHAT_EPSILON)
-        # X and E are kept real, [Re X; Im X] and [Re E, -Im E] per bin, so that
-        # Re(E X) = Re E Re X - Im E Im X is one real product
-        self.pairs = np.empty((k, 2 * num_pairs, n))  # K x 2P x N
+        pairs = np.empty((k, 2 * num_pairs, n))
         for p, (a, b) in enumerate(zip(first, second)):
             cross = whitened[a] * np.conj(whitened[b])
-            self.pairs[:, p] = cross.real
-            self.pairs[:, num_pairs + p] = cross.imag
-        spacing = geom.mic_distances[second] - geom.mic_distances[first]
-        phase = far_field_phase(grid, spacing, geom.speed_of_sound, freqs)  # (C, K, P)
-        pair_steering = np.empty((grid.size, k, 2 * num_pairs))
-        np.cos(phase, out=pair_steering[:, :, :num_pairs])
-        np.sin(-phase, out=pair_steering[:, :, num_pairs:])
-        self.pair_steering = pair_steering.reshape(grid.size, -1)  # C x (K 2P)
-        self._scale = 2.0 / float(n * k * max(q - 1, 1) ** 2)
+            pairs[:, p] = cross.real
+            pairs[:, num_pairs + p] = cross.imag
+        return pairs
+
+    @cached_property
+    def pair_steering(self) -> np.ndarray:
+        """Read-only pair steering of the grid, shape (C, K 2P), from :func:`_steering_tables`."""
+        return _steering_tables(*self._geometry)[0]
 
     @cached_property
     def steering(self) -> np.ndarray:
-        """Steering matrix of the grid, shape (C, K, Q), from :func:`doalab.geometry.steering_matrix`."""
-        return steering_matrix(*self._steering_args)
+        """Read-only steering matrix of the grid, shape (C, K, Q), from :func:`_steering_tables`."""
+        return _steering_tables(*self._geometry)[1]
 
     @cached_property
     def products(self) -> np.ndarray:

@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_SAMPLE_RATE = 16_000
 DEFAULT_WINDOW_LENGTH = 512
@@ -118,11 +119,8 @@ def stft(
     if signal.num_samples < window_length:
         raise ValueError("insufficient samples: signal shorter than one window")
     win = analysis_window(window_length)
-    num_frames = 1 + (signal.num_samples - window_length) // hop
-    starts = np.arange(num_frames) * hop
-    # frames: (Q, N, window_length)
-    idx = starts[:, None] + np.arange(window_length)[None, :]
-    frames = signal.samples[:, idx] * win
+    # frames: (Q, N, window_length), a strided view until the window multiplies it
+    frames = sliding_window_view(signal.samples, window_length, axis=-1)[:, ::hop] * win
     bins = np.fft.rfft(frames, axis=-1)  # (Q, N, K)
     return MultichannelSpectrogram(
         bins=np.transpose(bins, (0, 2, 1)),

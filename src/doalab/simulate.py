@@ -347,7 +347,11 @@ def image_method_rir(
     else:
         beta = 0.0
 
-    max_dist = float(np.max(np.linalg.norm(mic_positions - source_pos, axis=1)))
+    # direct distances, summed (x + y) + z like the image lattice's below, so
+    # that an anechoic response's only image is exactly its direct path
+    sq = (source_pos - mic_positions) ** 2
+    d0 = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
+    max_dist = float(np.max(d0))
     if length is None:
         tail = room.t60 + 0.05 if room.t60 > 0 else 0.0
         length = int(np.ceil((max_dist / speed_of_sound + tail) * sample_rate)) + 2 * SINC_HALF_TAPS + 2
@@ -370,13 +374,11 @@ def image_method_rir(
     delays, amps = [], []  # every mic's images, then every mic's direct path
     for mic in mic_positions:
         sx, sy, sz = ((c - mic[ax]) ** 2 for ax, c in enumerate(coords))
-        # summed in the order of np.linalg.norm over (x, y, z) rows
         dist = np.sqrt((sx[:, None, None] + sy[None, :, None]) + sz[None, None, :]).ravel()
         keep = dist <= reach
         dist = dist[keep]
         delays.append(dist / speed_of_sound * sample_rate)
         amps.append(gains[keep] / (4.0 * np.pi * dist))
-    d0 = [np.linalg.norm(source_pos - mic) for mic in mic_positions]
     delays += [np.array([d / speed_of_sound * sample_rate]) for d in d0]
     amps += [np.array([1.0 / (4.0 * np.pi * d)]) for d in d0]
     taps, direct = np.split(_scatter_rows(length, delays, amps), 2)
@@ -466,12 +468,16 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
         if not np.any(samples):
             raise ValueError("zero-energy source")
         rir = image_method_rir(spec.room, srcs[i], mics, rir_length, spec.sample_rate, spec.geometry.speed_of_sound)
-        # one call for both responses, so the source FFT is taken once
-        responses = np.vstack([rir.taps, rir.direct_taps])
-        both = _convolve(samples[None, :], responses)
-        full, direct = np.split(both[:, :n], 2)
+        if np.array_equal(rir.taps, rir.direct_taps):  # anechoic: no reverberation to convolve
+            direct = _convolve(samples[None, :], rir.direct_taps)[:, :n]
+            reverb = np.zeros_like(direct)
+        else:
+            # one call for both responses, so the source FFT is taken once
+            both = _convolve(samples[None, :], np.vstack([rir.taps, rir.direct_taps]))
+            full, direct = np.split(both[:, :n], 2)
+            reverb = full - direct
         directs.append(direct)
-        reverbs.append(full - direct)
+        reverbs.append(reverb)
         gains.append(1.0)
 
     if len(spec.sources) == 2:

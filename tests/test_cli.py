@@ -82,6 +82,17 @@ class TestEstimate:
         assert main(["estimate", "--input", str(broadside_wav), "--method", "music"]) == 0
         assert json.loads(capsys.readouterr().out)["picked_doa_deg"] == 90.0
 
+    def test_consecutive_calls_share_no_options(self, broadside_wav, capsys):
+        # main reuses one parser; options of one call must not reach the next
+        default = ["estimate", "--input", str(broadside_wav)]
+        assert main(default) == 0
+        first = capsys.readouterr().out
+        assert main(default + ["--mask", "band-range:20:200", "--method", "srp-mp", "--frames", "2:9"]) == 0
+        masked = json.loads(capsys.readouterr().out)
+        assert (masked["mask"], masked["method"], len(masked["sps_per_frame"])) == ("band-range:20:200", "srp-mp", 7)
+        assert main(default) == 0
+        assert capsys.readouterr().out == first
+
     def test_unknown_method_is_usage_error(self, broadside_wav, capsys):
         assert main(["estimate", "--input", str(broadside_wav), "--method", "beam"]) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -13,7 +13,7 @@ from doalab.estimate import (
     srp_flops,
 )
 from doalab.geometry import ArrayGeometry, make_grid, steering_matrix
-from doalab.signal import MultichannelSpectrogram, stft
+from doalab.signal import MultichannelSpectrogram, TimeSignal, stft
 from doalab.simulate import plane_wave_synthesize, white_noise
 from srp_reference import (
     CrossSpectralTensor,
@@ -489,6 +489,73 @@ class TestMaskValidation:
                 for estimate_with in self._estimates(mask):
                     with pytest.raises(ValueError, match="finite"):
                         estimate_with()
+
+
+class TestSteeringTables:
+    """The steering tables are built once per geometry, shared and read-only; the rest of a core's state is lazy."""
+
+    @staticmethod
+    def _fresh(grid, geom, sample_rate, window_length):
+        key = (tuple(grid.angles_deg.tolist()), tuple(geom.mic_distances.tolist()), geom.speed_of_sound)
+        return estimate._steering_tables.__wrapped__(*key, sample_rate, window_length)
+
+    def test_equal_geometry_shares_one_table(self):
+        spec, _ = _plane_wave_spec(70.0, seed=31)
+        first = EstimatorCore(spec, make_grid(37), ArrayGeometry.uniform(4, 0.08))
+        second = EstimatorCore(spec, make_grid(37), ArrayGeometry(np.arange(4) * 0.08), frame_range=(1, 9))
+        assert first.pair_steering is second.pair_steering
+        assert first.steering is second.steering
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"grid": make_grid(19)},
+            {"geom": ArrayGeometry.uniform(4, 0.05)},
+            {"geom": ArrayGeometry.uniform(4, 0.08, speed_of_sound=340.0)},
+            {"sample_rate": 8000.0},
+            {"window_length": 256},
+        ],
+        ids=["grid", "spacing", "speed_of_sound", "sample_rate", "window_length"],
+    )
+    def test_changed_key_gives_a_fresh_table(self, change):
+        args = {"grid": GRID, "geom": GEOM, "sample_rate": float(FS), "window_length": 512, **change}
+        samples = plane_wave_synthesize(white_noise(1, 4000, seed=32), 70.0, args["geom"]).samples
+        spec = stft(TimeSignal(samples, args["sample_rate"]), args["window_length"], args["window_length"] // 2)
+        core = EstimatorCore(spec, args["grid"], args["geom"])
+        pair_steering, steering = self._fresh(**args)
+        np.testing.assert_array_equal(core.pair_steering, pair_steering)
+        np.testing.assert_array_equal(core.steering, steering)
+        model = steering_matrix(args["grid"], args["geom"], args["sample_rate"], args["window_length"])
+        np.testing.assert_array_equal(core.steering, model)
+        # E = D*_q D_j per pair q < j, stored as [Re E, -Im E] per bin
+        first, second = np.triu_indices(GEOM.num_mics, 1)
+        pairs = np.conj(steering[:, :, first]) * steering[:, :, second]
+        expected = np.concatenate([pairs.real, -pairs.imag], axis=2).reshape(pair_steering.shape)
+        np.testing.assert_allclose(core.pair_steering, expected, rtol=0, atol=1e-12)
+
+    def test_tables_are_read_only(self):
+        spec, geom = _plane_wave_spec(70.0, seed=33)
+        core = EstimatorCore(spec, GRID, geom)
+        for table in (core.pair_steering, core.steering):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
+    def test_music_core_forms_no_pairs(self):
+        spec, geom = _plane_wave_spec(70.0, seed=34)
+        core = EstimatorCore(spec, GRID, geom)
+        core.spectra("music", [None])
+        assert "pairs" not in vars(core)
+        assert {"steering", "products"} <= set(vars(core))
+
+    def test_srp_core_builds_no_music_state(self):
+        spec, geom = _plane_wave_spec(70.0, seed=35)
+        core = EstimatorCore(spec, GRID, geom)
+        mask = band_range_mask(spec.num_bins, spec.num_frames, 20, 180)
+        core.spectra("srp-p", [None])
+        core.spectra("srp-mp", [mask])
+        core.per_frame("srp-mp", mask)
+        assert "steering" not in vars(core) and "products" not in vars(core)
+        assert {"pairs", "pair_steering"} <= set(vars(core))
 
 
 class TestValidation:

@@ -46,6 +46,18 @@ class TestStft:
         expected = np.fft.rfft(x[0, 2 * 256 : 2 * 256 + 512] * analysis_window(512))
         np.testing.assert_allclose(spec.bins[0, :, 2], expected, rtol=1e-12)
 
+    def test_frames_match_the_index_gather(self):
+        # the strided frames give the same bits as gathering each frame's samples by index
+        rng = np.random.default_rng(4)
+        for length, window_length, hop in [(512, 512, 512), (1536, 512, 512), (1537, 512, 512), (1000, 64, 64)] + [
+            (int(rng.integers(256, 5000)), 256, int(rng.integers(1, 257))) for _ in range(20)
+        ]:
+            x = rng.standard_normal((3, length))
+            num_frames = 1 + (length - window_length) // hop
+            idx = (np.arange(num_frames) * hop)[:, None] + np.arange(window_length)
+            expected = np.fft.rfft(x[:, idx] * analysis_window(window_length), axis=-1).transpose(0, 2, 1)
+            assert np.array_equal(stft(TimeSignal(x, FS), window_length, hop).bins, expected), (length, hop)
+
     def test_too_short_signal_raises(self):
         with pytest.raises(ValueError, match="insufficient samples"):
             stft(TimeSignal(np.zeros((1, 100)), FS), 512, 256)

@@ -260,6 +260,17 @@ class TestImageMethodRir:
         rir = image_method_rir(room, src, mics, length=length, sample_rate=FS)
         assert np.array_equal(rir.taps, _reference_rir_taps(room, src, mics, length))
 
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hypothesis.given(st.integers(0, 2**32 - 1))
+    def test_anechoic_response_is_its_direct_path(self, seed):
+        # the direct path is summed like the image lattice, so the two agree to the bit
+        rng = np.random.default_rng(seed)
+        room = RoomSpec(np.array([6.0, 5.0, 2.7]), 0.0)
+        src = rng.uniform(0.1, room.dimensions - 0.1)
+        mics = rng.uniform(0.1, room.dimensions - 0.1, (4, 3))
+        rir = image_method_rir(room, src, mics, sample_rate=FS)
+        assert np.array_equal(rir.taps, rir.direct_taps)
+
     def test_positions_outside_room_raise(self):
         with pytest.raises(ValueError, match="inside the room"):
             image_method_rir(ROOM, [7.0, 2.5, 1.4], [[4.0, 2.5, 1.4]], length=100)
@@ -431,6 +442,12 @@ class TestMixScene:
         to_src /= np.linalg.norm(to_src)
         angle = np.rad2deg(np.arccos(np.clip(np.dot(axis, to_src), -1, 1)))
         assert angle == pytest.approx(60.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_anechoic_scene_has_no_reverb(self, seed):
+        truth = mix_scene(_two_source_spec(seed=seed, t60=0.0))
+        for reverb in truth.reverb:
+            assert not np.any(reverb.samples)
 
     def test_sidecar_spec_contents(self, tmp_path):
         spec = _two_source_spec(seed=14, t60=0.0)
