@@ -57,7 +57,7 @@ def cmd_simulate(args) -> int:
     # every scene is built, and so checked, before the output directory is made
     scenes = evaluate._scene_specs(evaluate.validate_config(_load_config(args.config)))
     os.makedirs(args.out_dir, exist_ok=True)
-    for scene_id, _, spec in scenes:
+    for scene_id, spec in scenes:
         truth = simulate.mix_scene(spec)
         write_wav(os.path.join(args.out_dir, f"{scene_id}.wav"), truth.mixture)
         write_wav(os.path.join(args.out_dir, f"{scene_id}.direct.wav"), truth.direct[0])

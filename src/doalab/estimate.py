@@ -14,16 +14,18 @@ with the bands' mask weights, over the bands whose covariance can have rank
 1 (SRP-PHAT), M^2 (SRP-MP) or M (MUSIC).
 
 :class:`EstimatorCore` keeps the mask-independent part (X, E, per-bin outer
-products) of one spectrogram and frame range. The steering tables depend
-only on the grid, the array and the STFT, so they are built once per
-geometry and every core shares them. Its one entry,
+products) of one spectrogram and frame range. The pair steering (SRP) and
+the steering matrix (MUSIC) depend only on the grid, the array and the
+STFT, so each is built once per geometry, when a method first reads it, and
+every core shares them. Its one entry,
 :meth:`EstimatorCore.spectra`, checks and weights a list of masks in one
 place and evaluates them all at once: SRP is one matrix product, MUSIC one
 batched eigendecomposition over all (mask, bin) pairs. Spectra are plain
 float arrays: one (M, C) array, a row per mask over the DOA grid. The pair
 steering and :func:`doalab.geometry.steering_matrix` share the phase of
 :func:`doalab.geometry.far_field_phase`, so a source that follows that delay
-model produces the power maximum at its own grid angle.
+model produces the power maximum at its own grid angle. A frequency limit
+``max_freq_hz`` must be ``None`` or a number > 0, as in the eval config.
 """
 
 from __future__ import annotations
@@ -52,16 +54,14 @@ def _resolve_frames(num_frames: int, frame_range) -> slice:
 
 
 @lru_cache(maxsize=8)  # a run uses one geometry, so a few entries suffice
-def _steering_tables(
+def _pair_steering_table(
     angles_deg: tuple, mic_distances: tuple, speed_of_sound: float, sample_rate: float, window_length: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only pair steering (C, K 2P) and steering matrix (C, K, Q) of one geometry.
+) -> np.ndarray:
+    """Read-only pair steering (C, K 2P) of one geometry.
 
-    The pair steering E holds ``[Re E, -Im E]`` per bin, with E = D*_q D_j
-    over the pairs q < j; the steering matrix is
-    :func:`doalab.geometry.steering_matrix`. Both depend only on these plain
-    values, so the tables are built once per geometry and shared by every
-    core that uses it.
+    It holds ``[Re E, -Im E]`` per bin, with E = D*_q D_j over the pairs
+    q < j. It depends only on these plain values, so it is built once per
+    geometry and shared by every core that uses it.
     """
     grid = DoaGrid(np.array(angles_deg))
     geom = ArrayGeometry(np.array(mic_distances), speed_of_sound)
@@ -73,10 +73,21 @@ def _steering_tables(
     pair_steering = np.empty((grid.size, freqs.size, 2 * num_pairs))
     np.cos(phase, out=pair_steering[:, :, :num_pairs])
     np.sin(-phase, out=pair_steering[:, :, num_pairs:])
-    tables = (pair_steering.reshape(grid.size, -1), steering_matrix(grid, geom, sample_rate, window_length))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    table = pair_steering.reshape(grid.size, -1)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=8)
+def _steering_table(
+    angles_deg: tuple, mic_distances: tuple, speed_of_sound: float, sample_rate: float, window_length: int
+) -> np.ndarray:
+    """Read-only :func:`doalab.geometry.steering_matrix` (C, K, Q) of one geometry, keyed like
+    :func:`_pair_steering_table`; only MUSIC reads it."""
+    geom = ArrayGeometry(np.array(mic_distances), speed_of_sound)
+    table = steering_matrix(DoaGrid(np.array(angles_deg)), geom, sample_rate, window_length)
+    table.setflags(write=False)
+    return table
 
 
 class EstimatorCore:
@@ -86,11 +97,12 @@ class EstimatorCore:
     Every table is built on first use and kept: :attr:`pairs` (the PHAT pair
     cross-spectra, SRP only), :attr:`products` (MUSIC only), and the
     geometry's :attr:`pair_steering` (SRP) and :attr:`steering` (MUSIC),
-    which come from :func:`_steering_tables` and so are built once per
-    geometry and shared between cores. Estimates come from :meth:`spectra`,
-    per-frame SRP sums from :meth:`per_frame`. ``max_freq_hz`` zeroes the
-    mask rows above that frequency (aliasing ablation) in every estimate.
-    Masks with equal weights over the frame range are evaluated once.
+    which come from :func:`_pair_steering_table` and :func:`_steering_table`
+    and so are built once per geometry and shared between cores. Estimates
+    come from :meth:`spectra`, per-frame SRP sums from :meth:`per_frame`.
+    ``max_freq_hz``, ``None`` or a number > 0, zeroes the mask rows above that
+    frequency (aliasing ablation) in every estimate. Masks with equal weights
+    over the frame range are evaluated once.
     """
 
     def __init__(
@@ -103,6 +115,8 @@ class EstimatorCore:
     ):
         if geom.num_mics != spec.num_channels:
             raise ValueError(f"array has {geom.num_mics} microphones, the spectrogram {spec.num_channels} channels")
+        if max_freq_hz is not None and not max_freq_hz > 0:  # NaN would cut no bin, 0 all but DC
+            raise ValueError(f"max_freq_hz must be None or a number > 0, got {max_freq_hz!r}")
         self.shape = (spec.num_bins, spec.num_frames)
         self._geometry = (
             tuple(grid.angles_deg.tolist()),
@@ -140,13 +154,13 @@ class EstimatorCore:
 
     @cached_property
     def pair_steering(self) -> np.ndarray:
-        """Read-only pair steering of the grid, shape (C, K 2P), from :func:`_steering_tables`."""
-        return _steering_tables(*self._geometry)[0]
+        """Read-only pair steering of the grid, shape (C, K 2P), from :func:`_pair_steering_table`."""
+        return _pair_steering_table(*self._geometry)
 
     @cached_property
     def steering(self) -> np.ndarray:
-        """Read-only steering matrix of the grid, shape (C, K, Q), from :func:`_steering_tables`."""
-        return _steering_tables(*self._geometry)[1]
+        """Read-only steering matrix of the grid, shape (C, K, Q), from :func:`_steering_table`."""
+        return _steering_table(*self._geometry)
 
     @cached_property
     def products(self) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Metrics, confusion matrices, mask specs and the seeded experiment runner.
 
-The runner sweeps a scene grid (rooms x T60 x SMD x DOAs x seeds), applies
-each configured estimator/mask combination, and emits deterministic
-per-record CSV plus aggregate reports. Accuracy counts absolute errors
-strictly below 5 degrees, pseudo accuracy strictly below 10 degrees; both
-thresholds can be overridden in the config. A mask spec such as
-``random-band:50`` is checked by :func:`parse_mask`, once when the config is
-validated and again when :func:`build_mask` builds it for a spectrogram; only
-the checks that need the spectrogram's size wait for the first scene.
+The runner sweeps a scene grid (rooms x T60 x SMD x DOAs x seeds, each a
+non-empty list), applies each configured estimator/mask combination, and
+emits deterministic per-record CSV plus aggregate reports. A scene is a
+``(scene_id, SceneSpec)`` pair, and the spec is the one record of its
+parameters: the per-T60 reports read each scene's T60 from it. Accuracy
+counts absolute errors strictly below 5 degrees, pseudo accuracy strictly
+below 10 degrees; both thresholds can be overridden in the config. A mask
+spec such as ``random-band:50`` is checked by :func:`parse_mask`, once when
+the config is validated and again when :func:`build_mask` builds it for a
+spectrogram; only the checks that need the spectrogram's size wait for the
+first scene.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import numbers
 import os
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -212,11 +215,19 @@ def validate_config(config: dict) -> dict:
             raise ConfigError(f"config key {key!r} must be a number > 0, got {value!r}")
     if cfg["acc_threshold_deg"] > cfg["psacc_threshold_deg"]:
         raise ConfigError("config key 'acc_threshold_deg' may not exceed 'psacc_threshold_deg'")
-    for key in ("methods", "masks"):
+    if cfg["doas"] == "grid":
+        cfg["doas"] = list(np.linspace(0.0, 180.0, cfg["grid_size"]))
+    for key in ("t60", "smd", "doas"):
+        values = cfg[key] if isinstance(cfg[key], (list, tuple)) else [cfg[key]]
+        if not all(_is_number(value) for value in values):
+            raise ConfigError(f"config key {key!r} must be a number or a list of numbers, got {cfg[key]!r}")
+        cfg[key] = values
+    for key in ("rooms", "t60", "smd", "doas", "methods", "masks"):
         entries = cfg[key]
         if not isinstance(entries, (list, tuple)) or not entries:
             raise ConfigError(f"config key {key!r} must be a non-empty list, got {entries!r}")
-        repeated = [entry for i, entry in enumerate(entries) if entry in entries[:i]]
+    for key in ("methods", "masks"):
+        repeated = [entry for i, entry in enumerate(cfg[key]) if entry in cfg[key][:i]]
         if repeated:
             raise ConfigError(f"config key {key!r} repeats {repeated[0]!r}")
     for method in cfg["methods"]:
@@ -227,13 +238,6 @@ def validate_config(config: dict) -> dict:
             parse_mask(kind)
         except ValueError as exc:
             raise ConfigError(f"config key 'masks': {exc}") from None
-    if cfg["doas"] == "grid":
-        cfg["doas"] = list(np.linspace(0.0, 180.0, cfg["grid_size"]))
-    for key in ("t60", "smd", "doas"):
-        values = cfg[key] if isinstance(cfg[key], (list, tuple)) else [cfg[key]]
-        if not all(_is_number(value) for value in values):
-            raise ConfigError(f"config key {key!r} must be a number or a list of numbers, got {cfg[key]!r}")
-        cfg[key] = values
     return cfg
 
 
@@ -280,7 +284,7 @@ def _scene_specs(cfg: dict):
             hop=cfg["stft"]["hop"],
             rir_length_s=cfg["rir_length_s"],
         )
-        specs.append((scene_id, t60, spec))
+        specs.append((scene_id, spec))
     return specs
 
 
@@ -362,11 +366,14 @@ def _central_frames(num_frames: int, eval_frames: int):
 
 
 def _run_scene(args):
-    """Simulate one scene; build all its masks, then evaluate them in one call per method."""
-    scene_id, t60, spec, cfg = args
+    """Simulate one scene and return its records: all its masks are built, then
+    evaluated in one call per method. Only oracle masks need the direct-path STFT."""
+    scene_id, spec, cfg = args
     truth = simulate.mix_scene(spec)
     spectrogram = stft(truth.mixture, spec.window_length, spec.hop)
-    direct = stft(truth.direct[0], spec.window_length, spec.hop)
+    direct = None
+    if any(kind.startswith("oracle") for kind in cfg["masks"]):
+        direct = stft(truth.direct[0], spec.window_length, spec.hop)
     grid = make_grid(cfg["grid_size"])
     frame_range = _central_frames(spectrogram.num_frames, cfg["eval_frames"])
     core = estimate.EstimatorCore(
@@ -388,7 +395,7 @@ def _run_scene(args):
                     frames_used=frame_range[1] - frame_range[0],
                 )
             )
-    return t60, records
+    return records
 
 
 def run_experiment(config: dict, out_dir=None):
@@ -400,35 +407,23 @@ def run_experiment(config: dict, out_dir=None):
     byte-identical for identical configs regardless of worker count.
     """
     cfg = validate_config(config)
-    tasks = [(scene_id, t60, spec, cfg) for scene_id, t60, spec in _scene_specs(cfg)]
-    jobs = cfg["jobs"]
-    results = []
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    scenes = _scene_specs(cfg)
+    tasks = [(scene_id, spec, cfg) for scene_id, spec in scenes]
+    if cfg["jobs"] > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             results = list(pool.map(_run_scene, tasks, chunksize=1))
     else:
         results = [_run_scene(task) for task in tasks]
-
-    records = []
-    t60_of_scene = {}
-    for t60, scene_records in results:
-        records.extend(scene_records)
-        for r in scene_records:
-            t60_of_scene[r.scene_id] = t60
-    records.sort(key=lambda r: (r.scene_id, r.method, r.mask_kind))
+    records = sorted(chain.from_iterable(results), key=lambda r: (r.scene_id, r.method, r.mask_kind))
 
     reports = {}
-    for method in cfg["methods"]:
-        for mask_kind in cfg["masks"]:
-            subset = [r for r in records if r.method == method and r.mask_kind == mask_kind]
-            if subset:
-                reports[(method, mask_kind)] = summarize(
-                    subset, cfg["acc_threshold_deg"], cfg["psacc_threshold_deg"]
-                )
+    for method, mask_kind in product(cfg["methods"], cfg["masks"]):
+        subset = [r for r in records if r.method == method and r.mask_kind == mask_kind]
+        reports[(method, mask_kind)] = summarize(subset, cfg["acc_threshold_deg"], cfg["psacc_threshold_deg"])
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_outputs(out_dir, cfg, records, reports, t60_of_scene)
+        _write_outputs(out_dir, cfg, records, reports, {scene_id: spec.room.t60 for scene_id, spec in scenes})
     return records, reports
 
 
@@ -444,7 +439,7 @@ def records_csv_bytes(records) -> bytes:
     return buf.getvalue().encode()
 
 
-def _write_outputs(out_dir, cfg, records, reports, t60_of_scene):
+def _write_outputs(out_dir, cfg, records, reports, scene_t60):
     with open(os.path.join(out_dir, "records.csv"), "wb") as fh:
         fh.write(records_csv_bytes(records))
 
@@ -470,15 +465,13 @@ def _write_outputs(out_dir, cfg, records, reports, t60_of_scene):
             writer.writerow([f"{grid.angles_deg[i]:.3f}"] + list(row))
 
     for t60 in cfg["t60"]:
-        scene_ids = {sid for sid, val in t60_of_scene.items() if val == t60}
-        rows = []
-        for doa in sorted({r.true_doa for r in records if r.scene_id in scene_ids}):
-            sub = [r for r in records if r.scene_id in scene_ids and r.true_doa == doa]
-            psacc = 100.0 * np.mean([r.ae < cfg["psacc_threshold_deg"] for r in sub])
-            rows.append((doa, psacc))
+        hits = {}  # true DOA -> whether each of its records is within the pseudo-accuracy threshold
+        for r in records:
+            if scene_t60[r.scene_id] == t60:
+                hits.setdefault(r.true_doa, []).append(r.ae < cfg["psacc_threshold_deg"])
         path = os.path.join(out_dir, f"psacc_vs_doa_t60_{t60:.2f}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["doa_deg", "psacc_pct"])
-            for doa, psacc in rows:
-                writer.writerow([f"{doa:.6f}", f"{psacc:.6f}"])
+            for doa in sorted(hits):
+                writer.writerow([f"{doa:.6f}", f"{100.0 * np.mean(hits[doa]):.6f}"])

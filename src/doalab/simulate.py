@@ -168,7 +168,6 @@ class SceneTruth:
     direct: tuple  # per-source TimeSignal
     reverb: tuple  # per-source TimeSignal
     noise: TimeSignal
-    doas: np.ndarray
     source_gains: np.ndarray
     mic_positions: np.ndarray
     source_positions: np.ndarray
@@ -510,7 +509,6 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
         direct=tuple(TimeSignal(d, sr) for d in directs),
         reverb=tuple(TimeSignal(r, sr) for r in reverbs),
         noise=TimeSignal(noise, sr),
-        doas=np.array([s.doa_deg for s in spec.sources]),
         source_gains=np.array(gains),
         mic_positions=mics,
         source_positions=srcs,
@@ -521,7 +519,7 @@ def save_scene_sidecar(path, spec: SceneSpec, truth: SceneTruth) -> None:
     """Write the ground-truth sidecar JSON next to an exported scene WAV."""
     payload = {
         "spec": spec.to_json_dict(),
-        "doas_deg": list(truth.doas),
+        "doas_deg": [float(s.doa_deg) for s in spec.sources],
         "source_gains": list(truth.source_gains),
         "mic_positions": truth.mic_positions.tolist(),
         "source_positions": truth.source_positions.tolist(),

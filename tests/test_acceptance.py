@@ -76,7 +76,7 @@ def twosource_scenes():
     rows = []
     t0 = time.perf_counter()
     core_elapsed = 0.0
-    for scene_id, _, spec in evaluate._scene_specs(cfg):
+    for scene_id, spec in evaluate._scene_specs(cfg):
         c0 = time.perf_counter()
         truth = simulate.mix_scene(spec)
         mix = stft(truth.mixture)

@@ -229,6 +229,13 @@ class TestSimulate:
         assert payload["spec"]["sources"][0]["doa_deg"] == 60.0
         assert payload["doas_deg"] == [60.0]
 
+    def test_integer_doa_written_as_float(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", doas=[60], seeds_per_doa=1)
+        out_dir = tmp_path / "scenes"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        payload = json.loads(next(out_dir.glob("*.truth.json")).read_text())
+        assert payload["doas_deg"] == [60.0] and isinstance(payload["doas_deg"][0], float)
+
     def test_bad_room_is_usage_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json", rooms=[[6.0, -5.0, 2.7]])
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
@@ -414,6 +421,8 @@ class TestExitCodes:
             (["--input", "{wav}", "--mask", "{above_one}"], 1),
             (["--input", "{wav}", "--method", "music", "--mask", "{nan}"], 1),
             (["--input", "{wav}", "--max-freq-hz", "-1"], 1),
+            (["--input", "{wav}", "--max-freq-hz", "nan"], 1),
+            (["--input", "{wav}", "--max-freq-hz", "0"], 1),
             (["--input", "{missing}"], 2),
             (["--input", "{riff_truncated}"], 1),
             (["--input", "{data_first}"], 1),
@@ -423,7 +432,7 @@ class TestExitCodes:
         ids=[
             "input-not-wav", "all-zero-mask-file", "short-mask-header", "overflowing-mask-header",
             "mask-file-trailing-bytes", "truncated-mask-file", "mask-value-1.5", "mask-value-1.5-srp-p",
-            "mask-value-nan", "negative-max-freq", "missing-input", "truncated-riff-header",
+            "mask-value-nan", "negative-max-freq", "nan-max-freq", "zero-max-freq", "missing-input", "truncated-riff-header",
             "data-chunk-before-fmt", "pcm-8-bit", "pcm-24-bit",
         ],
     )
@@ -484,12 +493,17 @@ class TestExitCodes:
             ({"snr_db": [0, float("inf")]}, 0),
             ({"sir_db": float("-inf")}, 0),
             ({"sir_db": float("inf")}, 0),
+            ({"rooms": []}, 0),
+            ({"t60": []}, 0),
+            ({"smd": []}, 0),
+            ({"doas": []}, 0),
         ],
         ids=[
             "t60", "smd", "doas", "num_mics", "master_seed", "max_freq_hz",
             "window_length", "num_sources_music", "mask", "room", "music-eval_frames",
             "source", "interferer", "repeated-doa", "t60-equal-in-2-decimals",
             "snr_db-minus-infinity", "snr_db-range-to-infinity", "sir_db-minus-infinity", "sir_db-infinity",
+            "empty-rooms", "empty-t60", "empty-smd", "empty-doas",
         ],
     )
     def test_eval_config_value(self, tmp_path, capsys, monkeypatch, overrides, simulated):
@@ -521,6 +535,14 @@ class TestExitCodes:
         cfg = _write_config(tmp_path / "cfg.json", doas=[10, 10], seeds_per_doa=1)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         assert "'r0_t0.00_s1.50_d010.000_k0'" in _one_error_line(capsys)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key", ["rooms", "t60", "smd", "doas"])
+    def test_empty_scene_grid_simulates_nothing(self, tmp_path, capsys, key):
+        """An empty grid list exits 1 naming its key, before --out-dir is created."""
+        cfg = _write_config(tmp_path / "cfg.json", **{key: []})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert repr(key) in _one_error_line(capsys)
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(

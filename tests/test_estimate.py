@@ -360,6 +360,12 @@ class TestSrpMp:
         assert pick_doa(limited, GRID) == 100.0
         assert not np.array_equal(full, limited)
 
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0])
+    def test_max_freq_limit_must_be_positive(self, limit):
+        spec, geom = _plane_wave_spec(100.0, seed=21)
+        with pytest.raises(ValueError, match="max_freq_hz"):
+            EstimatorCore(spec, GRID, geom, max_freq_hz=limit)
+
 
 class TestNormMusic:
     def test_plane_wave_peaks_on_grid_angle(self):
@@ -497,7 +503,10 @@ class TestSteeringTables:
     @staticmethod
     def _fresh(grid, geom, sample_rate, window_length):
         key = (tuple(grid.angles_deg.tolist()), tuple(geom.mic_distances.tolist()), geom.speed_of_sound)
-        return estimate._steering_tables.__wrapped__(*key, sample_rate, window_length)
+        return tuple(
+            builder.__wrapped__(*key, sample_rate, window_length)
+            for builder in (estimate._pair_steering_table, estimate._steering_table)
+        )
 
     def test_equal_geometry_shares_one_table(self):
         spec, _ = _plane_wave_spec(70.0, seed=31)
@@ -556,6 +565,20 @@ class TestSteeringTables:
         core.per_frame("srp-mp", mask)
         assert "steering" not in vars(core) and "products" not in vars(core)
         assert {"pairs", "pair_steering"} <= set(vars(core))
+
+    def test_srp_builds_no_music_steering(self):
+        """SRP on a geometry no core has used adds no entry to the MUSIC steering cache."""
+        geom = ArrayGeometry.uniform(4, 0.0731)
+        spec = stft(plane_wave_synthesize(white_noise(1, 4000, seed=36), 70.0, geom))
+        core = EstimatorCore(spec, GRID, geom)
+        mask = band_range_mask(spec.num_bins, spec.num_frames, 20, 180)
+        misses = estimate._steering_table.cache_info().misses
+        core.spectra("srp-p", [None])
+        core.spectra("srp-mp", [mask])
+        core.per_frame("srp-p", None)
+        core.per_frame("srp-mp", mask)
+        assert estimate._steering_table.cache_info().misses == misses
+        assert "pair_steering" in vars(core)
 
 
 class TestValidation:

@@ -142,6 +142,11 @@ class TestValidateConfig:
         with pytest.raises(evaluate.ConfigError, match="masks"):
             validate_config({"masks": []})
 
+    @pytest.mark.parametrize("key", ["rooms", "t60", "smd", "doas"])
+    def test_empty_scene_grid_rejected(self, key):
+        with pytest.raises(evaluate.ConfigError, match=f"'{key}' must be a non-empty list"):
+            validate_config({key: []})
+
     def test_scalar_t60_listed(self):
         assert validate_config({"t60": 0.4})["t60"] == [0.4]
         assert validate_config({"doas": 90})["doas"] == [90]
@@ -150,7 +155,7 @@ class TestValidateConfig:
         cfg = validate_config({"geometry": {"num_mics": 6}, "stft": {"hop": 128}})
         assert cfg["geometry"] == {"num_mics": 6, "mic_spacing_m": 0.08}
         assert cfg["stft"] == {"window_length": 512, "hop": 128}
-        _, _, spec = evaluate._scene_specs(dict(cfg, doas=[90.0]))[0]
+        _, spec = evaluate._scene_specs(dict(cfg, doas=[90.0]))[0]
         assert spec.geometry.num_mics == 6 and (spec.window_length, spec.hop) == (512, 128)
 
     def test_unknown_nested_key_named_with_its_parent(self):
@@ -169,10 +174,10 @@ class TestValidateConfig:
     def test_scene_ids_unique_and_seeded(self):
         cfg = validate_config({"seeds_per_doa": 2, "duration_frames": 4})
         specs = evaluate._scene_specs(cfg)
-        ids = [sid for sid, _, _ in specs]
+        ids = [sid for sid, _ in specs]
         assert len(set(ids)) == len(ids) == 74
         again = evaluate._scene_specs(cfg)
-        assert [s.seed for _, _, s in specs] == [s.seed for _, _, s in again]
+        assert [s.seed for _, s in specs] == [s.seed for _, s in again]
 
     @pytest.mark.parametrize(
         "key, value",
@@ -220,7 +225,7 @@ class TestValidateConfig:
 
     def test_interferer_kept_away_from_source(self):
         cfg = validate_config({"sir_db": 0.0, "duration_frames": 4})
-        for _, _, spec in evaluate._scene_specs(cfg):
+        for _, spec in evaluate._scene_specs(cfg):
             assert len(spec.sources) == 2
             assert abs(spec.sources[1].doa_deg - spec.sources[0].doa_deg) > 5.0
 
@@ -270,11 +275,16 @@ class TestRunExperiment:
         for r in records:
             assert r.ae == 0.0
 
-    def test_deterministic_across_runs_and_jobs(self):
-        a, _ = run_experiment(_tiny_config())
-        b, _ = run_experiment(_tiny_config())
-        c, _ = run_experiment(_tiny_config(jobs=2))
-        assert records_csv_bytes(a) == records_csv_bytes(b) == records_csv_bytes(c)
+    def test_deterministic_across_runs_and_jobs(self, tmp_path):
+        """Every file the runner writes is byte-identical across runs and worker counts."""
+        outputs = []
+        for run, jobs in enumerate((1, 1, 2)):
+            run_experiment(_tiny_config(t60=[0.0, 0.2], jobs=jobs), out_dir=tmp_path / str(run))
+            outputs.append({path.name: path.read_bytes() for path in (tmp_path / str(run)).iterdir()})
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert sorted(outputs[0]) == [
+            "confusion.csv", "psacc_vs_doa_t60_0.00.csv", "psacc_vs_doa_t60_0.20.csv", "records.csv", "report.json"
+        ]
 
     def test_csv_header(self):
         records, _ = run_experiment(_tiny_config(methods=["srp-p"], masks=["none"]))
@@ -312,9 +322,9 @@ def _sweep_scenes():
     limited = validate_config(dict(base, t60=[0.0], doas=[120.0], max_freq_hz=5000.0))
     reverb = validate_config(dict(base, t60=[0.3], doas=[70.0], rir_length_s=0.25))
     return [
-        (scene_id, t60, spec, cfg)
+        (scene_id, spec, cfg)
         for cfg in (anechoic, limited, reverb)
-        for scene_id, t60, spec in evaluate._scene_specs(cfg)
+        for scene_id, spec in evaluate._scene_specs(cfg)
     ]
 
 
@@ -323,7 +333,7 @@ class TestSharedCore:
         grid = make_grid(37)
         original_pick = estimate.pick_doa
         for scene in _sweep_scenes():
-            _, _, spec, cfg = scene
+            _, spec, cfg = scene
             spectra = []
 
             def recording_pick(sps, grid_):
@@ -331,7 +341,7 @@ class TestSharedCore:
                 return original_pick(sps, grid_)
 
             monkeypatch.setattr(estimate, "pick_doa", recording_pick)
-            _, records = evaluate._run_scene(scene)
+            records = evaluate._run_scene(scene)
             monkeypatch.setattr(estimate, "pick_doa", original_pick)
             assert len(records) == len(spectra) == len(SWEEP_MASKS) * 3
 
@@ -371,9 +381,18 @@ class TestSharedCore:
         # from which the MUSIC steering is taken
         monkeypatch.setattr(estimate, "EstimatorCore", counting("pairs", estimate.EstimatorCore))
         monkeypatch.setattr(evaluate, "stft", counting("stft", evaluate.stft))
-        _, records = evaluate._run_scene(_sweep_scenes()[0])
+        records = evaluate._run_scene(_sweep_scenes()[0])
         assert len(records) == len(SWEEP_MASKS) * 3
         assert counts == {"pairs": 1, "stft": 2}
+
+    def test_no_direct_path_stft_without_oracle_masks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate, "stft", lambda *args: calls.append(args) or stft(*args))
+        scene_id, spec, cfg = _sweep_scenes()[0]
+        masks = ["none", "random-band:50", "band-range:100:150"]
+        records = evaluate._run_scene((scene_id, spec, dict(cfg, masks=masks)))
+        assert len(records) == len(masks) * 3
+        assert len(calls) == 1
 
     def test_one_eigh_and_one_srp_p_spectrum_per_scene(self, monkeypatch):
         counts = Counter()
@@ -389,7 +408,7 @@ class TestSharedCore:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(estimate, "normalize_sps", counting_normalize)
-        _, records = evaluate._run_scene(_sweep_scenes()[0])
+        records = evaluate._run_scene(_sweep_scenes()[0])
         assert len(records) == len(SWEEP_MASKS) * 3
         # srp-p once, srp-mp and music once per distinct mask: oracle-ratio-bin:0.00
         # keeps every bin, so it is the same mask as none
@@ -401,7 +420,7 @@ class TestBatchedCore:
 
     @pytest.mark.parametrize("scene_index", [0, 3, 4])  # anechoic, max_freq_hz 5000, reverberant
     def test_batch_matches_per_mask_reference(self, scene_index):
-        _, _, spec, cfg = _sweep_scenes()[scene_index]
+        _, spec, cfg = _sweep_scenes()[scene_index]
         grid = make_grid(37)
         truth = simulate.mix_scene(spec)
         mix = stft(truth.mixture)
@@ -431,7 +450,7 @@ class TestBatchedCore:
                     assert np.max(np.abs(sps - ref)) <= 1e-12 * scale, (method, num_sources, kind)
 
     def test_equal_masks_evaluated_once(self, monkeypatch):
-        _, _, spec, cfg = _sweep_scenes()[0]
+        _, spec, cfg = _sweep_scenes()[0]
         truth = simulate.mix_scene(spec)
         mix = stft(truth.mixture)
         direct = stft(truth.direct[0])

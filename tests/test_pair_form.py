@@ -47,7 +47,7 @@ def masked_scenes(draw):
     num_frames = draw(st.integers(1, 12))
     start = draw(st.integers(0, num_frames - 1))
     frame_range = draw(st.none() | st.tuples(st.just(start), st.integers(start + 1, num_frames + 3)))
-    max_freq_hz = draw(st.none() | st.floats(0.0, FS / 2))
+    max_freq_hz = draw(st.none() | st.floats(0.0, FS / 2, exclude_min=True))  # 0 is rejected
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = _plane_wave(rng, geom, rng.uniform(0.0, 180.0), num_bins, num_frames, noise=0.3)
     num_masks = draw(st.integers(1, 4))
