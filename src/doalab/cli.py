@@ -74,13 +74,13 @@ def cmd_estimate(args) -> int:
 
     kind = args.mask
     try:
-        name = evaluate.parse_mask(kind)[0]
+        evaluate.parse_mask(kind)
     except ValueError:  # a value that is no mask spec but names a file is a mask file
         if not os.path.isfile(kind):
             raise
-        kind, name = f"file:{kind}", "file"
+        kind = f"file:{kind}"
     direct = None
-    if name.startswith("oracle"):
+    if evaluate.reads_direct_path(kind):
         if args.direct is None:
             raise ValueError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
         direct = stft(read_wav(args.direct), args.window_length, args.hop)

@@ -25,7 +25,7 @@ float arrays: one (M, C) array, a row per mask over the DOA grid. The pair
 steering and :func:`doalab.geometry.steering_matrix` share the phase of
 :func:`doalab.geometry.far_field_phase`, so a source that follows that delay
 model produces the power maximum at its own grid angle. A frequency limit
-``max_freq_hz`` must be ``None`` or a number > 0, as in the eval config.
+``max_freq_hz`` must be ``None`` or at least bin 1's frequency, as in the eval config.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class EstimatorCore:
     which come from :func:`_pair_steering_table` and :func:`_steering_table`
     and so are built once per geometry and shared between cores. Estimates
     come from :meth:`spectra`, per-frame SRP sums from :meth:`per_frame`.
-    ``max_freq_hz``, ``None`` or a number > 0, zeroes the mask rows above that
+    ``max_freq_hz``, ``None`` or at least bin 1's frequency, zeroes the mask rows above that
     frequency (aliasing ablation) in every estimate. Masks with equal weights
     over the frame range are evaluated once.
     """
@@ -115,8 +115,9 @@ class EstimatorCore:
     ):
         if geom.num_mics != spec.num_channels:
             raise ValueError(f"array has {geom.num_mics} microphones, the spectrogram {spec.num_channels} channels")
-        if max_freq_hz is not None and not max_freq_hz > 0:  # NaN would cut no bin, 0 all but DC
-            raise ValueError(f"max_freq_hz must be None or a number > 0, got {max_freq_hz!r}")
+        first_bin = float(spec.bin_frequency(1))  # a lower limit would cut all but DC, NaN no bin
+        if max_freq_hz is not None and not max_freq_hz >= first_bin:
+            raise ValueError(f"max_freq_hz must be None or at least the first bin's {first_bin:g} Hz, got {max_freq_hz!r}")
         self.shape = (spec.num_bins, spec.num_frames)
         self._geometry = (
             tuple(grid.angles_deg.tolist()),

@@ -1,16 +1,16 @@
 """Metrics, confusion matrices, mask specs and the seeded experiment runner.
 
 The runner sweeps a scene grid (rooms x T60 x SMD x DOAs x seeds, each a
-non-empty list), applies each configured estimator/mask combination, and
-emits deterministic per-record CSV plus aggregate reports. A scene is a
-``(scene_id, SceneSpec)`` pair, and the spec is the one record of its
-parameters: the per-T60 reports read each scene's T60 from it. Accuracy
-counts absolute errors strictly below 5 degrees, pseudo accuracy strictly
-below 10 degrees; both thresholds can be overridden in the config. A mask
-spec such as ``random-band:50`` is checked by :func:`parse_mask`, once when
-the config is validated and again when :func:`build_mask` builds it for a
-spectrogram; only the checks that need the spectrogram's size wait for the
-first scene.
+non-empty list) and emits deterministic per-record CSV plus aggregate reports.
+A scene is a ``(scene_id, SceneSpec)`` pair, the spec the one record of its
+parameters (the per-T60 reports read its T60 from it). :func:`scene_inputs`
+builds a scene's estimator core and masks; the runner only scores each
+configured method on them. Accuracy counts absolute errors strictly below 5
+degrees, pseudo accuracy strictly below 10 degrees; both thresholds can be
+overridden in the config. A mask spec such as ``random-band:50`` is checked by
+:func:`parse_mask`, once when the config is validated and again when
+:func:`build_mask` builds it for a spectrogram; only the checks that need the
+spectrogram's size wait for the first scene.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import copy
 import csv
+import functools
 import io
 import json
 import numbers
@@ -162,10 +163,11 @@ _DEFAULTS = {
 }
 
 
-def _check_int(cfg: dict, key: str, minimum: int) -> None:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigError(f"config key {key!r} must be an integer >= {minimum}, got {value!r}")
+def _check_int(cfg: dict, key: str, minimum: int, maximum=np.inf) -> None:
+    value = functools.reduce(dict.get, key.split("."), cfg)  # a dotted key such as 'stft.hop' is nested
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not minimum <= value <= maximum:
+        upper = f" and <= {maximum}" if maximum < np.inf else ""
+        raise ConfigError(f"config key {key!r} must be an integer >= {minimum}{upper}, got {value!r}")
 
 
 def _check_level(cfg: dict, key: str) -> None:
@@ -207,12 +209,22 @@ def validate_config(config: dict) -> dict:
     _check_int(cfg, "duration_frames", 1)
     _check_int(cfg, "seeds_per_doa", 1)
     _check_int(cfg, "num_sources_music", 1)
+    _check_int(cfg, "geometry.num_mics", 2)
+    _check_int(cfg, "stft.window_length", 2)
+    _check_int(cfg, "stft.hop", 1, maximum=cfg["stft"]["window_length"])
+    for key in ("sample_rate", "geometry.mic_spacing_m"):
+        value = functools.reduce(dict.get, key.split("."), cfg)
+        if not (_is_number(value) and 0 < value < np.inf):
+            raise ConfigError(f"config key {key!r} must be a finite number > 0, got {value!r}")
     _check_level(cfg, "snr_db")
     _check_level(cfg, "sir_db")
     for key in ("acc_threshold_deg", "psacc_threshold_deg", "max_freq_hz"):
         value = cfg[key]
         if not ((_is_number(value) and value > 0) or (key == "max_freq_hz" and value is None)):
             raise ConfigError(f"config key {key!r} must be a number > 0, got {value!r}")
+    limit, first_bin = cfg["max_freq_hz"], cfg["sample_rate"] / cfg["stft"]["window_length"]
+    if limit is not None and limit < first_bin:  # it would cut every bin but DC
+        raise ConfigError(f"config key 'max_freq_hz' must be at least the first bin's {first_bin:g} Hz, got {limit!r}")
     if cfg["acc_threshold_deg"] > cfg["psacc_threshold_deg"]:
         raise ConfigError("config key 'acc_threshold_deg' may not exceed 'psacc_threshold_deg'")
     if cfg["doas"] == "grid":
@@ -323,6 +335,11 @@ def parse_mask(kind: str) -> tuple:
     return (name, *params)
 
 
+def reads_direct_path(kind: str) -> bool:
+    """Whether mask spec ``kind`` needs the direct-path spectrogram: the oracle kinds do."""
+    return parse_mask(kind)[0].startswith("oracle")
+
+
 def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -> np.ndarray:
     """The (K, N) mask array of a mask spec for one spectrogram.
 
@@ -360,42 +377,37 @@ def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -
 
 
 def _central_frames(num_frames: int, eval_frames: int):
-    eval_frames = min(eval_frames, num_frames)
-    start = (num_frames - eval_frames) // 2
-    return (start, start + eval_frames)
+    start = max(num_frames - eval_frames, 0) // 2
+    return (start, start + min(eval_frames, num_frames))
+
+
+def scene_inputs(spec, cfg: dict):
+    """``(core, masks)`` of one simulated scene: the :class:`~doalab.estimate.EstimatorCore`
+    over the central ``eval_frames`` with the config's grid and ``max_freq_hz``, one mask per
+    kind in config order. The direct-path STFT is taken only if a kind :func:`reads_direct_path`."""
+    truth = simulate.mix_scene(spec)
+    mixture = stft(truth.mixture, spec.window_length, spec.hop)
+    direct = None
+    if any(map(reads_direct_path, cfg["masks"])):
+        direct = stft(truth.direct[0], spec.window_length, spec.hop)
+    frames = _central_frames(mixture.num_frames, cfg["eval_frames"])
+    core = estimate.EstimatorCore(mixture, make_grid(cfg["grid_size"]), spec.geometry, frames, cfg["max_freq_hz"])
+    oracle = {}
+    return core, [build_mask(kind, mixture, direct, spec.seed, oracle) for kind in cfg["masks"]]
 
 
 def _run_scene(args):
-    """Simulate one scene and return its records: all its masks are built, then
-    evaluated in one call per method. Only oracle masks need the direct-path STFT."""
+    """Score one ``(scene_id, spec, cfg)`` task on the outputs of :func:`scene_inputs`:
+    one ``core.spectra`` call per method, then a record per mask and method."""
     scene_id, spec, cfg = args
-    truth = simulate.mix_scene(spec)
-    spectrogram = stft(truth.mixture, spec.window_length, spec.hop)
-    direct = None
-    if any(kind.startswith("oracle") for kind in cfg["masks"]):
-        direct = stft(truth.direct[0], spec.window_length, spec.hop)
-    grid = make_grid(cfg["grid_size"])
-    frame_range = _central_frames(spectrogram.num_frames, cfg["eval_frames"])
-    core = estimate.EstimatorCore(
-        spectrogram, grid, spec.geometry, frame_range, max_freq_hz=cfg["max_freq_hz"]
-    )
-    oracle = {}
-    masks = [build_mask(kind, spectrogram, direct, spec.seed, oracle) for kind in cfg["masks"]]
+    core, masks = scene_inputs(spec, cfg)
+    grid, frames_used = make_grid(cfg["grid_size"]), core.frames.stop - core.frames.start
     spectra = [core.spectra(method, masks, cfg["num_sources_music"]) for method in cfg["methods"]]
-    records = []
-    for i, mask_kind in enumerate(cfg["masks"]):
-        for method, method_sps in zip(cfg["methods"], spectra):
-            records.append(
-                EvalRecord(
-                    scene_id=scene_id,
-                    true_doa=spec.sources[0].doa_deg,
-                    est_doa=estimate.pick_doa(method_sps[i], grid),
-                    method=method,
-                    mask_kind=mask_kind,
-                    frames_used=frame_range[1] - frame_range[0],
-                )
-            )
-    return records
+    return [
+        EvalRecord(scene_id, spec.sources[0].doa_deg, estimate.pick_doa(sps[i], grid), method, kind, frames_used)
+        for i, kind in enumerate(cfg["masks"])
+        for method, sps in zip(cfg["methods"], spectra)
+    ]
 
 
 def run_experiment(config: dict, out_dir=None):

@@ -18,7 +18,8 @@ SPEED_OF_SOUND = 343.0
 class ArrayGeometry:
     """Linear array described by microphone distances to microphone 1.
 
-    ``mic_distances[0]`` must be 0 and distances must strictly increase.
+    Distances must be finite, ``mic_distances[0]`` must be 0 and distances
+    must strictly increase; the speed of sound must be a finite number > 0.
     """
 
     mic_distances: np.ndarray
@@ -29,16 +30,20 @@ class ArrayGeometry:
         object.__setattr__(self, "mic_distances", d)
         if d.ndim != 1 or d.size < 2:
             raise ValueError("need at least two microphones")
+        if not np.all(np.isfinite(d)):
+            raise ValueError(f"mic distances must be finite, got {d.tolist()}")
         if d[0] != 0.0:
             raise ValueError("first microphone must sit at distance 0")
         if np.any(np.diff(d) <= 0):
             raise ValueError("mic distances must be strictly increasing")
-        if self.speed_of_sound <= 0:
-            raise ValueError("speed_of_sound must be positive")
+        if not 0 < self.speed_of_sound < np.inf:  # NaN fails too
+            raise ValueError(f"speed_of_sound must be a finite number > 0, got {self.speed_of_sound!r}")
 
     @classmethod
     def uniform(cls, num_mics: int, spacing: float, speed_of_sound: float = SPEED_OF_SOUND) -> "ArrayGeometry":
-        """ULA with ``num_mics`` microphones and equal ``spacing`` in meters."""
+        """ULA with ``num_mics`` microphones and equal ``spacing`` in meters, a finite number > 0."""
+        if not 0 < spacing < np.inf:  # checked first: 0 * inf would be a NaN distance
+            raise ValueError(f"spacing must be a finite number > 0, got {spacing!r}")
         return cls(np.arange(num_mics) * spacing, speed_of_sound)
 
     @property

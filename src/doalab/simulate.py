@@ -300,11 +300,6 @@ def _scatter_pass(length: int, delays, amps, out: np.ndarray) -> None:
         row[a:b] = skew.sum(axis=0)[a - start : b - start]
 
 
-def _scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """One row of :func:`_scatter_rows`: the pulses summed into ``length`` taps."""
-    return _scatter_rows(length, [delays], [amps])[0]
-
-
 def _sabine_absorption(room: RoomSpec, speed_of_sound: float) -> float:
     volume = float(np.prod(room.dimensions))
     lx, ly, lz = room.dimensions
@@ -382,22 +377,6 @@ def image_method_rir(
     amps += [np.array([1.0 / (4.0 * np.pi * d)]) for d in d0]
     taps, direct = np.split(_scatter_rows(length, delays, amps), 2)
     return Rir(taps=taps, direct_taps=direct)
-
-
-def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) -> TimeSignal:
-    """Ideal far-field array fixture: delay-only propagation, no attenuation.
-
-    Channel q is the source delayed by ``cos(doa) * d_q / c_s`` seconds via
-    windowed-sinc fractional-delay filtering. Edge samples of advanced
-    channels are filled by the filter transient only.
-    """
-    if src.num_channels != 1:
-        raise ValueError("plane-wave source must be single-channel")
-    delays = np.cos(np.deg2rad(doa_deg)) * geom.mic_distances / geom.speed_of_sound * src.sample_rate
-    center = SINC_HALF_TAPS + int(np.ceil(np.max(np.abs(delays)))) + 1
-    kernels = _scatter_rows(2 * center + 1, center + delays[:, None], np.ones((delays.size, 1)))
-    full = _convolve(src.samples, kernels)
-    return TimeSignal(full[:, center : center + src.num_samples], src.sample_rate)
 
 
 def _source_samples(spec: SceneSpec, source: SourceSpec, length: int, seed: int) -> np.ndarray:

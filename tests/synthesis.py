@@ -1,0 +1,34 @@
+"""Fixtures built on the pulse scatter of :mod:`doalab.simulate`.
+
+- ``scatter_pulses``: one row of ``simulate._scatter_rows``, the pulses of one
+  delay list summed into a tap buffer.
+- ``plane_wave_synthesize``: an ideal far-field array signal, delay-only
+  propagation with no room and no attenuation.
+"""
+
+import numpy as np
+
+from doalab.geometry import ArrayGeometry
+from doalab.signal import TimeSignal
+from doalab.simulate import SINC_HALF_TAPS, _convolve, _scatter_rows
+
+
+def scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """One row of ``_scatter_rows``: the pulses summed into ``length`` taps."""
+    return _scatter_rows(length, [delays], [amps])[0]
+
+
+def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) -> TimeSignal:
+    """Ideal far-field array fixture: delay-only propagation, no attenuation.
+
+    Channel q is the source delayed by ``cos(doa) * d_q / c_s`` seconds via
+    windowed-sinc fractional-delay filtering. Edge samples of advanced
+    channels are filled by the filter transient only.
+    """
+    if src.num_channels != 1:
+        raise ValueError("plane-wave source must be single-channel")
+    delays = np.cos(np.deg2rad(doa_deg)) * geom.mic_distances / geom.speed_of_sound * src.sample_rate
+    center = SINC_HALF_TAPS + int(np.ceil(np.max(np.abs(delays)))) + 1
+    kernels = _scatter_rows(2 * center + 1, center + delays[:, None], np.ones((delays.size, 1)))
+    full = _convolve(src.samples, kernels)
+    return TimeSignal(full[:, center : center + src.num_samples], src.sample_rate)

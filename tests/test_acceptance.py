@@ -22,6 +22,7 @@ from doalab.estimate import (
 from doalab.geometry import ArrayGeometry, make_grid
 from doalab.signal import MultichannelSpectrogram, TimeSignal, stft
 from srp_reference import cross_spectral_tensor, phat_weighting
+from synthesis import plane_wave_synthesize
 
 FS = 16000
 GEOM = ArrayGeometry.uniform(4, 0.08)
@@ -34,7 +35,7 @@ def _noisy_plane_wave(doa_deg: float, seed: int, snr_db: float = 30.0):
     """Anechoic plane-wave white-noise scene with sensor noise at snr_db."""
     rng = np.random.default_rng(seed)
     src = simulate.white_noise(1, NUM_SAMPLES, seed=seed)
-    clean = simulate.plane_wave_synthesize(src, doa_deg, GEOM)
+    clean = plane_wave_synthesize(src, doa_deg, GEOM)
     power = np.mean(clean.samples**2)
     noise = rng.standard_normal(clean.samples.shape)
     noise *= np.sqrt(power / 10.0 ** (snr_db / 10.0))

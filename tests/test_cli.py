@@ -13,7 +13,8 @@ from doalab.cli import main
 from doalab.estimate import srp_flops
 from doalab.geometry import ArrayGeometry
 from doalab.signal import write_wav
-from doalab.simulate import TimeSignal, plane_wave_synthesize, white_noise
+from doalab.simulate import TimeSignal, white_noise
+from synthesis import plane_wave_synthesize
 
 FS = 16000
 
@@ -423,6 +424,11 @@ class TestExitCodes:
             (["--input", "{wav}", "--max-freq-hz", "-1"], 1),
             (["--input", "{wav}", "--max-freq-hz", "nan"], 1),
             (["--input", "{wav}", "--max-freq-hz", "0"], 1),
+            (["--input", "{wav}", "--max-freq-hz", "10"], 1),
+            (["--input", "{wav}", "--speed-of-sound", "nan"], 1),
+            (["--input", "{wav}", "--speed-of-sound", "inf"], 1),
+            (["--input", "{wav}", "--mic-spacing", "inf"], 1),
+            (["--input", "{wav}", "--mic-spacing", "nan"], 1),
             (["--input", "{missing}"], 2),
             (["--input", "{riff_truncated}"], 1),
             (["--input", "{data_first}"], 1),
@@ -432,7 +438,9 @@ class TestExitCodes:
         ids=[
             "input-not-wav", "all-zero-mask-file", "short-mask-header", "overflowing-mask-header",
             "mask-file-trailing-bytes", "truncated-mask-file", "mask-value-1.5", "mask-value-1.5-srp-p",
-            "mask-value-nan", "negative-max-freq", "nan-max-freq", "zero-max-freq", "missing-input", "truncated-riff-header",
+            "mask-value-nan", "negative-max-freq", "nan-max-freq", "zero-max-freq", "max-freq-below-first-bin",
+            "nan-speed-of-sound", "infinite-speed-of-sound", "infinite-mic-spacing", "nan-mic-spacing",
+            "missing-input", "truncated-riff-header",
             "data-chunk-before-fmt", "pcm-8-bit", "pcm-24-bit",
         ],
     )
@@ -470,6 +478,9 @@ class TestExitCodes:
         err = _one_error_line(capsys)
         if code == 1 and argv[1] != str(broadside_wav):
             assert argv[1] in err, "a malformed input must be named"
+        named = {"--max-freq-hz": "max_freq_hz", "--speed-of-sound": "speed_of_sound", "--mic-spacing": "spacing"}
+        for flag, name in named.items():
+            assert flag not in argv or name in err, f"a rejected {flag} must be named"
 
     @pytest.mark.parametrize(
         "overrides, simulated",
@@ -497,13 +508,23 @@ class TestExitCodes:
             ({"t60": []}, 0),
             ({"smd": []}, 0),
             ({"doas": []}, 0),
+            ({"max_freq_hz": 10}, 0),
+            ({"stft": {"window_length": "x"}}, 0),
+            ({"stft": {"window_length": 512.0}}, 0),
+            ({"stft": {"hop": "x"}}, 0),
+            ({"stft": {"hop": 1.5}}, 0),
+            ({"geometry": {"mic_spacing_m": "x"}}, 0),
+            ({"geometry": {"mic_spacing_m": None}}, 0),
+            ({"geometry": {"num_mics": 2.5}}, 0),
         ],
         ids=[
             "t60", "smd", "doas", "num_mics", "master_seed", "max_freq_hz",
             "window_length", "num_sources_music", "mask", "room", "music-eval_frames",
             "source", "interferer", "repeated-doa", "t60-equal-in-2-decimals",
             "snr_db-minus-infinity", "snr_db-range-to-infinity", "sir_db-minus-infinity", "sir_db-infinity",
-            "empty-rooms", "empty-t60", "empty-smd", "empty-doas",
+            "empty-rooms", "empty-t60", "empty-smd", "empty-doas", "max_freq_hz-below-first-bin",
+            "window_length-string", "window_length-float", "hop-string", "hop-float",
+            "mic_spacing_m-string", "mic_spacing_m-null", "num_mics-float",
         ],
     )
     def test_eval_config_value(self, tmp_path, capsys, monkeypatch, overrides, simulated):

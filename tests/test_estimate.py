@@ -14,7 +14,7 @@ from doalab.estimate import (
 )
 from doalab.geometry import ArrayGeometry, make_grid, steering_matrix
 from doalab.signal import MultichannelSpectrogram, TimeSignal, stft
-from doalab.simulate import plane_wave_synthesize, white_noise
+from doalab.simulate import white_noise
 from srp_reference import (
     CrossSpectralTensor,
     PhatWeighting,
@@ -26,6 +26,7 @@ from srp_reference import (
     phat_weighting,
     srp,
 )
+from synthesis import plane_wave_synthesize
 
 FS = 16000
 GEOM = ArrayGeometry.uniform(4, 0.08)
@@ -360,10 +361,11 @@ class TestSrpMp:
         assert pick_doa(limited, GRID) == 100.0
         assert not np.array_equal(full, limited)
 
-    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0, 10.0, 31.2])
     def test_max_freq_limit_must_be_positive(self, limit):
+        """A limit below the first bin's 16000 / 512 = 31.25 Hz would leave only DC; it is named."""
         spec, geom = _plane_wave_spec(100.0, seed=21)
-        with pytest.raises(ValueError, match="max_freq_hz"):
+        with pytest.raises(ValueError, match=r"max_freq_hz .* first bin's 31\.25 Hz"):
             EstimatorCore(spec, GRID, geom, max_freq_hz=limit)
 
 

@@ -1,5 +1,6 @@
 """Metrics, config validation, scene grid enumeration, and the runner."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -209,11 +210,28 @@ class TestValidateConfig:
             ("doas", "all"),
             ("doas", [90, "x"]),
             ("geometry", 4),
+            ("max_freq_hz", 10.0),  # below the first bin's 16000 / 512 = 31.25 Hz
+            ("sample_rate", float("inf")),
+            ("sample_rate", float("nan")),
+            ("stft.window_length", "x"),
+            ("stft.window_length", 512.0),
+            ("stft.window_length", 1),
+            ("stft.hop", "x"),
+            ("stft.hop", 1.5),
+            ("stft.hop", 0),
+            ("stft.hop", 513),  # above the window length
+            ("geometry.mic_spacing_m", "x"),
+            ("geometry.mic_spacing_m", None),
+            ("geometry.mic_spacing_m", float("inf")),
+            ("geometry.num_mics", 2.5),
+            ("geometry.num_mics", 1),
         ],
     )
     def test_bad_values_name_their_key(self, key, value):
-        with pytest.raises(evaluate.ConfigError, match=key):
-            validate_config({key: value})
+        """A bad value raises a ConfigError naming its key, dotted if it is nested."""
+        parent, _, child = key.rpartition(".")
+        with pytest.raises(evaluate.ConfigError, match=re.escape(repr(key))):
+            validate_config({parent: {child: value}} if parent else {key: value})
 
     def test_boundary_values_accepted(self):
         cfg = validate_config(
@@ -222,6 +240,8 @@ class TestValidateConfig:
              "acc_threshold_deg": 10.0, "max_freq_hz": None}
         )
         assert cfg["doas"] == [0.0, 180.0]
+        assert validate_config({"max_freq_hz": 31.25})["max_freq_hz"] == 31.25  # the first bin, 16000 / 512 Hz
+        assert validate_config({"stft": {"window_length": 2, "hop": 2}, "geometry": {"num_mics": 2}})
 
     def test_interferer_kept_away_from_source(self):
         cfg = validate_config({"sir_db": 0.0, "duration_frames": 4})
@@ -366,6 +386,37 @@ class TestSharedCore:
                     record.method,
                     record.mask_kind,
                 )
+
+    @pytest.mark.parametrize("scene_index", [0, 3])  # anechoic, max_freq_hz 5000
+    def test_runner_scores_the_scene_inputs(self, scene_index):
+        """scene_inputs builds one mask per kind and the core over the central frames;
+        _run_scene's records are the picks of core.spectra on exactly these."""
+        scene_id, spec, cfg = _sweep_scenes()[scene_index]
+        core, masks = evaluate.scene_inputs(spec, cfg)
+        truth = simulate.mix_scene(spec)
+        mix, direct = stft(truth.mixture), stft(truth.direct[0])
+        assert len(masks) == len(cfg["masks"])
+        for kind, mask in zip(cfg["masks"], masks):
+            np.testing.assert_array_equal(mask, evaluate.build_mask(kind, mix, direct, spec.seed), err_msg=kind)
+        start = (mix.num_frames - cfg["eval_frames"]) // 2
+        assert core.frames == slice(start, start + cfg["eval_frames"])
+        np.testing.assert_array_equal(core.bins, mix.bins[:, :, core.frames])
+        limit = cfg["max_freq_hz"]
+        if limit is None:
+            assert core.cut is None
+        else:
+            np.testing.assert_array_equal(core.cut, mix.bin_frequency(np.arange(mix.num_bins)) > limit)
+
+        grid = make_grid(cfg["grid_size"])
+        picks = {}
+        for method in cfg["methods"]:
+            for kind, sps in zip(cfg["masks"], core.spectra(method, masks, cfg["num_sources_music"])):
+                picks[method, kind] = estimate.pick_doa(sps, grid)
+        records = evaluate._run_scene((scene_id, spec, cfg))
+        assert [(r.method, r.mask_kind) for r in records] == [(m, k) for k in cfg["masks"] for m in cfg["methods"]]
+        for r in records:
+            assert (r.scene_id, r.true_doa, r.frames_used) == (scene_id, spec.sources[0].doa_deg, cfg["eval_frames"])
+            assert r.est_doa == picks[r.method, r.mask_kind], (r.method, r.mask_kind)
 
     def test_one_pair_build_per_scene(self, monkeypatch):
         counts = Counter()

@@ -40,6 +40,22 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(np.array([0.0, 0.2, 0.2]))
 
+    @pytest.mark.parametrize("distances", [[np.nan, 0.1], [0.0, np.nan], [0.0, 0.1, np.inf]])
+    def test_distances_must_be_finite(self, distances):
+        with pytest.raises(ValueError, match="finite"):
+            ArrayGeometry(np.array(distances))
+
+    @pytest.mark.parametrize("speed", [np.nan, np.inf, 0.0, -343.0])
+    def test_speed_of_sound_finite_and_positive(self, speed):
+        with pytest.raises(ValueError, match="speed_of_sound must be a finite number > 0"):
+            ArrayGeometry(np.array([0.0, 0.1]), speed)
+
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf, 0.0, -0.08])
+    def test_uniform_spacing_checked_before_use(self, spacing):
+        """A spacing that is not a finite number > 0 is named, with no numpy warning."""
+        with pytest.raises(ValueError, match="spacing must be a finite number > 0"):
+            ArrayGeometry.uniform(4, spacing)
+
 
 class TestSteeringMatrix:
     def setup_method(self):

@@ -14,6 +14,7 @@ from doalab.estimate import EstimatorCore, normalize_sps, pick_doa  # noqa: E402
 from doalab.geometry import ArrayGeometry, make_grid, steering_matrix  # noqa: E402
 from doalab.signal import MultichannelSpectrogram, stft  # noqa: E402
 from srp_reference import cross_spectral_tensor, mask_weighting, narrowband_srp, phat_weighting  # noqa: E402
+from synthesis import plane_wave_synthesize  # noqa: E402
 
 FS = 16000.0
 SETTINGS = hypothesis.settings(
@@ -47,7 +48,8 @@ def masked_scenes(draw):
     num_frames = draw(st.integers(1, 12))
     start = draw(st.integers(0, num_frames - 1))
     frame_range = draw(st.none() | st.tuples(st.just(start), st.integers(start + 1, num_frames + 3)))
-    max_freq_hz = draw(st.none() | st.floats(0.0, FS / 2, exclude_min=True))  # 0 is rejected
+    # 0 is rejected, and so is any limit below the first bin's fs / L (500 to 2000 Hz here)
+    max_freq_hz = draw(st.none() | st.floats(0.0, FS / 2, exclude_min=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = _plane_wave(rng, geom, rng.uniform(0.0, 180.0), num_bins, num_frames, noise=0.3)
     num_masks = draw(st.integers(1, 4))
@@ -71,6 +73,10 @@ def _reference(spec, mask, grid, geom, frames, max_freq_hz):
 @hypothesis.given(masked_scenes())
 def test_pair_form_matches_cross_spectral_oracle(scene):
     spec, grid, geom, frame_range, max_freq_hz, masks = scene
+    if max_freq_hz is not None and max_freq_hz < spec.bin_frequency(1):
+        with pytest.raises(ValueError, match="max_freq_hz"):
+            EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz)
+        return
     core = EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz)
     start, stop = frame_range or (0, spec.num_frames)
     frames = slice(start, min(stop, spec.num_frames))
@@ -131,7 +137,7 @@ def synthesized_plane_waves(draw):
     doa = float(grid.angles_deg[draw(st.integers(0, grid.size - 1))])
     geom = ArrayGeometry.uniform(draw(st.integers(2, 8)), draw(st.floats(0.1, 0.99)) * 343.0 / (2 * BAND_HZ))
     src = simulate.white_noise(1, 4000, draw(st.integers(0, 2**32 - 1)), FS)
-    return stft(simulate.plane_wave_synthesize(src, doa, geom)), grid, geom, doa
+    return stft(plane_wave_synthesize(src, doa, geom)), grid, geom, doa
 
 
 @SETTINGS

@@ -15,10 +15,10 @@ from doalab.simulate import (
     SourceSpec,
     image_method_rir,
     mix_scene,
-    plane_wave_synthesize,
     speech_shaped_noise,
     white_noise,
 )
+from synthesis import plane_wave_synthesize, scatter_pulses
 
 FS = 16000
 ROOM = RoomSpec(np.array([6.0, 5.0, 2.7]), 0.5)
@@ -64,7 +64,7 @@ def _reference_rir_taps(room, src, mics, length, fs=FS, c=343.0):
     for q, mic in enumerate(mics):
         dist = np.linalg.norm(positions - mic[None, :], axis=1)
         d = dist[dist <= reach]
-        taps[q] = simulate._scatter_pulses(length, d / c * fs, gains[dist <= reach] / (4.0 * np.pi * d))
+        taps[q] = scatter_pulses(length, d / c * fs, gains[dist <= reach] / (4.0 * np.pi * d))
     return taps
 
 
@@ -73,13 +73,13 @@ class TestScatterPulses:
 
     def _assert_matches_reference(self, delays, amps):
         for d, a in zip(delays, amps):
-            got = simulate._scatter_pulses(self.LENGTH, np.array([d]), np.array([a]))
+            got = scatter_pulses(self.LENGTH, np.array([d]), np.array([a]))
             ref = _reference_scatter(self.LENGTH, np.array([d]), np.array([a]))
             assert got.shape == (self.LENGTH,)
             np.testing.assert_allclose(
                 got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(), err_msg=f"delay {d!r}"
             )
-        got = simulate._scatter_pulses(self.LENGTH, delays, amps)
+        got = scatter_pulses(self.LENGTH, delays, amps)
         ref = _reference_scatter(self.LENGTH, delays, amps)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
@@ -106,11 +106,11 @@ class TestScatterPulses:
         n = self.LENGTH
         delays = np.array([0.2, 3.7, n - 3.3, n + 0.4, n + 25.6, n + 38.3, n + 39.5])
         self._assert_matches_reference(delays, np.ones(delays.size))
-        far = simulate._scatter_pulses(n, np.array([n + 40.5, 10.0 * n]), np.ones(2))
+        far = scatter_pulses(n, np.array([n + 40.5, 10.0 * n]), np.ones(2))
         np.testing.assert_array_equal(far, np.zeros(n))
 
     def test_empty_delays(self):
-        out = simulate._scatter_pulses(self.LENGTH, np.array([]), np.array([]))
+        out = scatter_pulses(self.LENGTH, np.array([]), np.array([]))
         np.testing.assert_array_equal(out, np.zeros(self.LENGTH))
 
 
@@ -171,7 +171,7 @@ class TestScatterProperties:
     @hypothesis.given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), _pulses(n))))
     def test_matches_per_tap_reference(self, case):
         length, (delays, amps) = case
-        got = simulate._scatter_pulses(length, delays, amps)
+        got = scatter_pulses(length, delays, amps)
         ref = _reference_scatter(length, delays, amps)
         assert got.shape == (length,)
         # the peak of the unclipped kernel: near the ends the buffer may hold only its tails
@@ -186,7 +186,7 @@ class TestScatterProperties:
         got = simulate._scatter_rows(length, [d for d, _ in rows], [a for _, a in rows])
         assert got.shape == (len(rows), length)
         for row, (delays, amps) in zip(got, rows):
-            np.testing.assert_array_equal(row, simulate._scatter_pulses(length, delays, amps))
+            np.testing.assert_array_equal(row, scatter_pulses(length, delays, amps))
 
 
 class TestImageMethodRir:
