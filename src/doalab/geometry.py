@@ -41,7 +41,9 @@ class ArrayGeometry:
 
     @classmethod
     def uniform(cls, num_mics: int, spacing: float, speed_of_sound: float = SPEED_OF_SOUND) -> "ArrayGeometry":
-        """ULA with ``num_mics`` microphones and equal ``spacing`` in meters, a finite number > 0."""
+        """ULA with an integer ``num_mics`` microphones and equal ``spacing`` in meters, a finite number > 0."""
+        if isinstance(num_mics, bool) or not isinstance(num_mics, (int, np.integer)):
+            raise ValueError(f"num_mics must be an integer, got {num_mics!r}")
         if not 0 < spacing < np.inf:  # checked first: 0 * inf would be a NaN distance
             raise ValueError(f"spacing must be a finite number > 0, got {spacing!r}")
         return cls(np.arange(num_mics) * spacing, speed_of_sound)

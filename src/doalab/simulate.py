@@ -10,7 +10,7 @@ the ``truth.json`` sidecar but never read back.
 
 Each image is an 81-tap Hann-windowed sinc pulse; its taps are tabulated
 Chebyshev polynomials of the fractional delay, so placing every pulse of a
-response takes histograms and one small GEMM per row (:func:`_scatter_rows`).
+response takes, row by row, histograms and one small GEMM (:func:`_scatter_rows`).
 
 Convention: a source at DOA theta delays microphone q by
 ``cos(theta) * d_q / c_s`` seconds relative to microphone 1, matching the
@@ -31,7 +31,6 @@ from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, Tim
 
 SINC_HALF_TAPS = 40  # 81-tap Hann-windowed sinc for fractional delays
 TAP_DEGREE = 12  # Chebyshev degree of every kernel tap on each half of the fraction
-_PASS_PULSES = 1 << 15  # pulses per pass of _scatter_rows
 SABINE_CONSTANT = 24.0 * np.log(10.0)
 WALL_MARGIN = 1.0  # meters between every wall and the array and sources
 
@@ -155,7 +154,7 @@ class Rir:
     direct_taps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # a microphone on the source puts a pulse of infinite amplitude here
+        # a safety net: image_method_rir already rejects a microphone on the source
         if not (np.all(np.isfinite(self.taps)) and np.all(np.isfinite(self.direct_taps))):
             raise ValueError("RIR taps must be finite")
 
@@ -247,57 +246,50 @@ def _scatter_rows(length: int, delays, amps) -> np.ndarray:
     Row r gets the 81-tap Hann-windowed sinc of each delay ``delays[r]`` (in
     taps) times its ``amps[r]``. For a delay ``base + f``, ``|f| <= 1/2``, tap
     m is ``sum_k _TAP_TABLE[m, 2 k + h] T_k(u)``. So one bincount per degree k
-    sums ``amp T_k(u)`` per half and base, for many rows at once; per row, one
-    GEMM turns these histograms into the taps of every base, and a skewed view
-    adds the taps along their diagonals in one sum. Rows do not interact, and
-    the taps match the per-tap kernel to ~1e-15 of the peak.
+    sums ``amp T_k(u)`` per half and base, one GEMM turns these histograms
+    into the taps of every base, and a skewed view adds the taps along their
+    diagonals in one sum. Rows do not interact and go one at a time, and the
+    taps match the per-tap kernel to ~1e-15 of the peak.
     """
     out = np.zeros((len(delays), length))
-    # passes over rows of about _PASS_PULSES pulses bound the temporaries
-    cuts = np.flatnonzero(np.diff(np.cumsum([len(d) for d in delays]) // _PASS_PULSES)) + 1
-    for r0, r1 in zip([0, *cuts], [*cuts, len(delays)]):
-        _scatter_pass(length, delays[r0:r1], amps[r0:r1], out[r0:r1])
+    for row, d, amp in zip(out, delays, amps):
+        _scatter_row(length, d, amp, row)
     return out
 
 
-def _scatter_pass(length: int, delays, amps, out: np.ndarray) -> None:
-    """Add the pulses of rows ``delays``, ``amps`` into the rows of ``out``."""
+def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray, row: np.ndarray) -> None:
+    """Write the pulses at delays ``d`` times ``amp`` into the zero ``row``; temporaries end with the call."""
     half = SINC_HALF_TAPS
     # a pulse touches [0, length) iff its base lies in [-H, length + H); the
-    # bases lo .. lo + span - 1 of a row are histogram columns from `column`
-    spans, width = [], 0
-    for d in delays:
-        lo, hi = (max(np.rint(d.min()), -half), min(np.rint(d.max()), length + half - 1)) if d.size else (0, -1)
-        spans.append((width, int(lo), max(int(hi - lo) + 1, 0)))
-        width += spans[-1][2]
-    d = np.concatenate(delays)
+    # bases lo .. lo + span - 1 are the histogram columns
+    lo, hi = (max(np.rint(d.min()), -half), min(np.rint(d.max()), length + half - 1)) if d.size else (0, -1)
+    lo, span = int(lo), int(hi - lo) + 1
+    if span <= 0:  # no pulse touches the row
+        return
     base = np.rint(d)
     touches = (base + half >= 0) & (base - half < length)
     u = (d - base)[touches]
-    base += np.repeat([column - lo for column, lo, _ in spans], [len(x) for x in delays])
+    base -= lo
     index = base[touches].astype(np.int64)
-    amp = np.concatenate(amps)[touches]
-    del d, base, touches  # bound the memory: only the pulses that touch go on
-    index += (u < 0.0) * width  # f in [-1/2, 0) is half 1, u = 4 f + 1; else u = 4 f - 1
+    amp = amp[touches]
+    del base, touches  # bound the memory: only the pulses that touch go on
+    index += (u < 0.0) * span  # f in [-1/2, 0) is half 1, u = 4 f + 1; else u = 4 f - 1
     u = 4.0 * u + np.where(u < 0.0, 1.0, -1.0)
-    hist = np.empty((2 * (TAP_DEGREE + 1), width))  # row 2 k + h
+    hist = np.empty((2 * (TAP_DEGREE + 1), span))  # row 2 k + h
     prev = amp * u  # T_{-1} = T_1 starts T_{k+1} = 2 u T_k - T_{k-1}
     for k in range(TAP_DEGREE + 1):
-        hist[2 * k : 2 * k + 2] = np.bincount(index, amp, 2 * width).reshape(2, width)
+        hist[2 * k : 2 * k + 2] = np.bincount(index, amp, 2 * span).reshape(2, span)
         prev, amp = amp, 2.0 * u * amp - prev
     del u, index, amp, prev
-    for row, (column, lo, span) in zip(out, spans):
-        if span == 0:  # no pulse of this row touches it
-            continue
-        # the 2H zero columns after the taps hold the spill of the last bases
-        taps = np.zeros((2 * half + 1, span + 2 * half))
-        np.matmul(_TAP_TABLE, hist[:, column : column + span], out=taps[:, :span])
-        # element (m, j) of the view is taps[m, j - m], tap m of base lo + j - m;
-        # for j < m it reads the zero columns of the row above
-        skew = as_strided(taps, taps.shape, ((taps.shape[1] - 1) * taps.itemsize, taps.itemsize))
-        start = lo - half  # output tap of view column 0
-        a, b = max(start, 0), min(start + span + 2 * half, length)
-        row[a:b] = skew.sum(axis=0)[a - start : b - start]
+    # the 2H zero columns after the taps hold the spill of the last bases
+    taps = np.zeros((2 * half + 1, span + 2 * half))
+    np.matmul(_TAP_TABLE, hist, out=taps[:, :span])
+    # element (m, j) of the view is taps[m, j - m], tap m of base lo + j - m;
+    # for j < m it reads the zero columns of the row above
+    skew = as_strided(taps, taps.shape, ((taps.shape[1] - 1) * taps.itemsize, taps.itemsize))
+    start = lo - half  # output tap of view column 0
+    a, b = max(start, 0), min(start + span + 2 * half, length)
+    row[a:b] = skew.sum(axis=0)[a - start : b - start]
 
 
 def _sabine_absorption(room: RoomSpec, speed_of_sound: float) -> float:
@@ -319,9 +311,9 @@ def image_method_rir(
 
     The wall reflection coefficient is derived from t60 via Sabine's
     formula and shared by all six walls. Image pulses are placed with
-    fractional-delay windowed-sinc interpolation and 1/(4 pi r) spreading,
-    every microphone's images and direct path in one :func:`_scatter_rows`
-    call. ``direct_taps`` holds only the order-zero image.
+    fractional-delay windowed-sinc interpolation and 1/(4 pi r) spreading
+    by :func:`_scatter_rows`, the direct paths (``direct_taps``) first. An
+    anechoic room's taps are its direct rows within reach, zero elsewhere.
 
     By default the response covers t60 plus a small margin; ``length`` sets
     it in taps. The image set covers every delay representable within it.
@@ -333,39 +325,35 @@ def image_method_rir(
     if np.any(points <= 0) or np.any(points >= dims):
         raise ValueError("source and microphones must lie strictly inside the room")
 
-    if room.t60 > 0:
-        alpha = _sabine_absorption(room, speed_of_sound)
-        if alpha > 1.0:
-            raise ValueError("t60 too small for this room: reflection coefficient would be negative")
-        beta = np.sqrt(1.0 - alpha)
-    else:
-        beta = 0.0
-
     # direct distances, summed (x + y) + z like the image lattice's below, so
-    # that an anechoic response's only image is exactly its direct path
+    # that the lattice's order-zero image is exactly the direct path
     sq = (source_pos - mic_positions) ** 2
     d0 = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-    max_dist = float(np.max(d0))
+    if not np.all(d0 > 0):
+        raise ValueError("a microphone coincides with the source: its direct path has distance 0")
     if length is None:
         tail = room.t60 + 0.05 if room.t60 > 0 else 0.0
-        length = int(np.ceil((max_dist / speed_of_sound + tail) * sample_rate)) + 2 * SINC_HALF_TAPS + 2
+        length = int(np.ceil((float(np.max(d0)) / speed_of_sound + tail) * sample_rate)) + 2 * SINC_HALF_TAPS + 2
     reach = speed_of_sound * length / sample_rate
+    direct = _scatter_rows(length, (d0 / speed_of_sound * sample_rate)[:, None], (1.0 / (4.0 * np.pi * d0))[:, None])
+    if room.t60 == 0:
+        return Rir(taps=np.where((d0 <= reach)[:, None], direct, 0.0), direct_taps=direct)
 
+    alpha = _sabine_absorption(room, speed_of_sound)
+    if alpha > 1.0:
+        raise ValueError("t60 too small for this room: reflection coefficient would be negative")
+    beta = np.sqrt(1.0 - alpha)
     # The images form a separable lattice: per axis, the coordinates of both
     # parities over orders -n..n and their reflection counts.
-    if room.t60 == 0:
-        orders, parities = np.zeros(3, dtype=int), (0,)  # the source alone
-    else:
-        orders = np.ceil((reach + dims) / (2.0 * dims)).astype(int)
-        parities = (0, 1)
+    orders = np.ceil((reach + dims) / (2.0 * dims)).astype(int)
     coords, refl = [], []
     for ax in range(3):
         m = np.arange(-orders[ax], orders[ax] + 1)
-        coords.append(np.concatenate([(1 - 2 * p) * source_pos[ax] + 2.0 * m * dims[ax] for p in parities]))
-        refl.append(np.concatenate([np.abs(m - p) + np.abs(m) for p in parities], dtype=np.float64))
+        coords.append(np.concatenate([(1 - 2 * p) * source_pos[ax] + 2.0 * m * dims[ax] for p in (0, 1)]))
+        refl.append(np.concatenate([np.abs(m - p) + np.abs(m) for p in (0, 1)], dtype=np.float64))
     gains = (beta ** (refl[0][:, None, None] + refl[1][None, :, None] + refl[2][None, None, :])).ravel()
 
-    delays, amps = [], []  # every mic's images, then every mic's direct path
+    delays, amps = [], []
     for mic in mic_positions:
         sx, sy, sz = ((c - mic[ax]) ** 2 for ax, c in enumerate(coords))
         dist = np.sqrt((sx[:, None, None] + sy[None, :, None]) + sz[None, None, :]).ravel()
@@ -373,10 +361,7 @@ def image_method_rir(
         dist = dist[keep]
         delays.append(dist / speed_of_sound * sample_rate)
         amps.append(gains[keep] / (4.0 * np.pi * dist))
-    delays += [np.array([d / speed_of_sound * sample_rate]) for d in d0]
-    amps += [np.array([1.0 / (4.0 * np.pi * d)]) for d in d0]
-    taps, direct = np.split(_scatter_rows(length, delays, amps), 2)
-    return Rir(taps=taps, direct_taps=direct)
+    return Rir(taps=_scatter_rows(length, delays, amps), direct_taps=direct)
 
 
 def _source_samples(spec: SceneSpec, source: SourceSpec, length: int, seed: int) -> np.ndarray:

@@ -516,6 +516,8 @@ class TestExitCodes:
             ({"geometry": {"mic_spacing_m": "x"}}, 0),
             ({"geometry": {"mic_spacing_m": None}}, 0),
             ({"geometry": {"num_mics": 2.5}}, 0),
+            ({"smd": [0.12], "doas": [0]}, 1),
+            ({"smd": [0.12], "doas": [180]}, 1),
         ],
         ids=[
             "t60", "smd", "doas", "num_mics", "master_seed", "max_freq_hz",
@@ -525,6 +527,7 @@ class TestExitCodes:
             "empty-rooms", "empty-t60", "empty-smd", "empty-doas", "max_freq_hz-below-first-bin",
             "window_length-string", "window_length-float", "hop-string", "hop-float",
             "mic_spacing_m-string", "mic_spacing_m-null", "num_mics-float",
+            "source-on-microphone-1", "source-on-microphone-4",
         ],
     )
     def test_eval_config_value(self, tmp_path, capsys, monkeypatch, overrides, simulated):
@@ -540,6 +543,11 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         _one_error_line(capsys)
         assert len(calls) == simulated
+
+    def test_non_string_mask_in_config_is_named(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", masks=[1])
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert "a mask spec must be a string" in _one_error_line(capsys)
 
     @pytest.mark.parametrize("command", ["eval", "simulate"])
     def test_repeated_scene_id_is_named(self, tmp_path, capsys, monkeypatch, command):

@@ -243,6 +243,13 @@ class TestValidateConfig:
         assert validate_config({"max_freq_hz": 31.25})["max_freq_hz"] == 31.25  # the first bin, 16000 / 512 Hz
         assert validate_config({"stft": {"window_length": 2, "hop": 2}, "geometry": {"num_mics": 2}})
 
+    def test_null_snr_gives_scenes_without_noise(self):
+        cfg = validate_config({"snr_db": None, "doas": [90.0], "duration_frames": 4})
+        (_, spec), = evaluate._scene_specs(cfg)
+        assert spec.snr_db is None
+        truth = simulate.mix_scene(spec)
+        assert truth.noise.samples.shape == truth.mixture.samples.shape and not np.any(truth.noise.samples)
+
     def test_interferer_kept_away_from_source(self):
         cfg = validate_config({"sir_db": 0.0, "duration_frames": 4})
         for _, spec in evaluate._scene_specs(cfg):

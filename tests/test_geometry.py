@@ -56,6 +56,15 @@ class TestArrayGeometry:
         with pytest.raises(ValueError, match="spacing must be a finite number > 0"):
             ArrayGeometry.uniform(4, spacing)
 
+    @pytest.mark.parametrize("num_mics", [2.5, 4.0, True, "4", None])
+    def test_uniform_num_mics_must_be_an_integer(self, num_mics):
+        """A non-integer count is named rather than rounded by ``np.arange``; a bool is no count."""
+        with pytest.raises(ValueError, match="num_mics must be an integer"):
+            ArrayGeometry.uniform(num_mics, 0.08)
+
+    def test_uniform_accepts_numpy_integers(self):
+        assert ArrayGeometry.uniform(np.int64(3), 0.08).num_mics == 3
+
 
 class TestSteeringMatrix:
     def setup_method(self):

@@ -48,8 +48,8 @@ def masked_scenes(draw):
     num_frames = draw(st.integers(1, 12))
     start = draw(st.integers(0, num_frames - 1))
     frame_range = draw(st.none() | st.tuples(st.just(start), st.integers(start + 1, num_frames + 3)))
-    # 0 is rejected, and so is any limit below the first bin's fs / L (500 to 2000 Hz here)
-    max_freq_hz = draw(st.none() | st.floats(0.0, FS / 2, exclude_min=True))
+    # a limit below the first bin's fs / L (500 to 2000 Hz here) is rejected, see the next property
+    max_freq_hz = draw(st.none() | st.floats(FS / (2 * (num_bins - 1)), FS / 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = _plane_wave(rng, geom, rng.uniform(0.0, 180.0), num_bins, num_frames, noise=0.3)
     num_masks = draw(st.integers(1, 4))
@@ -73,10 +73,6 @@ def _reference(spec, mask, grid, geom, frames, max_freq_hz):
 @hypothesis.given(masked_scenes())
 def test_pair_form_matches_cross_spectral_oracle(scene):
     spec, grid, geom, frame_range, max_freq_hz, masks = scene
-    if max_freq_hz is not None and max_freq_hz < spec.bin_frequency(1):
-        with pytest.raises(ValueError, match="max_freq_hz"):
-            EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz)
-        return
     core = EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=max_freq_hz)
     start, stop = frame_range or (0, spec.num_frames)
     frames = slice(start, min(stop, spec.num_frames))
@@ -96,6 +92,18 @@ def test_pair_form_matches_cross_spectral_oracle(scene):
         for sps, total in zip(core.spectra("srp-mp", masks), totals):
             expected = normalize_sps(total)
             assert np.max(np.abs(sps - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@SETTINGS
+@hypothesis.given(st.sampled_from([5, 9, 17, 33]), st.data())
+def test_limit_below_the_first_bin_is_rejected(num_bins, data):
+    """Every limit in (0, fs / L) would keep only the DC bin, whose steering is the same everywhere."""
+    first_bin = FS / (2 * (num_bins - 1))
+    max_freq_hz = data.draw(st.floats(0.0, first_bin, exclude_min=True, exclude_max=True))
+    geom = _geometry(data.draw, 0.01)
+    spec = _plane_wave(np.random.default_rng(0), geom, 60.0, num_bins, 4, noise=0.3)
+    with pytest.raises(ValueError, match="max_freq_hz"):
+        EstimatorCore(spec, make_grid(37), geom, max_freq_hz=max_freq_hz)
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 
 from doalab import simulate
 from doalab.geometry import ArrayGeometry
+from doalab.signal import TimeSignal, write_wav
 from doalab.simulate import (
     RoomSpec,
     SceneSpec,
@@ -263,13 +264,30 @@ class TestImageMethodRir:
     @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @hypothesis.given(st.integers(0, 2**32 - 1))
     def test_anechoic_response_is_its_direct_path(self, seed):
-        # the direct path is summed like the image lattice, so the two agree to the bit
+        # an anechoic room's only image is its direct path, within reach of every mic here
         rng = np.random.default_rng(seed)
         room = RoomSpec(np.array([6.0, 5.0, 2.7]), 0.0)
         src = rng.uniform(0.1, room.dimensions - 0.1)
         mics = rng.uniform(0.1, room.dimensions - 0.1, (4, 3))
         rir = image_method_rir(room, src, mics, sample_rate=FS)
         assert np.array_equal(rir.taps, rir.direct_taps)
+
+    def test_anechoic_taps_are_zero_beyond_reach(self):
+        # 30 taps reach 0.64 m: mic 1 at 0.5 m is within it, the pulse of mic 2
+        # at 1.0 m (46.6 taps) is not, though its leading taps fall in the buffer
+        room = RoomSpec(np.array([6.0, 5.0, 2.7]), 0.0)
+        rir = image_method_rir(room, [2.0, 2.5, 1.4], [[2.5, 2.5, 1.4], [3.0, 2.5, 1.4]], length=30, sample_rate=FS)
+        assert np.array_equal(rir.taps[0], rir.direct_taps[0]) and np.any(rir.taps[0])
+        assert not np.any(rir.taps[1]) and not np.any(np.signbit(rir.taps[1]))
+        pulse = scatter_pulses(30, np.array([1.0 / 343.0 * FS]), np.array([1.0 / (4.0 * np.pi)]))
+        assert np.any(pulse) and np.array_equal(rir.direct_taps[1], pulse)
+
+    @pytest.mark.parametrize("t60", [0.0, 0.3])
+    def test_microphone_on_the_source_is_named(self, t60):
+        # raised before any division by the distance, so numpy warns of nothing
+        room = RoomSpec(np.array([6.0, 5.0, 2.7]), t60)
+        with pytest.raises(ValueError, match="a microphone coincides with the source"):
+            image_method_rir(room, [2.0, 2.5, 1.4], [[4.0, 2.5, 1.4], [2.0, 2.5, 1.4]], length=100)
 
     def test_positions_outside_room_raise(self):
         with pytest.raises(ValueError, match="inside the room"):
@@ -470,6 +488,48 @@ class TestMixScene:
             "rir_length_s": 0.2,
             "wall_margin": 1.0,
         }
+
+
+def _wav_source_spec(path):
+    return SceneSpec(
+        room=RoomSpec(np.array([6.0, 5.0, 2.7]), 0.0),
+        geometry=ArrayGeometry.uniform(4, 0.08),
+        sources=(SourceSpec(60.0, 1.5, str(path)),),
+        snr_db=None,
+        sir_db=None,
+        seed=3,
+        duration_frames=10,
+        rir_length_s=0.05,
+    )
+
+
+class TestWavSource:
+    def test_long_enough_wav_is_used(self, tmp_path):
+        spec = _wav_source_spec(tmp_path / "src.wav")
+        n = spec.num_samples
+        audio = np.random.default_rng(0).standard_normal(n + 5).astype(np.float32)
+        write_wav(tmp_path / "src.wav", TimeSignal(audio[None, :], FS))
+        truth = mix_scene(spec)
+        rir = image_method_rir(spec.room, truth.source_positions[0], truth.mic_positions, 800, FS)
+        expected = simulate._convolve(audio[None, :n].astype(np.float64), rir.direct_taps)[:, :n]
+        np.testing.assert_array_equal(truth.direct[0].samples, expected)
+        np.testing.assert_array_equal(truth.mixture.samples, expected)
+
+    @pytest.mark.parametrize(
+        "extra, rate, scale, message",
+        [
+            (-1, FS, 1.0, "source audio too short"),
+            (0, 8000, 1.0, "sample rate mismatch"),
+            (0, FS, 0.0, "zero-energy source"),
+        ],
+        ids=["one-sample-short", "8-kHz", "all-zeros"],
+    )
+    def test_unusable_wav_is_named(self, tmp_path, extra, rate, scale, message):
+        spec = _wav_source_spec(tmp_path / "src.wav")
+        audio = scale * np.random.default_rng(0).standard_normal(spec.num_samples + extra)
+        write_wav(tmp_path / "src.wav", TimeSignal(audio[None, :], rate))
+        with pytest.raises(ValueError, match=message):
+            mix_scene(spec)
 
 
 class TestSceneSpecValidation:
