@@ -29,6 +29,7 @@ from itertools import chain, product
 import numpy as np
 
 from . import attention, estimate, simulate
+from .blas import one_blas_thread
 from .geometry import ArrayGeometry, DoaGrid, make_grid
 from .signal import stft
 
@@ -410,6 +411,12 @@ def _run_scene(args):
     ]
 
 
+def _scene_pool(jobs: int) -> concurrent.futures.ProcessPoolExecutor:
+    """``jobs`` scene workers on one BLAS thread each, so they keep ``jobs`` cores
+    busy rather than twice that. A worker renders its scenes inline."""
+    return concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=one_blas_thread)
+
+
 def run_experiment(config: dict, out_dir=None):
     """Run the configured scene grid and return (records, reports).
 
@@ -422,7 +429,7 @@ def run_experiment(config: dict, out_dir=None):
     scenes = _scene_specs(cfg)
     tasks = [(scene_id, spec, cfg) for scene_id, spec in scenes]
     if cfg["jobs"] > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
+        with _scene_pool(cfg["jobs"]) as pool:
             results = list(pool.map(_run_scene, tasks, chunksize=1))
     else:
         results = [_run_scene(task) for task in tasks]

@@ -11,6 +11,8 @@ the ``truth.json`` sidecar but never read back.
 Each image is an 81-tap Hann-windowed sinc pulse; its taps are tabulated
 Chebyshev polynomials of the fractional delay, so placing every pulse of a
 response takes, row by row, histograms and one small GEMM (:func:`_scatter_rows`).
+A reverberant two-source scene renders its sources side by side, the second
+on a helper thread that ends with the scene (:func:`mix_scene`).
 
 Convention: a source at DOA theta delays microphone q by
 ``cos(theta) * d_q / c_s`` seconds relative to microphone 1, matching the
@@ -19,13 +21,17 @@ far-field steering model in :mod:`doalab.geometry`.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .blas import one_blas_thread
 from .geometry import ArrayGeometry
 from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, TimeSignal, read_wav
 
@@ -240,32 +246,31 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
 
 
-def _scatter_rows(length: int, delays, amps) -> np.ndarray:
+def _scatter_rows(length: int, rows) -> np.ndarray:
     """Sum rows of fractional-delay pulses into an (R, length) tap buffer.
 
-    Row r gets the 81-tap Hann-windowed sinc of each delay ``delays[r]`` (in
-    taps) times its ``amps[r]``. For a delay ``base + f``, ``|f| <= 1/2``, tap
-    m is ``sum_k _TAP_TABLE[m, 2 k + h] T_k(u)``. So one bincount per degree k
+    Each of the R ``(delays, amps)`` pairs in ``rows``, which may be produced
+    lazily, gets the 81-tap Hann-windowed sinc of each delay (in taps) times
+    its amp. For a delay ``base + f``, ``|f| <= 1/2``, tap m is
+    ``sum_k _TAP_TABLE[m, 2 k + h] T_k(u)``. So one bincount per degree k
     sums ``amp T_k(u)`` per half and base, one GEMM turns these histograms
     into the taps of every base, and a skewed view adds the taps along their
     diagonals in one sum. Rows do not interact and go one at a time, and the
     taps match the per-tap kernel to ~1e-15 of the peak.
     """
-    out = np.zeros((len(delays), length))
-    for row, d, amp in zip(out, delays, amps):
-        _scatter_row(length, d, amp, row)
-    return out
+    return np.array([_scatter_row(length, d, amp) for d, amp in rows])
 
 
-def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray, row: np.ndarray) -> None:
-    """Write the pulses at delays ``d`` times ``amp`` into the zero ``row``; temporaries end with the call."""
+def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """The pulses at delays ``d`` times ``amp`` in ``length`` taps; temporaries end with the call."""
     half = SINC_HALF_TAPS
+    row = np.zeros(length)
     # a pulse touches [0, length) iff its base lies in [-H, length + H); the
     # bases lo .. lo + span - 1 are the histogram columns
     lo, hi = (max(np.rint(d.min()), -half), min(np.rint(d.max()), length + half - 1)) if d.size else (0, -1)
     lo, span = int(lo), int(hi - lo) + 1
     if span <= 0:  # no pulse touches the row
-        return
+        return row
     base = np.rint(d)
     touches = (base + half >= 0) & (base - half < length)
     u = (d - base)[touches]
@@ -290,6 +295,7 @@ def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray, row: np.ndarray) -
     start = lo - half  # output tap of view column 0
     a, b = max(start, 0), min(start + span + 2 * half, length)
     row[a:b] = skew.sum(axis=0)[a - start : b - start]
+    return row
 
 
 def _sabine_absorption(room: RoomSpec, speed_of_sound: float) -> float:
@@ -314,6 +320,9 @@ def image_method_rir(
     fractional-delay windowed-sinc interpolation and 1/(4 pi r) spreading
     by :func:`_scatter_rows`, the direct paths (``direct_taps``) first. An
     anechoic room's taps are its direct rows within reach, zero elsewhere.
+    In a reverberant room each microphone's images are formed and scattered
+    before the next microphone's, so one microphone's images are held at a
+    time.
 
     By default the response covers t60 plus a small margin; ``length`` sets
     it in taps. The image set covers every delay representable within it.
@@ -335,7 +344,7 @@ def image_method_rir(
         tail = room.t60 + 0.05 if room.t60 > 0 else 0.0
         length = int(np.ceil((float(np.max(d0)) / speed_of_sound + tail) * sample_rate)) + 2 * SINC_HALF_TAPS + 2
     reach = speed_of_sound * length / sample_rate
-    direct = _scatter_rows(length, (d0 / speed_of_sound * sample_rate)[:, None], (1.0 / (4.0 * np.pi * d0))[:, None])
+    direct = _scatter_rows(length, zip(d0[:, None] / speed_of_sound * sample_rate, 1.0 / (4.0 * np.pi * d0[:, None])))
     if room.t60 == 0:
         return Rir(taps=np.where((d0 <= reach)[:, None], direct, 0.0), direct_taps=direct)
 
@@ -353,15 +362,15 @@ def image_method_rir(
         refl.append(np.concatenate([np.abs(m - p) + np.abs(m) for p in (0, 1)], dtype=np.float64))
     gains = (beta ** (refl[0][:, None, None] + refl[1][None, :, None] + refl[2][None, None, :])).ravel()
 
-    delays, amps = [], []
-    for mic in mic_positions:
+    def lattice_row(mic):
         sx, sy, sz = ((c - mic[ax]) ** 2 for ax, c in enumerate(coords))
         dist = np.sqrt((sx[:, None, None] + sy[None, :, None]) + sz[None, None, :]).ravel()
         keep = dist <= reach
         dist = dist[keep]
-        delays.append(dist / speed_of_sound * sample_rate)
-        amps.append(gains[keep] / (4.0 * np.pi * dist))
-    return Rir(taps=_scatter_rows(length, delays, amps), direct_taps=direct)
+        return dist / speed_of_sound * sample_rate, gains[keep] / (4.0 * np.pi * dist)
+
+    # one microphone's images at a time: each row is scattered before the next is formed
+    return Rir(taps=_scatter_rows(length, map(lattice_row, mic_positions)), direct_taps=direct)
 
 
 def _source_samples(spec: SceneSpec, source: SourceSpec, length: int, seed: int) -> np.ndarray:
@@ -409,6 +418,35 @@ def _place_scene(spec: SceneSpec, rng: np.random.Generator):
     raise ValueError("could not place array and sources inside the room margins")
 
 
+def _render_source(spec: SceneSpec, source: SourceSpec, position, mics, rir_length, seed: int):
+    """One source's (direct, reverb) at the microphones, before the SIR gain."""
+    n = spec.num_samples
+    samples = _source_samples(spec, source, n, seed)
+    if not np.any(samples):
+        raise ValueError("zero-energy source")
+    rir = image_method_rir(spec.room, position, mics, rir_length, spec.sample_rate, spec.geometry.speed_of_sound)
+    if np.array_equal(rir.taps, rir.direct_taps):  # anechoic: no reverberation to convolve
+        direct = _convolve(samples[None, :], rir.direct_taps)[:, :n]
+        return direct, np.zeros_like(direct)
+    # one call for both responses, so the source FFT is taken once
+    both = _convolve(samples[None, :], np.vstack([rir.taps, rir.direct_taps]))
+    full, direct = np.split(both[:, :n], 2)
+    return direct, full - direct
+
+
+# the process's BLAS is set to one thread when its first helper thread starts
+_one_blas_thread_once = functools.cache(one_blas_thread)
+
+
+def _side_by_side(spec: SceneSpec) -> bool:
+    """Whether the second source renders on a helper thread: a reverberant two-source
+    scene, in a process that is no pool worker and may use more than one CPU.
+    An anechoic render takes a few ms, too little to pay for a thread and its memory arena."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    mp = sys.modules.get("multiprocessing")  # loaded in every pool worker; not imported here, to keep import light
+    return len(spec.sources) == 2 and spec.room.t60 > 0 and cpus > 1 and (mp is None or mp.parent_process() is None)
+
+
 def mix_scene(spec: SceneSpec) -> SceneTruth:
     """Generate a scene: convolve, scale to SIR/SNR, and mix.
 
@@ -416,6 +454,12 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
     sources at microphone 1 equals ``sir_db``; sensor noise is scaled to
     ``snr_db`` against source 1 at microphone 1. The returned mixture is
     the exact sample-wise sum of all ground-truth components.
+
+    In a reverberant two-source scene the second source renders on a helper
+    thread while the calling thread renders the first (:func:`_side_by_side`),
+    with OpenBLAS set to one thread for the process so that the two cores
+    run the two renders. The helper is joined before this returns or raises,
+    the first source's error wins, and every sample is the same either way.
     """
     rng = np.random.default_rng(spec.seed)
     mics, srcs = _place_scene(spec, rng)
@@ -424,24 +468,21 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
     if spec.rir_length_s is not None:
         rir_length = int(round(spec.rir_length_s * spec.sample_rate))
 
-    directs, reverbs, gains = [], [], []
-    for i, source in enumerate(spec.sources):
-        src_seed = int(rng.integers(0, 2**63 - 1))
-        samples = _source_samples(spec, source, n, src_seed)
-        if not np.any(samples):
-            raise ValueError("zero-energy source")
-        rir = image_method_rir(spec.room, srcs[i], mics, rir_length, spec.sample_rate, spec.geometry.speed_of_sound)
-        if np.array_equal(rir.taps, rir.direct_taps):  # anechoic: no reverberation to convolve
-            direct = _convolve(samples[None, :], rir.direct_taps)[:, :n]
-            reverb = np.zeros_like(direct)
-        else:
-            # one call for both responses, so the source FFT is taken once
-            both = _convolve(samples[None, :], np.vstack([rir.taps, rir.direct_taps]))
-            full, direct = np.split(both[:, :n], 2)
-            reverb = full - direct
-        directs.append(direct)
-        reverbs.append(reverb)
-        gains.append(1.0)
+    jobs = [
+        (spec, source, srcs[i], mics, rir_length, int(rng.integers(0, 2**63 - 1)))
+        for i, source in enumerate(spec.sources)
+    ]
+    if _side_by_side(spec):
+        from concurrent.futures import ThreadPoolExecutor  # only processes that render side by side pay this import
+
+        _one_blas_thread_once()
+        with ThreadPoolExecutor(1) as helper:
+            second = helper.submit(_render_source, *jobs[1])
+            rendered = [_render_source(*jobs[0]), second.result()]
+    else:
+        rendered = [_render_source(*job) for job in jobs]
+    directs, reverbs = map(list, zip(*rendered))
+    gains = [1.0] * len(rendered)
 
     if len(spec.sources) == 2:
         e1 = np.sum((directs[0][0] + reverbs[0][0]) ** 2)

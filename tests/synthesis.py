@@ -15,7 +15,7 @@ from doalab.simulate import SINC_HALF_TAPS, _convolve, _scatter_rows
 
 def scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """One row of ``_scatter_rows``: the pulses summed into ``length`` taps."""
-    return _scatter_rows(length, [delays], [amps])[0]
+    return _scatter_rows(length, [(delays, amps)])[0]
 
 
 def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) -> TimeSignal:
@@ -29,6 +29,6 @@ def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) 
         raise ValueError("plane-wave source must be single-channel")
     delays = np.cos(np.deg2rad(doa_deg)) * geom.mic_distances / geom.speed_of_sound * src.sample_rate
     center = SINC_HALF_TAPS + int(np.ceil(np.max(np.abs(delays)))) + 1
-    kernels = _scatter_rows(2 * center + 1, center + delays[:, None], np.ones((delays.size, 1)))
+    kernels = _scatter_rows(2 * center + 1, zip(center + delays[:, None], np.ones((delays.size, 1))))
     full = _convolve(src.samples, kernels)
     return TimeSignal(full[:, center : center + src.num_samples], src.sample_rate)

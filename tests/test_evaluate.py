@@ -1,7 +1,13 @@
 """Metrics, config validation, scene grid enumeration, and the runner."""
 
+import json
+import os
 import re
+import signal
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +25,10 @@ from doalab.evaluate import (
 )
 from doalab.geometry import make_grid
 from doalab.signal import stft
+from blas_probe import blas_thread_counts, set_blas_threads
 from srp_reference import reference_norm_music, reference_srp_mp
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _record(true_doa, est_doa, scene="s0", method="srp-p", mask="none"):
@@ -312,6 +321,41 @@ class TestRunExperiment:
         assert sorted(outputs[0]) == [
             "confusion.csv", "psacc_vs_doa_t60_0.00.csv", "psacc_vs_doa_t60_0.20.csv", "records.csv", "report.json"
         ]
+
+    def test_jobs_2_after_a_side_by_side_jobs_1_run(self, tmp_path):
+        """A two-source reverberant run starts helper threads; a pool forked after it
+        must still finish, and write what the one-process run wrote."""
+        cfg = _tiny_config(t60=[0.2], rir_length_s=0.1, sir_db=0.0)
+        code = (
+            "import json, sys\n"
+            "from doalab.evaluate import run_experiment\n"
+            "cfg = json.loads(sys.argv[1])\n"
+            "for jobs in (1, 2):\n"
+            "    run_experiment({**cfg, 'jobs': jobs}, out_dir=f'{sys.argv[2]}/{jobs}')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.Popen([sys.executable, "-c", code, json.dumps(cfg), str(tmp_path)], env=env, start_new_session=True)
+        try:
+            returncode = run.wait(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)  # the run and its pool workers
+            run.wait()
+            pytest.fail("run_experiment(jobs=2) after a two-source reverberant jobs=1 run did not finish in 120 s")
+        assert returncode == 0
+        outputs = [{path.name: path.read_bytes() for path in (tmp_path / str(jobs)).iterdir()} for jobs in (1, 2)]
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == ["confusion.csv", "psacc_vs_doa_t60_0.20.csv", "records.csv", "report.json"]
+
+    def test_pool_workers_take_one_blas_thread(self):
+        before = blas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS with a thread-count symbol is loaded")
+        set_blas_threads([2] * len(before))  # a forked worker starts from this, not from one thread
+        try:
+            with evaluate._scene_pool(1) as pool:
+                assert pool.submit(blas_thread_counts).result(timeout=60) == [1] * len(before)
+        finally:
+            set_blas_threads(before)
 
     def test_csv_header(self):
         records, _ = run_experiment(_tiny_config(methods=["srp-p"], masks=["none"]))

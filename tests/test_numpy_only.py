@@ -1,6 +1,9 @@
 """doalab runs on numpy alone: its window, filters, convolution and WAV I/O
-against scipy as the reference, and an import guard that keeps scipy out."""
+against scipy as the reference, and import guards that keep scipy out and
+leave threads and BLAS settings alone."""
 
+import ast
+import json
 import os
 import struct
 import subprocess
@@ -27,6 +30,31 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_starts_no_thread_and_keeps_blas_threads():
+    code = (
+        "import json, threading, numpy\n"
+        "from blas_probe import blas_thread_counts\n"
+        "before = [threading.active_count(), blas_thread_counts()]\n"
+        "import doalab, doalab.cli\n"
+        "print(json.dumps([before, [threading.active_count(), blas_thread_counts()]]))\n"
+    )
+    path = os.pathsep.join([str(SRC), str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    before, after = json.loads(out.stdout)
+    assert after == before
+
+
+def test_blas_helper_imports_only_the_standard_library():
+    tree = ast.parse((SRC / "doalab" / "blas.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not any(isinstance(node, ast.ImportFrom) and node.level for node in imports)
+    names = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in imports if isinstance(node, ast.ImportFrom)}
+    assert "ctypes" in names
+    assert {name.split(".")[0] for name in names} <= sys.stdlib_module_names
 
 
 @pytest.mark.parametrize("length", [2, 8, 255, 256, 511, 512, 1024])

@@ -1,6 +1,10 @@
 """Scene simulation: image-method RIRs, plane waves, SIR/SNR mixing."""
 
+import dataclasses
 import json
+import os
+import re
+import threading
 
 import hypothesis
 import hypothesis.strategies as st
@@ -184,7 +188,7 @@ class TestScatterProperties:
     )
     def test_batched_rows_equal_per_row_calls(self, case):
         length, rows = case
-        got = simulate._scatter_rows(length, [d for d, _ in rows], [a for _, a in rows])
+        got = simulate._scatter_rows(length, iter(rows))
         assert got.shape == (len(rows), length)
         for row, (delays, amps) in zip(got, rows):
             np.testing.assert_array_equal(row, scatter_pulses(length, delays, amps))
@@ -530,6 +534,94 @@ class TestWavSource:
         write_wav(tmp_path / "src.wav", TimeSignal(audio[None, :], rate))
         with pytest.raises(ValueError, match=message):
             mix_scene(spec)
+
+
+def _inline_mix(spec):
+    """mix_scene rebuilt in one thread from its parts, each source rendered in turn."""
+    rng = np.random.default_rng(spec.seed)
+    mics, srcs = simulate._place_scene(spec, rng)
+    n, q, length = spec.num_samples, spec.geometry.num_mics, round(spec.rir_length_s * spec.sample_rate)
+    directs, reverbs = [], []
+    for i, source in enumerate(spec.sources):
+        samples = simulate._source_samples(spec, source, n, int(rng.integers(0, 2**63 - 1)))
+        rir = image_method_rir(spec.room, srcs[i], mics, length, spec.sample_rate, spec.geometry.speed_of_sound)
+        both = simulate._convolve(samples[None, :], np.vstack([rir.taps, rir.direct_taps]))[:, :n]
+        directs.append(both[q:])
+        reverbs.append(both[:q] - both[q:])
+    e1, e2 = (np.sum((directs[i][0] + reverbs[i][0]) ** 2) for i in range(2))
+    g = np.sqrt(e1 / (e2 * 10.0 ** (spec.sir_db / 10.0)))
+    directs[1] *= g
+    reverbs[1] *= g
+    sigma = np.sqrt(np.mean((directs[0][0] + reverbs[0][0]) ** 2) / 10.0 ** (spec.snr_db / 10.0))
+    noise = sigma * white_noise(q, n, int(rng.integers(0, 2**63 - 1)), spec.sample_rate).samples
+    mixture = np.zeros((q, n))
+    for i in range(2):
+        mixture += directs[i]
+        mixture += reverbs[i]
+    mixture += noise
+    return directs, reverbs, noise, mixture
+
+
+def _assert_same_bits(got, expected):
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestSideBySide:
+    """A reverberant two-source scene renders its second source on a helper thread."""
+
+    @pytest.mark.parametrize("seed, interferer", [(0, "white"), (1, "speech")])
+    def test_bit_identical_to_inline_reference(self, monkeypatch, seed, interferer):
+        spec = _two_source_spec(seed=seed, snr_db=20.0)
+        spec = dataclasses.replace(spec, sources=(spec.sources[0], SourceSpec(120.0, 1.5, interferer)))
+        renderers, render = [], simulate._render_source
+
+        def recording_render(*job):
+            renderers.append(threading.get_ident())
+            return render(*job)
+
+        monkeypatch.setattr(simulate, "_render_source", recording_render)
+        threads = threading.active_count()
+        truth = mix_scene(spec)
+        assert threading.active_count() == threads
+        if len(os.sched_getaffinity(0)) > 1:
+            assert len(set(renderers)) == 2
+        directs, reverbs, noise, mixture = _inline_mix(spec)
+        for i in range(2):
+            _assert_same_bits(truth.direct[i].samples, directs[i])
+            _assert_same_bits(truth.reverb[i].samples, reverbs[i])
+        _assert_same_bits(truth.noise.samples, noise)
+        _assert_same_bits(truth.mixture.samples, mixture)
+
+    @staticmethod
+    def _wav_sources_spec(tmp_path, kinds):
+        """A reverberant two-source spec whose sources named "short" or "zero" are unusable WAVs."""
+        spec = _two_source_spec()
+        n, sources = spec.num_samples, list(spec.sources)
+        for i, kind in enumerate(kinds):
+            if kind != "ok":
+                path = tmp_path / f"{i}.wav"
+                length, scale = (n - 1, 1.0) if kind == "short" else (n, 0.0)
+                write_wav(path, TimeSignal(scale * np.random.default_rng(i).standard_normal((1, length)), FS))
+                sources[i] = SourceSpec(sources[i].doa_deg, 1.5, str(path))
+        return dataclasses.replace(spec, sources=tuple(sources))
+
+    @pytest.mark.parametrize(
+        "kinds, message",
+        [
+            (("ok", "short"), "source audio too short: need {n} samples"),
+            (("ok", "zero"), "zero-energy source"),
+            (("short", "zero"), "source audio too short: need {n} samples"),
+            (("zero", "short"), "zero-energy source"),
+        ],
+        ids=["short-interferer", "all-zero-interferer", "both-bad-short-first", "both-bad-zero-first"],
+    )
+    def test_first_bad_source_error_wins(self, tmp_path, kinds, message):
+        spec = self._wav_sources_spec(tmp_path, kinds)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(n=spec.num_samples))}$"):
+            mix_scene(spec)
+        assert threading.active_count() == threads
 
 
 class TestSceneSpecValidation:
