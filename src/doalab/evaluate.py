@@ -31,7 +31,7 @@ import numpy as np
 from . import attention, estimate, simulate
 from .blas import one_blas_thread
 from .geometry import ArrayGeometry, DoaGrid, make_grid
-from .signal import stft
+from .signal import is_finite_number, stft
 
 ACC_THRESHOLD_DEG = 5.0
 PSACC_THRESHOLD_DEG = 10.0
@@ -172,15 +172,14 @@ def _check_int(cfg: dict, key: str, minimum: int, maximum=np.inf) -> None:
 
 
 def _check_level(cfg: dict, key: str) -> None:
-    value = cfg[key]
+    value, bound = cfg[key], simulate.MAX_LEVEL_DB
     pair = isinstance(value, (list, tuple)) and len(value) == 2
     lo, hi = value if pair else (value, value)
-    if value is not None and not (_is_number(lo) and _is_number(hi) and -np.inf < lo <= hi < np.inf):
-        raise ConfigError(f"config key {key!r} must be null, a finite number or a [lo, hi] range, got {value!r}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    in_bound = is_finite_number(lo, -bound, closed=True) and is_finite_number(hi, lo, closed=True) and hi <= bound
+    if value is not None and not in_bound:
+        raise ConfigError(
+            f"config key {key!r} must be null, a number or a [lo, hi] range within +-{bound:g} dB, got {value!r}"
+        )
 
 
 def _merged(defaults: dict, config, prefix: str = "") -> dict:
@@ -213,16 +212,12 @@ def validate_config(config: dict) -> dict:
     _check_int(cfg, "geometry.num_mics", 2)
     _check_int(cfg, "stft.window_length", 2)
     _check_int(cfg, "stft.hop", 1, maximum=cfg["stft"]["window_length"])
-    for key in ("sample_rate", "geometry.mic_spacing_m"):
+    for key in ("sample_rate", "geometry.mic_spacing_m", "acc_threshold_deg", "psacc_threshold_deg", "max_freq_hz"):
         value = functools.reduce(dict.get, key.split("."), cfg)
-        if not (_is_number(value) and 0 < value < np.inf):
+        if not (is_finite_number(value, 0) or (key == "max_freq_hz" and value is None)):
             raise ConfigError(f"config key {key!r} must be a finite number > 0, got {value!r}")
     _check_level(cfg, "snr_db")
     _check_level(cfg, "sir_db")
-    for key in ("acc_threshold_deg", "psacc_threshold_deg", "max_freq_hz"):
-        value = cfg[key]
-        if not ((_is_number(value) and value > 0) or (key == "max_freq_hz" and value is None)):
-            raise ConfigError(f"config key {key!r} must be a number > 0, got {value!r}")
     limit, first_bin = cfg["max_freq_hz"], cfg["sample_rate"] / cfg["stft"]["window_length"]
     if limit is not None and limit < first_bin:  # it would cut every bin but DC
         raise ConfigError(f"config key 'max_freq_hz' must be at least the first bin's {first_bin:g} Hz, got {limit!r}")
@@ -232,8 +227,8 @@ def validate_config(config: dict) -> dict:
         cfg["doas"] = list(np.linspace(0.0, 180.0, cfg["grid_size"]))
     for key in ("t60", "smd", "doas"):
         values = cfg[key] if isinstance(cfg[key], (list, tuple)) else [cfg[key]]
-        if not all(_is_number(value) for value in values):
-            raise ConfigError(f"config key {key!r} must be a number or a list of numbers, got {cfg[key]!r}")
+        if not all(is_finite_number(value) for value in values):
+            raise ConfigError(f"config key {key!r} must be a finite number or a list of them, got {cfg[key]!r}")
         cfg[key] = values
     for key in ("rooms", "t60", "smd", "doas", "methods", "masks"):
         entries = cfg[key]
@@ -283,7 +278,7 @@ def _scene_specs(cfg: dict):
             raise ConfigError(f"two scenes get the id {scene_id!r}: t60 and smd must differ in 2 decimals, doas in 3")
         scene_ids.add(scene_id)
         spec = simulate.SceneSpec(
-            room=simulate.RoomSpec(np.asarray(room_dims), t60),
+            room=simulate.RoomSpec(room_dims, t60),
             geometry=ArrayGeometry.uniform(
                 cfg["geometry"]["num_mics"], cfg["geometry"]["mic_spacing_m"]
             ),

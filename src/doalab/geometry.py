@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal import is_finite_number
+
 SPEED_OF_SOUND = 343.0
 
 
@@ -36,7 +38,7 @@ class ArrayGeometry:
             raise ValueError("first microphone must sit at distance 0")
         if np.any(np.diff(d) <= 0):
             raise ValueError("mic distances must be strictly increasing")
-        if not 0 < self.speed_of_sound < np.inf:  # NaN fails too
+        if not is_finite_number(self.speed_of_sound, 0):
             raise ValueError(f"speed_of_sound must be a finite number > 0, got {self.speed_of_sound!r}")
 
     @classmethod
@@ -44,8 +46,9 @@ class ArrayGeometry:
         """ULA with an integer ``num_mics`` microphones and equal ``spacing`` in meters, a finite number > 0."""
         if isinstance(num_mics, bool) or not isinstance(num_mics, (int, np.integer)):
             raise ValueError(f"num_mics must be an integer, got {num_mics!r}")
-        if not 0 < spacing < np.inf:  # checked first: 0 * inf would be a NaN distance
-            raise ValueError(f"spacing must be a finite number > 0, got {spacing!r}")
+        # checked first: 0 * inf would be a NaN distance, and too large a spacing overflows the aperture
+        if not is_finite_number(spacing, 0) or spacing > np.finfo(np.float64).max / max(num_mics - 1, 1):
+            raise ValueError(f"spacing must be a finite number > 0 that keeps the aperture finite, got {spacing!r}")
         return cls(np.arange(num_mics) * spacing, speed_of_sound)
 
     @property

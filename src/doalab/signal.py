@@ -11,7 +11,10 @@ PCM or 32/64-bit float and written as 32-bit float.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 DEFAULT_SAMPLE_RATE = 16_000
 DEFAULT_WINDOW_LENGTH = 512
 DEFAULT_HOP = 256
+
+
+def is_finite_number(value, lower: float = -np.inf, closed: bool = False) -> bool:
+    """Whether ``value`` is a real number, no bool, finite as a float and above ``lower`` (or at it if ``closed``)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    finite = real and (abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
+    return finite and (value >= lower if closed else value > lower)
 
 
 @dataclass(frozen=True)
@@ -34,8 +44,8 @@ class TimeSignal:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 2:
             raise ValueError("samples must be a channels x length matrix")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not is_finite_number(self.sample_rate, 0):
+            raise ValueError(f"sample_rate must be a finite number > 0, got {self.sample_rate!r}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
 
@@ -61,6 +71,8 @@ class MultichannelSpectrogram:
         object.__setattr__(self, "bins", bins)
         if bins.ndim != 3:
             raise ValueError("bins must be a Q x K x N tensor")
+        if not is_finite_number(self.sample_rate, 0):
+            raise ValueError(f"sample_rate must be a finite number > 0, got {self.sample_rate!r}")
         q, k, n = bins.shape
         if q < 1 or n < 1:
             raise ValueError("need at least one channel and one frame")
@@ -114,8 +126,8 @@ def stft(
     """
     if window_length % 2 != 0:
         raise ValueError("window_length must be even")
-    if hop <= 0 or hop > window_length:
-        raise ValueError("hop must be in (0, window_length]")
+    if isinstance(hop, bool) or not isinstance(hop, numbers.Integral) or not 1 <= hop <= window_length:
+        raise ValueError(f"hop must be an integer in [1, window_length], got {hop!r}")
     if signal.num_samples < window_length:
         raise ValueError("insufficient samples: signal shorter than one window")
     win = analysis_window(window_length)

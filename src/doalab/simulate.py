@@ -33,12 +33,13 @@ from numpy.lib.stride_tricks import as_strided
 
 from .blas import one_blas_thread
 from .geometry import ArrayGeometry
-from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, TimeSignal, read_wav
+from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, TimeSignal, is_finite_number, read_wav
 
 SINC_HALF_TAPS = 40  # 81-tap Hann-windowed sinc for fractional delays
 TAP_DEGREE = 12  # Chebyshev degree of every kernel tap on each half of the fraction
 SABINE_CONSTANT = 24.0 * np.log(10.0)
 WALL_MARGIN = 1.0  # meters between every wall and the array and sources
+MAX_LEVEL_DB = 1000.0  # |snr_db| and |sir_db| bound: 10 ** (level / 10) stays within 1e+-100
 
 
 def _tap_table(degree: int) -> np.ndarray:
@@ -60,10 +61,6 @@ def _tap_table(degree: int) -> np.ndarray:
 _TAP_TABLE = _tap_table(TAP_DEGREE)
 
 
-def _is_positive(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value > 0
-
-
 @dataclass(frozen=True)
 class RoomSpec:
     """Shoebox room: dimensions in meters, reverberation time in seconds."""
@@ -72,12 +69,11 @@ class RoomSpec:
     t60: float
 
     def __post_init__(self):
-        dims = np.asarray(self.dimensions, dtype=np.float64)
-        object.__setattr__(self, "dimensions", dims)
-        if dims.shape != (3,) or np.any(dims <= 0):
-            raise ValueError("room dimensions must be three positive lengths")
-        if self.t60 < 0:
-            raise ValueError("t60 must be non-negative")
+        if np.shape(self.dimensions) != (3,) or not all(is_finite_number(d, 0) for d in self.dimensions):
+            raise ValueError(f"room dimensions must be three finite numbers > 0, got {self.dimensions!r}")
+        object.__setattr__(self, "dimensions", np.asarray(self.dimensions, dtype=np.float64))
+        if not is_finite_number(self.t60, 0, closed=True):
+            raise ValueError(f"t60 must be a finite number >= 0, got {self.t60!r}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,10 @@ class SourceSpec:
     signal: str = "white"  # "white", "speech", or a WAV path
 
     def __post_init__(self):
-        if not 0.0 <= self.doa_deg <= 180.0:
-            raise ValueError("source DOA must lie in [0, 180] degrees")
-        if self.smd_m <= 0:
-            raise ValueError("source-microphone distance must be positive")
+        if not (is_finite_number(self.doa_deg, 0.0, closed=True) and self.doa_deg <= 180.0):
+            raise ValueError(f"source DOA must lie in [0, 180] degrees, got {self.doa_deg!r}")
+        if not is_finite_number(self.smd_m, 0):
+            raise ValueError(f"source-microphone distance smd_m must be a finite number > 0, got {self.smd_m!r}")
         if not isinstance(self.signal, str):
             raise ValueError(f"source signal must be 'white', 'speech' or a WAV path, got {self.signal!r}")
 
@@ -120,14 +116,18 @@ class SceneSpec:
             raise ValueError("scenes support one or two sources")
         if len(sources) == 2 and self.sir_db is None:
             raise ValueError("two-source scenes need sir_db")
-        if not np.all(np.isfinite([level for level in (self.snr_db, self.sir_db) if level is not None])):
-            raise ValueError(f"snr_db and sir_db must be null or finite, got {self.snr_db!r} and {self.sir_db!r}")
-        if self.duration_frames < 1:
-            raise ValueError("duration_frames must be positive")
-        if not _is_positive(self.sample_rate):
-            raise ValueError(f"sample_rate must be a positive number, got {self.sample_rate!r}")
-        length = self.rir_length_s
-        if length is not None and not (_is_positive(length) and round(length * self.sample_rate) >= 1):
+        levels = [level for level in (self.snr_db, self.sir_db) if level is not None]
+        if not all(is_finite_number(level) and abs(level) <= MAX_LEVEL_DB for level in levels):
+            raise ValueError(
+                f"snr_db and sir_db must be null or within +-{MAX_LEVEL_DB:g} dB, got {self.snr_db!r} and {self.sir_db!r}"
+            )
+        frames = self.duration_frames
+        if isinstance(frames, bool) or not isinstance(frames, numbers.Integral) or frames < 1:
+            raise ValueError(f"duration_frames must be an integer >= 1, got {frames!r}")
+        if not is_finite_number(self.sample_rate, 0):
+            raise ValueError(f"sample_rate must be a finite number > 0, got {self.sample_rate!r}")
+        length = self.rir_length_s  # null, or a tap count length * sample_rate that rounds to 1 or more
+        if length is not None and not (is_finite_number(length, 0) and is_finite_number(length * self.sample_rate, 0.5)):
             raise ValueError(f"rir_length_s must be null or at least one sample long, got {length!r}")
 
     @property

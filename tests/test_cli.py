@@ -18,6 +18,22 @@ from synthesis import plane_wave_synthesize
 
 FS = 16000
 
+# numbers json reads from the literals NaN and Infinity, and levels beyond simulate.MAX_LEVEL_DB,
+# each with the key or field its error names
+NAN, INF = float("nan"), float("inf")
+UNUSABLE_NUMBERS = {
+    "t60-infinity": ({"t60": [INF]}, "'t60'"),
+    "rir_length_s-infinity": ({"rir_length_s": INF}, "rir_length_s"),
+    "room-nan": ({"rooms": [[6.0, 5.0, NAN]]}, "room dimensions"),
+    "t60-nan": ({"t60": [NAN]}, "'t60'"),
+    "smd-nan": ({"smd": [NAN]}, "'smd'"),
+    "snr_db-4000": ({"snr_db": 4000}, "'snr_db'"),
+    "sir_db-4000": ({"sir_db": 4000}, "'sir_db'"),
+    "sir_db-minus-4000": ({"sir_db": -4000}, "'sir_db'"),
+    "snr_db-range-from-minus-4000": ({"snr_db": [-4000, 0]}, "'snr_db'"),
+    "sir_db-range-to-4000": ({"sir_db": [0, 4000]}, "'sir_db'"),
+}
+
 
 def _write_config(path, **overrides):
     cfg = {
@@ -518,6 +534,9 @@ class TestExitCodes:
             ({"geometry": {"num_mics": 2.5}}, 0),
             ({"smd": [0.12], "doas": [0]}, 1),
             ({"smd": [0.12], "doas": [180]}, 1),
+            ({"psacc_threshold_deg": INF}, 0),
+            ({"max_freq_hz": INF}, 0),
+            *[(overrides, 0) for overrides, _ in UNUSABLE_NUMBERS.values()],
         ],
         ids=[
             "t60", "smd", "doas", "num_mics", "master_seed", "max_freq_hz",
@@ -528,6 +547,7 @@ class TestExitCodes:
             "window_length-string", "window_length-float", "hop-string", "hop-float",
             "mic_spacing_m-string", "mic_spacing_m-null", "num_mics-float",
             "source-on-microphone-1", "source-on-microphone-4",
+            "psacc_threshold_deg-infinity", "max_freq_hz-infinity", *UNUSABLE_NUMBERS,
         ],
     )
     def test_eval_config_value(self, tmp_path, capsys, monkeypatch, overrides, simulated):
@@ -573,6 +593,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         assert repr(key) in _one_error_line(capsys)
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("overrides, name", UNUSABLE_NUMBERS.values(), ids=UNUSABLE_NUMBERS)
+    def test_unusable_number_simulates_nothing(self, tmp_path, capsys, monkeypatch, overrides, name):
+        """A non-finite value or an unbounded level exits 1 naming it, before any scene or --out-dir is made."""
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert name in _one_error_line(capsys)
+        assert calls == [] and not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "spec",

@@ -234,6 +234,28 @@ class TestValidateConfig:
             ("geometry.mic_spacing_m", float("inf")),
             ("geometry.num_mics", 2.5),
             ("geometry.num_mics", 1),
+            ("sample_rate", True),
+            ("geometry.mic_spacing_m", float("nan")),
+            ("acc_threshold_deg", float("nan")),
+            ("psacc_threshold_deg", float("inf")),  # accepted before every threshold had to be finite
+            ("max_freq_hz", float("inf")),
+            ("max_freq_hz", float("nan")),
+            ("max_freq_hz", True),
+            ("snr_db", True),
+            ("snr_db", float("nan")),
+            ("snr_db", [float("nan"), 10.0]),
+            ("snr_db", 4000.0),
+            ("snr_db", [-4000.0, 0.0]),
+            ("sir_db", -4000.0),
+            ("sir_db", [0.0, 4000.0]),
+            ("sir_db", [0.0, True]),
+            ("t60", [float("inf")]),
+            ("t60", [0.3, float("nan")]),
+            ("t60", True),
+            ("smd", [float("nan")]),
+            ("smd", [-float("inf")]),
+            ("doas", [float("nan")]),
+            ("doas", [90.0, 10**400]),  # beyond the float range
         ],
     )
     def test_bad_values_name_their_key(self, key, value):
@@ -250,6 +272,9 @@ class TestValidateConfig:
         )
         assert cfg["doas"] == [0.0, 180.0]
         assert validate_config({"max_freq_hz": 31.25})["max_freq_hz"] == 31.25  # the first bin, 16000 / 512 Hz
+        assert validate_config({"t60": 0, "snr_db": [-300, 300], "sir_db": 300})["t60"] == [0]
+        bound = simulate.MAX_LEVEL_DB
+        assert validate_config({"snr_db": [-bound, bound], "sir_db": -bound})["sir_db"] == -bound
         assert validate_config({"stft": {"window_length": 2, "hop": 2}, "geometry": {"num_mics": 2}})
 
     def test_null_snr_gives_scenes_without_noise(self):

@@ -45,14 +45,14 @@ class TestArrayGeometry:
         with pytest.raises(ValueError, match="finite"):
             ArrayGeometry(np.array(distances))
 
-    @pytest.mark.parametrize("speed", [np.nan, np.inf, 0.0, -343.0])
+    @pytest.mark.parametrize("speed", [np.nan, np.inf, 0.0, -343.0, -np.inf, True, "343"])
     def test_speed_of_sound_finite_and_positive(self, speed):
         with pytest.raises(ValueError, match="speed_of_sound must be a finite number > 0"):
             ArrayGeometry(np.array([0.0, 0.1]), speed)
 
-    @pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf, 0.0, -0.08])
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf, 0.0, -0.08, True, "0.08", 1e308, 6e307])
     def test_uniform_spacing_checked_before_use(self, spacing):
-        """A spacing that is not a finite number > 0 is named, with no numpy warning."""
+        """A spacing that is not a finite number > 0, or whose last distance overflows, is named, with no numpy warning."""
         with pytest.raises(ValueError, match="spacing must be a finite number > 0"):
             ArrayGeometry.uniform(4, spacing)
 
@@ -64,6 +64,7 @@ class TestArrayGeometry:
 
     def test_uniform_accepts_numpy_integers(self):
         assert ArrayGeometry.uniform(np.int64(3), 0.08).num_mics == 3
+        assert ArrayGeometry.uniform(np.int64(4), 5e307).aperture == 1.5e308  # near the largest spacing that fits, max float / 3
 
 
 class TestSteeringMatrix:

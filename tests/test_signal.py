@@ -111,3 +111,19 @@ class TestValidation:
     def test_odd_window_rejected(self):
         with pytest.raises(ValueError):
             stft(TimeSignal(np.zeros((1, 1000)), FS), 511, 256)
+
+    @pytest.mark.parametrize("rate", [0, -5.0, np.nan, np.inf, -np.inf, True, "16000", 10**400])
+    def test_sample_rate_must_be_a_finite_number_above_0(self, rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            TimeSignal(np.zeros((1, 4)), rate)
+        with pytest.raises(ValueError, match="sample_rate"):
+            MultichannelSpectrogram(np.zeros((1, 257, 2), dtype=complex), rate, 512)
+
+    @pytest.mark.parametrize("hop", [0, 513, 1.5, 256.0, True, np.nan, "256"])
+    def test_hop_must_be_an_integer_up_to_the_window(self, hop):
+        with pytest.raises(ValueError, match="hop"):
+            stft(TimeSignal(np.zeros((1, 1000)), FS), 512, hop)
+
+    def test_boundary_rates_and_hops_accepted(self):
+        assert stft(TimeSignal(np.zeros((1, 1000)), 1e-300), 512, np.int64(512)).num_frames == 1
+        assert MultichannelSpectrogram(np.zeros((1, 257, 2), dtype=complex), np.float32(8000), 512).sample_rate == 8000

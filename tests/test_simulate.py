@@ -638,14 +638,27 @@ class TestSceneSpecValidation:
             )
 
     def test_doa_range_checked(self):
-        with pytest.raises(ValueError):
-            SourceSpec(185.0, 1.0)
+        for doa in (185.0, -1.0, np.nan, np.inf, True, "90"):
+            with pytest.raises(ValueError, match="source DOA"):
+                SourceSpec(doa, 1.0)
+        assert SourceSpec(0, 1.0).doa_deg == 0 and SourceSpec(180.0, 1.0).doa_deg == 180.0
+
+    @pytest.mark.parametrize("smd", [0, -1.0, np.nan, np.inf, -np.inf, True, "1.5"])
+    def test_smd_must_be_a_finite_number_above_0(self, smd):
+        with pytest.raises(ValueError, match="smd_m"):
+            SourceSpec(90.0, smd)
 
     def test_bad_room_rejected(self):
-        with pytest.raises(ValueError):
-            RoomSpec(np.array([6.0, -5.0, 2.7]), 0.3)
-        with pytest.raises(ValueError):
-            RoomSpec(np.array([6.0, 5.0, 2.7]), -0.1)
+        for dims in ([6.0, -5.0, 2.7], [6.0, 5.0, np.nan], [np.inf, 5.0, 2.7], [6.0, -np.inf, 2.7],
+                     [6.0, True, 2.7], [6.0, "5", 2.7], [6.0, 5.0], 6.0):
+            with pytest.raises(ValueError, match="room dimensions"):
+                RoomSpec(dims, 0.3)
+        for t60 in (-0.1, np.nan, np.inf, -np.inf, True, "0.3"):
+            with pytest.raises(ValueError, match="t60"):
+                RoomSpec(np.array([6.0, 5.0, 2.7]), t60)
+        room = RoomSpec([6, 5, 3], 0)  # an anechoic room; the spec keeps the numbers it was given
+        assert room.t60 == 0 and type(room.t60) is int
+        np.testing.assert_array_equal(room.dimensions, [6.0, 5.0, 3.0])
 
     @pytest.mark.parametrize("signal", [5, None, b"white"])
     def test_signal_must_be_a_string(self, signal):
@@ -654,12 +667,25 @@ class TestSceneSpecValidation:
             SourceSpec(90.0, 1.0, signal)
 
     @pytest.mark.parametrize(
-        "snr_db, sir_db", [(-np.inf, 0.0), (np.inf, 0.0), (np.nan, 0.0), (30.0, -np.inf), (None, np.inf)]
+        "snr_db, sir_db",
+        [
+            (-np.inf, 0.0), (np.inf, 0.0), (np.nan, 0.0), (30.0, -np.inf), (None, np.inf),
+            (None, np.nan), (True, 0.0), (30.0, False), ("30", 0.0), (30.0, "0"),
+            (4000.0, 0.0), (30.0, 4000.0), (30.0, -4000.0), (-1000.001, 0.0), (30.0, 1000.001),
+        ],
     )
     def test_levels_must_be_finite(self, snr_db, sir_db):
-        # null is the one way to a noiseless scene; an infinite SIR would scale source 2 by 0 or inf
+        # null is the one way to a noiseless scene; an infinite SIR would scale source 2 by 0 or inf,
+        # and a level beyond MAX_LEVEL_DB could overflow 10 ** (level / 10) or the SIR gain
         with pytest.raises(ValueError, match="snr_db and sir_db"):
             _two_source_spec(snr_db=snr_db, sir_db=sir_db)
+
+    @pytest.mark.parametrize("snr_db, sir_db", [(300.0, -300.0), (-300, 300), (1000.0, -1000.0), (-1000, 1000)])
+    def test_levels_within_the_bound_give_finite_scenes(self, snr_db, sir_db):
+        assert simulate.MAX_LEVEL_DB == 1000.0
+        truth = mix_scene(_two_source_spec(snr_db=snr_db, sir_db=sir_db))  # numpy warnings are errors here
+        assert np.all(np.isfinite(truth.source_gains)) and np.all(truth.source_gains > 0)
+        assert np.all(np.isfinite(truth.mixture.samples)) and np.any(truth.noise.samples)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -671,6 +697,20 @@ class TestSceneSpecValidation:
             ("rir_length_s", -1.0),
             ("rir_length_s", "x"),
             ("rir_length_s", 1e-5),  # rounds to zero samples at 16 kHz
+            ("sample_rate", np.nan),
+            ("sample_rate", np.inf),
+            ("sample_rate", -np.inf),
+            ("rir_length_s", np.nan),
+            ("rir_length_s", np.inf),
+            ("rir_length_s", -np.inf),
+            ("rir_length_s", True),
+            ("rir_length_s", 1e305),  # finite, but its tap count is not
+            ("duration_frames", 0),
+            ("duration_frames", 2.5),
+            ("duration_frames", 4.0),
+            ("duration_frames", True),
+            ("duration_frames", "x"),
+            ("duration_frames", np.nan),
         ],
     )
     def test_rates_and_lengths_checked(self, key, value):
@@ -682,6 +722,5 @@ class TestSceneSpecValidation:
                 snr_db=None,
                 sir_db=None,
                 seed=0,
-                duration_frames=4,
-                **{key: value},
+                **{"duration_frames": 4, key: value},
             )
