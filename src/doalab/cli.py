@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import estimate, evaluate, simulate
-from .geometry import ArrayGeometry, make_grid
-from .signal import read_wav, stft, write_wav
+from .geometry import SPEED_OF_SOUND, ArrayGeometry, make_grid
+from .signal import DEFAULT_HOP, DEFAULT_WINDOW_LENGTH, read_wav, stft, write_wav
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,14 +42,10 @@ def _load_config(path) -> dict:
 
 
 def _parse_frames(text):
-    if text is None:
-        return None
     try:
         a, b = (int(x) for x in text.split(":"))
     except ValueError as exc:
-        raise ValueError(f"invalid frame range {text!r}, expected A:B") from exc
-    if not 0 <= a < b:
-        raise ValueError(f"frame range {text!r} needs 0 <= A < B")
+        raise argparse.ArgumentTypeError(f"invalid frame range {text!r}, expected A:B") from exc
     return (a, b)
 
 
@@ -66,7 +62,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    frame_range = _parse_frames(args.frames)
     signal = read_wav(args.input)
     geom = ArrayGeometry.uniform(signal.num_channels, args.mic_spacing, args.speed_of_sound)
     grid = make_grid(args.grid)
@@ -86,7 +81,7 @@ def cmd_estimate(args) -> int:
         direct = stft(read_wav(args.direct), args.window_length, args.hop)
     mask = evaluate.build_mask(kind, spec, direct)
 
-    core = estimate.EstimatorCore(spec, grid, geom, frame_range, max_freq_hz=args.max_freq_hz)
+    core = estimate.EstimatorCore(spec, grid, geom, args.frames, max_freq_hz=args.max_freq_hz)
     sps = core.spectra(args.method, [mask], args.num_sources)[0]
     payload = {
         "method": args.method,
@@ -158,14 +153,14 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--direct", help="direct-path WAV needed by oracle masks")
     p.add_argument("--method", default="srp-p", choices=estimate.METHODS)
-    p.add_argument("--grid", type=int, default=37)
-    p.add_argument("--frames", help="frame range A:B")
+    p.add_argument("--grid", type=int, default=evaluate._DEFAULTS["grid_size"])
+    p.add_argument("--frames", type=_parse_frames, help="frame range A:B, 0 <= A < B <= the frame count")
     p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.add_argument("--mic-spacing", type=float, default=0.08)
-    p.add_argument("--speed-of-sound", type=float, default=343.0)
-    p.add_argument("--window-length", type=int, default=512)
-    p.add_argument("--hop", type=int, default=256)
-    p.add_argument("--num-sources", type=int, default=1)
+    p.add_argument("--mic-spacing", type=float, default=evaluate._DEFAULTS["geometry"]["mic_spacing_m"])
+    p.add_argument("--speed-of-sound", type=float, default=SPEED_OF_SOUND)
+    p.add_argument("--window-length", type=int, default=DEFAULT_WINDOW_LENGTH)
+    p.add_argument("--hop", type=int, default=DEFAULT_HOP)
+    p.add_argument("--num-sources", type=int, default=evaluate._DEFAULTS["num_sources_music"])
     p.add_argument("--max-freq-hz", type=float)
     p.set_defaults(func=cmd_estimate)
 

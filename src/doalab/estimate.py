@@ -25,7 +25,7 @@ float arrays: one (M, C) array, a row per mask over the DOA grid. The pair
 steering and :func:`doalab.geometry.steering_matrix` share the phase of
 :func:`doalab.geometry.far_field_phase`, so a source that follows that delay
 model produces the power maximum at its own grid angle. A frequency limit
-``max_freq_hz`` must be ``None`` or at least bin 1's frequency, as in the eval config.
+``max_freq_hz`` must pass :func:`is_frequency_limit`, the rule of the eval config too.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .geometry import ArrayGeometry, DoaGrid, far_field_phase, steering_matrix
-from .signal import MultichannelSpectrogram
+from .signal import MultichannelSpectrogram, is_finite_number, is_integer
 
 DEFAULT_PHAT_EPSILON = 1e-8
 MIN_BAND_WEIGHT = 1e-6  # MUSIC drops bands below this share of the mask's largest band weight
@@ -43,14 +43,16 @@ METHODS = ("srp-p", "srp-mp", "music")
 
 
 def _resolve_frames(num_frames: int, frame_range) -> slice:
-    if frame_range is None:
-        return slice(0, num_frames)
-    start, stop = frame_range
-    start = max(0, int(start))
-    stop = min(num_frames, int(stop))
-    if stop <= start:
-        raise ValueError(f"empty frame range {frame_range[0]}:{frame_range[1]} of {num_frames} frames")
+    """The slice of ``frame_range``, integers ``(A, B)`` with ``0 <= A < B <= num_frames``, or ``None`` for all."""
+    start, stop = (0, num_frames) if frame_range is None else frame_range
+    if not (is_integer(start, 0) and is_integer(stop, start + 1, num_frames)):
+        raise ValueError(f"frame range {start}:{stop} must be integers A:B with 0 <= A < B <= {num_frames} frames")
     return slice(start, stop)
+
+
+def is_frequency_limit(max_freq_hz, first_bin_hz: float) -> bool:
+    """Whether ``max_freq_hz`` is ``None`` or a finite number >= bin 1's ``first_bin_hz``; below it only DC is left."""
+    return max_freq_hz is None or is_finite_number(max_freq_hz, first_bin_hz, closed=True)
 
 
 @lru_cache(maxsize=8)  # a run uses one geometry, so a few entries suffice
@@ -100,9 +102,9 @@ class EstimatorCore:
     which come from :func:`_pair_steering_table` and :func:`_steering_table`
     and so are built once per geometry and shared between cores. Estimates
     come from :meth:`spectra`, per-frame SRP sums from :meth:`per_frame`.
-    ``max_freq_hz``, ``None`` or at least bin 1's frequency, zeroes the mask rows above that
-    frequency (aliasing ablation) in every estimate. Masks with equal weights
-    over the frame range are evaluated once.
+    ``max_freq_hz`` (see :func:`is_frequency_limit`) zeroes the mask rows above
+    that frequency (aliasing ablation) in every estimate. Masks with equal
+    weights over the frame range are evaluated once.
     """
 
     def __init__(
@@ -115,9 +117,9 @@ class EstimatorCore:
     ):
         if geom.num_mics != spec.num_channels:
             raise ValueError(f"array has {geom.num_mics} microphones, the spectrogram {spec.num_channels} channels")
-        first_bin = float(spec.bin_frequency(1))  # a lower limit would cut all but DC, NaN no bin
-        if max_freq_hz is not None and not max_freq_hz >= first_bin:
-            raise ValueError(f"max_freq_hz must be None or at least the first bin's {first_bin:g} Hz, got {max_freq_hz!r}")
+        first_bin = float(spec.bin_frequency(1))
+        if not is_frequency_limit(max_freq_hz, first_bin):
+            raise ValueError(f"max_freq_hz must be None or finite and >= the first bin's {first_bin:g} Hz, got {max_freq_hz!r}")
         self.shape = (spec.num_bins, spec.num_frames)
         self._geometry = (
             tuple(grid.angles_deg.tolist()),
@@ -231,8 +233,8 @@ class EstimatorCore:
         ``num_sources`` and no unique noise subspace.
         """
         q = self.bins.shape[0]
-        if not 1 <= num_sources < q:
-            raise ValueError(f"num_sources must satisfy 1 <= num_sources < Q = {q}, got {num_sources}")
+        if not is_integer(num_sources, 1, q - 1):
+            raise ValueError(f"num_sources must be an integer with 1 <= num_sources < Q = {q}, got {num_sources!r}")
         if self.bins.shape[2] < q:
             raise ValueError("need at least Q frames for a full-rank covariance")
         band_weight = weights.sum(axis=2)  # (M', K)

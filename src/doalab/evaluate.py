@@ -21,7 +21,6 @@ import csv
 import functools
 import io
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -31,7 +30,7 @@ import numpy as np
 from . import attention, estimate, simulate
 from .blas import one_blas_thread
 from .geometry import ArrayGeometry, DoaGrid, make_grid
-from .signal import is_finite_number, stft
+from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, is_finite_number, is_integer, stft
 
 ACC_THRESHOLD_DEG = 5.0
 PSACC_THRESHOLD_DEG = 10.0
@@ -138,8 +137,8 @@ class ConfigError(ValueError):
 _DEFAULTS = {
     "version": 1,
     "master_seed": 0,
-    "sample_rate": 16000,
-    "stft": {"window_length": 512, "hop": 256},
+    "sample_rate": DEFAULT_SAMPLE_RATE,
+    "stft": {"window_length": DEFAULT_WINDOW_LENGTH, "hop": DEFAULT_HOP},
     "geometry": {"num_mics": 4, "mic_spacing_m": 0.08},
     "grid_size": 37,
     "rooms": [[6.0, 5.0, 2.7]],
@@ -166,7 +165,7 @@ _DEFAULTS = {
 
 def _check_int(cfg: dict, key: str, minimum: int, maximum=np.inf) -> None:
     value = functools.reduce(dict.get, key.split("."), cfg)  # a dotted key such as 'stft.hop' is nested
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not minimum <= value <= maximum:
+    if not is_integer(value, minimum, maximum):
         upper = f" and <= {maximum}" if maximum < np.inf else ""
         raise ConfigError(f"config key {key!r} must be an integer >= {minimum}{upper}, got {value!r}")
 
@@ -212,19 +211,23 @@ def validate_config(config: dict) -> dict:
     _check_int(cfg, "geometry.num_mics", 2)
     _check_int(cfg, "stft.window_length", 2)
     _check_int(cfg, "stft.hop", 1, maximum=cfg["stft"]["window_length"])
-    for key in ("sample_rate", "geometry.mic_spacing_m", "acc_threshold_deg", "psacc_threshold_deg", "max_freq_hz"):
+    for key in ("sample_rate", "geometry.mic_spacing_m", "acc_threshold_deg", "psacc_threshold_deg"):
         value = functools.reduce(dict.get, key.split("."), cfg)
-        if not (is_finite_number(value, 0) or (key == "max_freq_hz" and value is None)):
+        if not is_finite_number(value, 0):
             raise ConfigError(f"config key {key!r} must be a finite number > 0, got {value!r}")
     _check_level(cfg, "snr_db")
     _check_level(cfg, "sir_db")
     limit, first_bin = cfg["max_freq_hz"], cfg["sample_rate"] / cfg["stft"]["window_length"]
-    if limit is not None and limit < first_bin:  # it would cut every bin but DC
-        raise ConfigError(f"config key 'max_freq_hz' must be at least the first bin's {first_bin:g} Hz, got {limit!r}")
+    if not estimate.is_frequency_limit(limit, first_bin):
+        raise ConfigError(f"config key 'max_freq_hz' must be null or finite and >= bin 1's {first_bin:g} Hz, got {limit!r}")
     if cfg["acc_threshold_deg"] > cfg["psacc_threshold_deg"]:
         raise ConfigError("config key 'acc_threshold_deg' may not exceed 'psacc_threshold_deg'")
     if cfg["doas"] == "grid":
         cfg["doas"] = list(np.linspace(0.0, 180.0, cfg["grid_size"]))
+    for key in ("source", "interferer") if cfg["sir_db"] is not None else ("source",):
+        value = cfg[key]  # as with `doalab estimate --mask`, a value that is no known kind must name a file
+        if value not in ("white", "speech") and not (isinstance(value, str) and os.path.isfile(value)):
+            raise ConfigError(f"config key {key!r} must be 'white', 'speech' or an existing WAV file, got {value!r}")
     for key in ("t60", "smd", "doas"):
         values = cfg[key] if isinstance(cfg[key], (list, tuple)) else [cfg[key]]
         if not all(is_finite_number(value) for value in values):

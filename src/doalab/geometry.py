@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import is_finite_number
+from .signal import is_finite_number, is_integer
 
 SPEED_OF_SOUND = 343.0
 
@@ -44,10 +44,10 @@ class ArrayGeometry:
     @classmethod
     def uniform(cls, num_mics: int, spacing: float, speed_of_sound: float = SPEED_OF_SOUND) -> "ArrayGeometry":
         """ULA with an integer ``num_mics`` microphones and equal ``spacing`` in meters, a finite number > 0."""
-        if isinstance(num_mics, bool) or not isinstance(num_mics, (int, np.integer)):
-            raise ValueError(f"num_mics must be an integer, got {num_mics!r}")
+        if not is_integer(num_mics, 2):
+            raise ValueError(f"num_mics must be an integer >= 2, got {num_mics!r}")
         # checked first: 0 * inf would be a NaN distance, and too large a spacing overflows the aperture
-        if not is_finite_number(spacing, 0) or spacing > np.finfo(np.float64).max / max(num_mics - 1, 1):
+        if not is_finite_number(spacing, 0) or spacing > np.finfo(np.float64).max / (num_mics - 1):
             raise ValueError(f"spacing must be a finite number > 0 that keeps the aperture finite, got {spacing!r}")
         return cls(np.arange(num_mics) * spacing, speed_of_sound)
 
@@ -82,7 +82,9 @@ class DoaGrid:
 
 
 def make_grid(num_points: int) -> DoaGrid:
-    """Uniform DOA grid over [0, 180] degrees with ``num_points`` entries."""
+    """Uniform DOA grid over [0, 180] degrees with ``num_points`` entries, an integer >= 2."""
+    if not is_integer(num_points, 2):
+        raise ValueError(f"grid size num_points must be an integer >= 2, got {num_points!r}")
     return DoaGrid(np.linspace(0.0, 180.0, num_points))
 
 

@@ -32,6 +32,19 @@ def is_finite_number(value, lower: float = -np.inf, closed: bool = False) -> boo
     return finite and (value >= lower if closed else value > lower)
 
 
+def is_integer(value, lower: int, upper: float = np.inf) -> bool:
+    """Whether ``value`` is an integer, no bool, in [``lower``, ``upper``]."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and lower <= value <= upper
+
+
+def check_stft_lengths(window_length, hop) -> None:
+    """Raise unless ``window_length`` is an even integer >= 2 and ``hop`` an integer in [1, ``window_length``]."""
+    if not (is_integer(window_length, 2) and window_length % 2 == 0):
+        raise ValueError(f"window_length must be an even integer >= 2, got {window_length!r}")
+    if not is_integer(hop, 1, window_length):
+        raise ValueError(f"hop must be an integer in [1, window_length], got {hop!r}")
+
+
 @dataclass(frozen=True)
 class TimeSignal:
     """Multichannel time-domain signal, shape (channels, length)."""
@@ -115,19 +128,16 @@ def stft(
     signal : TimeSignal
         Input signal; must contain at least one full window of samples.
     window_length : int
-        Analysis window length in samples, must be even.
+        Analysis window length in samples, an even integer >= 2.
     hop : int
-        Frame advance in samples, at most ``window_length``.
+        Frame advance in samples, an integer from 1 to ``window_length``.
 
     Returns
     -------
     MultichannelSpectrogram
         One-sided spectrum with K = window_length / 2 + 1 bins.
     """
-    if window_length % 2 != 0:
-        raise ValueError("window_length must be even")
-    if isinstance(hop, bool) or not isinstance(hop, numbers.Integral) or not 1 <= hop <= window_length:
-        raise ValueError(f"hop must be an integer in [1, window_length], got {hop!r}")
+    check_stft_lengths(window_length, hop)
     if signal.num_samples < window_length:
         raise ValueError("insufficient samples: signal shorter than one window")
     win = analysis_window(window_length)

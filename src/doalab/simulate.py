@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,8 +31,9 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .blas import one_blas_thread
-from .geometry import ArrayGeometry
-from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, TimeSignal, is_finite_number, read_wav
+from .geometry import SPEED_OF_SOUND, ArrayGeometry
+from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, TimeSignal, read_wav
+from .signal import check_stft_lengths, is_finite_number, is_integer
 
 SINC_HALF_TAPS = 40  # 81-tap Hann-windowed sinc for fractional delays
 TAP_DEGREE = 12  # Chebyshev degree of every kernel tap on each half of the fraction
@@ -121,9 +121,11 @@ class SceneSpec:
             raise ValueError(
                 f"snr_db and sir_db must be null or within +-{MAX_LEVEL_DB:g} dB, got {self.snr_db!r} and {self.sir_db!r}"
             )
-        frames = self.duration_frames
-        if isinstance(frames, bool) or not isinstance(frames, numbers.Integral) or frames < 1:
-            raise ValueError(f"duration_frames must be an integer >= 1, got {frames!r}")
+        if not is_integer(self.seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not is_integer(self.duration_frames, 1):
+            raise ValueError(f"duration_frames must be an integer >= 1, got {self.duration_frames!r}")
+        check_stft_lengths(self.window_length, self.hop)
         if not is_finite_number(self.sample_rate, 0):
             raise ValueError(f"sample_rate must be a finite number > 0, got {self.sample_rate!r}")
         length = self.rir_length_s  # null, or a tap count length * sample_rate that rounds to 1 or more
@@ -311,7 +313,7 @@ def image_method_rir(
     mic_positions,
     length: int | None = None,
     sample_rate: float = DEFAULT_SAMPLE_RATE,
-    speed_of_sound: float = 343.0,
+    speed_of_sound: float = SPEED_OF_SOUND,
 ) -> Rir:
     """Image-method RIR for a shoebox room with uniform wall reflectivity.
 
@@ -324,9 +326,11 @@ def image_method_rir(
     before the next microphone's, so one microphone's images are held at a
     time.
 
-    By default the response covers t60 plus a small margin; ``length`` sets
-    it in taps. The image set covers every delay representable within it.
+    By default the response covers t60 plus a small margin; ``length`` (>= 1)
+    sets it in taps. The image set covers every delay representable within it.
     """
+    if length is not None and not is_integer(length, 1):
+        raise ValueError(f"length must be None or an integer >= 1 tap, got {length!r}")
     source_pos = np.asarray(source_pos, dtype=np.float64)
     mic_positions = np.atleast_2d(np.asarray(mic_positions, dtype=np.float64))
     dims = room.dimensions

@@ -94,6 +94,11 @@ class TestBinarize:
         once = attention.binarize(mask, 0.4)
         np.testing.assert_array_equal(attention.binarize(once, 0.4), once)
 
+    @pytest.mark.parametrize("v_thr", [-0.1, 1.5, np.nan])
+    def test_threshold_outside_the_unit_interval_raises(self, v_thr):
+        with pytest.raises(ValueError, match="v_thr"):
+            attention.binarize(np.ones((2, 2)), v_thr)
+
 
 class TestBandMasks:
     def test_random_band_full_selection_is_ones(self):

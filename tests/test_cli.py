@@ -33,6 +33,12 @@ UNUSABLE_NUMBERS = {
     "snr_db-range-from-minus-4000": ({"snr_db": [-4000, 0]}, "'snr_db'"),
     "sir_db-range-to-4000": ({"sir_db": [0, 4000]}, "'sir_db'"),
 }
+# values that a scene's spec rejects, each with the key or field its error names; they too fail before any scene
+UNUSABLE_SCENE_VALUES = {
+    "source-harmonic": ({"source": "harmonic"}, "'source'"),
+    "interferer-missing-file": ({"interferer": "no-such-file.wav", "sir_db": 0.0}, "'interferer'"),
+    "odd-window_length": ({"stft": {"window_length": 511, "hop": 256}}, "window_length"),
+}
 
 
 def _write_config(path, **overrides):
@@ -110,6 +116,14 @@ class TestEstimate:
         assert main(default) == 0
         assert capsys.readouterr().out == first
 
+    def test_whole_frame_range_is_the_default(self, broadside_wav, capsys):
+        """``--frames 0:14`` names all 14 frames of the file, so it chooses what no ``--frames`` does."""
+        default = ["estimate", "--input", str(broadside_wav), "--method", "srp-mp"]
+        assert main(default) == 0
+        expected = capsys.readouterr().out
+        assert main(default + ["--frames", "0:14"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_unknown_method_is_usage_error(self, broadside_wav, capsys):
         assert main(["estimate", "--input", str(broadside_wav), "--method", "beam"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -135,6 +149,9 @@ class TestEstimate:
             ["--frames", "5:3"],
             ["--frames=-2:3"],
             ["--frames", "14:20"],
+            ["--frames", "0:15"],
+            ["--frames", "0:1000"],
+            ["--frames", "1:2:3"],
             ["--grid", "1"],
             ["--window-length", "0"],
             ["--window-length", "511"],
@@ -441,6 +458,7 @@ class TestExitCodes:
             (["--input", "{wav}", "--max-freq-hz", "nan"], 1),
             (["--input", "{wav}", "--max-freq-hz", "0"], 1),
             (["--input", "{wav}", "--max-freq-hz", "10"], 1),
+            (["--input", "{wav}", "--max-freq-hz", "inf"], 1),
             (["--input", "{wav}", "--speed-of-sound", "nan"], 1),
             (["--input", "{wav}", "--speed-of-sound", "inf"], 1),
             (["--input", "{wav}", "--mic-spacing", "inf"], 1),
@@ -450,14 +468,17 @@ class TestExitCodes:
             (["--input", "{data_first}"], 1),
             (["--input", "{pcm8}"], 1),
             (["--input", "{pcm24}"], 1),
+            (["--input", "{fmt_short}"], 1),
+            (["--input", "{no_data}"], 1),
         ],
         ids=[
             "input-not-wav", "all-zero-mask-file", "short-mask-header", "overflowing-mask-header",
             "mask-file-trailing-bytes", "truncated-mask-file", "mask-value-1.5", "mask-value-1.5-srp-p",
             "mask-value-nan", "negative-max-freq", "nan-max-freq", "zero-max-freq", "max-freq-below-first-bin",
+            "infinite-max-freq",
             "nan-speed-of-sound", "infinite-speed-of-sound", "infinite-mic-spacing", "nan-mic-spacing",
             "missing-input", "truncated-riff-header",
-            "data-chunk-before-fmt", "pcm-8-bit", "pcm-24-bit",
+            "data-chunk-before-fmt", "pcm-8-bit", "pcm-24-bit", "fmt-chunk-too-short", "no-data-chunk",
         ],
     )
     def test_estimate(self, broadside_wav, tmp_path, capsys, args, code):
@@ -472,6 +493,8 @@ class TestExitCodes:
             "data_first": _riff(data, _fmt_chunk(3, 32)),
             "pcm8": _riff(_fmt_chunk(1, 8), data),
             "pcm24": _riff(_fmt_chunk(1, 24), data),
+            "fmt_short": _riff(b"fmt " + struct.pack("<I", 14) + _fmt_chunk(3, 32)[8:22], data),
+            "no_data": _riff(_fmt_chunk(3, 32)),
         }
         for name, raw in malformed.items():
             paths[name] = tmp_path / f"{name}.wav"
@@ -507,7 +530,7 @@ class TestExitCodes:
             ({"geometry": {"num_mics": 1, "mic_spacing_m": 0.08}}, 0),
             ({"master_seed": -1}, 0),
             ({"max_freq_hz": -5}, 0),
-            ({"stft": {"window_length": 511, "hop": 256}}, 1),
+            ({"stft": {"window_length": 511, "hop": 256}}, 0),
             ({"methods": ["music"], "num_sources_music": 4}, 1),
             ({"masks": ["nope"]}, 0),
             ({"rooms": [[1.0, 1.0, 1.0]]}, 1),
@@ -537,6 +560,8 @@ class TestExitCodes:
             ({"psacc_threshold_deg": INF}, 0),
             ({"max_freq_hz": INF}, 0),
             *[(overrides, 0) for overrides, _ in UNUSABLE_NUMBERS.values()],
+            ({"source": "harmonic"}, 0),
+            ({"interferer": "no-such-file.wav", "sir_db": 0.0}, 0),
         ],
         ids=[
             "t60", "smd", "doas", "num_mics", "master_seed", "max_freq_hz",
@@ -548,6 +573,7 @@ class TestExitCodes:
             "mic_spacing_m-string", "mic_spacing_m-null", "num_mics-float",
             "source-on-microphone-1", "source-on-microphone-4",
             "psacc_threshold_deg-infinity", "max_freq_hz-infinity", *UNUSABLE_NUMBERS,
+            "source-harmonic", "interferer-missing-file",
         ],
     )
     def test_eval_config_value(self, tmp_path, capsys, monkeypatch, overrides, simulated):
@@ -594,9 +620,14 @@ class TestExitCodes:
         assert repr(key) in _one_error_line(capsys)
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("overrides, name", UNUSABLE_NUMBERS.values(), ids=UNUSABLE_NUMBERS)
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [*UNUSABLE_NUMBERS.values(), *UNUSABLE_SCENE_VALUES.values()],
+        ids=[*UNUSABLE_NUMBERS, *UNUSABLE_SCENE_VALUES],
+    )
     def test_unusable_number_simulates_nothing(self, tmp_path, capsys, monkeypatch, overrides, name):
-        """A non-finite value or an unbounded level exits 1 naming it, before any scene or --out-dir is made."""
+        """A non-finite value, an unbounded level or a value no scene can use exits 1 naming it,
+        before any scene or --out-dir is made."""
         calls = []
         monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
         cfg = _write_config(tmp_path / "cfg.json", **overrides)

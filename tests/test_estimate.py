@@ -172,8 +172,24 @@ class TestSrp:
 
     def test_empty_frame_range_raises(self):
         spec, geom = _plane_wave_spec(90.0, samples=2000, seed=9)
-        with pytest.raises(ValueError, match="empty frame range"):
+        with pytest.raises(ValueError, match="frame range 3:3 must be integers A:B with 0 <= A < B <= 6 frames"):
             EstimatorCore(spec, GRID, geom, frame_range=(3, 3))
+
+    @pytest.mark.parametrize(
+        "frame_range",
+        [(-5, 3), (1.7, 3.2), (1, 3.0), (0, 7), (0, 1000), (5, 3), (True, 3), (0, True), ("0", 3), (0, np.nan)],
+    )
+    def test_frame_range_outside_the_frames_raises(self, frame_range):
+        """A range is two integers 0 <= A < B <= N; nothing is clamped or rounded into the N = 6 frames."""
+        spec, geom = _plane_wave_spec(90.0, samples=2000, seed=9)
+        with pytest.raises(ValueError, match="frame range .* must be integers"):
+            EstimatorCore(spec, GRID, geom, frame_range=frame_range)
+
+    def test_whole_frame_range_is_every_frame(self):
+        spec, geom = _plane_wave_spec(90.0, samples=2000, seed=9)
+        assert EstimatorCore(spec, GRID, geom).frames == slice(0, 6)
+        assert EstimatorCore(spec, GRID, geom, frame_range=(0, 6)).frames == slice(0, 6)
+        assert EstimatorCore(spec, GRID, geom, frame_range=(np.int64(5), np.int64(6))).frames == slice(5, 6)
 
 
 class TestNarrowband:
@@ -361,7 +377,7 @@ class TestSrpMp:
         assert pick_doa(limited, GRID) == 100.0
         assert not np.array_equal(full, limited)
 
-    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0, 10.0, 31.2])
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0, 10.0, 31.2, np.inf, -np.inf, True, "100"])
     def test_max_freq_limit_must_be_positive(self, limit):
         """A limit below the first bin's 16000 / 512 = 31.25 Hz would leave only DC; it is named."""
         spec, geom = _plane_wave_spec(100.0, seed=21)
@@ -407,6 +423,13 @@ class TestNormMusic:
         mask = np.ones((spec.num_bins, spec.num_frames))
         with pytest.raises(ValueError, match="num_sources"):
             EstimatorCore(spec, GRID, geom).spectra("music", [mask], num_sources=4)
+
+    @pytest.mark.parametrize("num_sources", [0, -1, 4, 1.5, 1.0, True, "1", None])
+    def test_num_sources_must_be_an_integer_below_channel_count(self, num_sources):
+        spec, geom = _plane_wave_spec(90.0, samples=4000, seed=25)
+        mask = np.ones((spec.num_bins, spec.num_frames))
+        with pytest.raises(ValueError, match="num_sources must be an integer"):
+            EstimatorCore(spec, GRID, geom).spectra("music", [mask], num_sources=num_sources)
 
     def test_too_few_frames_raise(self):
         spec, geom = _plane_wave_spec(90.0, samples=1100, seed=26)

@@ -24,7 +24,7 @@ from doalab.evaluate import (
     validate_config,
 )
 from doalab.geometry import make_grid
-from doalab.signal import stft
+from doalab.signal import stft, write_wav
 from blas_probe import blas_thread_counts, set_blas_threads
 from srp_reference import reference_norm_music, reference_srp_mp
 
@@ -256,6 +256,10 @@ class TestValidateConfig:
             ("smd", [-float("inf")]),
             ("doas", [float("nan")]),
             ("doas", [90.0, 10**400]),  # beyond the float range
+            ("source", "harmonic"),
+            ("source", "no-such-file.wav"),
+            ("source", 5),
+            ("source", None),
         ],
     )
     def test_bad_values_name_their_key(self, key, value):
@@ -283,6 +287,15 @@ class TestValidateConfig:
         assert spec.snr_db is None
         truth = simulate.mix_scene(spec)
         assert truth.noise.samples.shape == truth.mixture.samples.shape and not np.any(truth.noise.samples)
+
+    def test_interferer_checked_only_with_an_sir(self, tmp_path):
+        """An interferer must be white, speech or an existing file, and only a scene with an SIR has one."""
+        assert validate_config({"interferer": "no-such-file.wav"})["sir_db"] is None
+        with pytest.raises(evaluate.ConfigError, match="'interferer'"):
+            validate_config({"interferer": "no-such-file.wav", "sir_db": 0.0})
+        wav = tmp_path / "voice.wav"
+        write_wav(wav, simulate.white_noise(1, 100, seed=0))
+        assert validate_config({"source": str(wav), "interferer": str(wav), "sir_db": 0.0})["source"] == str(wav)
 
     def test_interferer_kept_away_from_source(self):
         cfg = validate_config({"sir_db": 0.0, "duration_frames": 4})
@@ -615,6 +628,12 @@ class TestBatchedCore:
             core.spectra("srp-mp", masks)
         with pytest.raises(ValueError, match="empty attention"):
             core.spectra("music", masks)
+
+    @pytest.mark.parametrize("kind", ["oracle-psm", "oracle-ratio", "oracle-ratio-bin:0.5"])
+    def test_oracle_mask_needs_the_direct_path(self, kind):
+        mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
+        with pytest.raises(ValueError, match="needs the direct-path spectrogram"):
+            evaluate.build_mask(kind, mix)
 
     def test_mask_shape_checked_per_mask(self):
         mix = stft(simulate.white_noise(4, 40 * 256, seed=3))

@@ -25,6 +25,14 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1)
 
+    @pytest.mark.parametrize("num_points", [1, 0, -3, 2.5, 37.0, True, "37", None])
+    def test_grid_size_must_be_an_integer_of_at_least_2(self, num_points):
+        with pytest.raises(ValueError, match="num_points must be an integer >= 2"):
+            make_grid(num_points)
+
+    def test_numpy_integer_grid_size(self):
+        assert make_grid(np.int64(3)).size == 3
+
 
 class TestArrayGeometry:
     def test_uniform_spacing(self):
@@ -35,6 +43,10 @@ class TestArrayGeometry:
     def test_first_mic_must_be_reference(self):
         with pytest.raises(ValueError):
             ArrayGeometry(np.array([0.1, 0.2]))
+
+    def test_one_microphone_rejected(self):
+        with pytest.raises(ValueError, match="at least two microphones"):
+            ArrayGeometry(np.array([0.0]))
 
     def test_distances_strictly_increasing(self):
         with pytest.raises(ValueError):
@@ -56,7 +68,7 @@ class TestArrayGeometry:
         with pytest.raises(ValueError, match="spacing must be a finite number > 0"):
             ArrayGeometry.uniform(4, spacing)
 
-    @pytest.mark.parametrize("num_mics", [2.5, 4.0, True, "4", None])
+    @pytest.mark.parametrize("num_mics", [2.5, 4.0, True, "4", None, 1, 0, -3])
     def test_uniform_num_mics_must_be_an_integer(self, num_mics):
         """A non-integer count is named rather than rounded by ``np.arange``; a bool is no count."""
         with pytest.raises(ValueError, match="num_mics must be an integer"):
@@ -105,6 +117,10 @@ class TestSteeringMatrix:
 
 
 class TestDoaGrid:
+    def test_needs_two_angles(self):
+        with pytest.raises(ValueError, match="at least two angles"):
+            DoaGrid(np.array([0.0]))
+
     def test_must_span_domain(self):
         with pytest.raises(ValueError):
             DoaGrid(np.array([0.0, 90.0]))

@@ -108,6 +108,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultichannelSpectrogram(np.zeros((1, 256, 2), dtype=complex), FS, 512)
 
+    def test_samples_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="channels x length"):
+            TimeSignal(np.zeros((1, 2, 3)), FS)
+
+    @pytest.mark.parametrize(
+        "bins, message",
+        [
+            (np.zeros((257, 2)), "Q x K x N"),
+            (np.zeros((1, 1, 257, 2)), "Q x K x N"),
+            (np.zeros((1, 257, 0)), "one frame"),
+            (np.zeros((0, 257, 2)), "one channel"),
+            (np.full((1, 257, 2), np.nan), "finite"),
+            (np.full((1, 257, 2), complex(0.0, np.inf)), "finite"),
+        ],
+        ids=["2-d", "4-d", "no-frames", "no-channels", "nan-bins", "infinite-bins"],
+    )
+    def test_malformed_bins_rejected(self, bins, message):
+        with pytest.raises(ValueError, match=message):
+            MultichannelSpectrogram(bins, FS, 512)
+
     def test_odd_window_rejected(self):
         with pytest.raises(ValueError):
             stft(TimeSignal(np.zeros((1, 1000)), FS), 511, 256)
@@ -119,6 +139,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="sample_rate"):
             MultichannelSpectrogram(np.zeros((1, 257, 2), dtype=complex), rate, 512)
 
+    @pytest.mark.parametrize("window_length", [511, 0, -2, 512.0, True, np.int64(7), "512", None])
+    def test_window_length_must_be_an_even_integer(self, window_length):
+        with pytest.raises(ValueError, match="window_length must be an even integer >= 2"):
+            stft(TimeSignal(np.zeros((1, 1000)), FS), window_length, 1)
+
     @pytest.mark.parametrize("hop", [0, 513, 1.5, 256.0, True, np.nan, "256"])
     def test_hop_must_be_an_integer_up_to_the_window(self, hop):
         with pytest.raises(ValueError, match="hop"):
@@ -126,4 +151,5 @@ class TestValidation:
 
     def test_boundary_rates_and_hops_accepted(self):
         assert stft(TimeSignal(np.zeros((1, 1000)), 1e-300), 512, np.int64(512)).num_frames == 1
+        assert stft(TimeSignal(np.zeros((1, 4)), FS), np.int64(2), 2).num_frames == 2
         assert MultichannelSpectrogram(np.zeros((1, 257, 2), dtype=complex), np.float32(8000), 512).sample_rate == 8000

@@ -297,6 +297,11 @@ class TestImageMethodRir:
         with pytest.raises(ValueError, match="inside the room"):
             image_method_rir(ROOM, [7.0, 2.5, 1.4], [[4.0, 2.5, 1.4]], length=100)
 
+    @pytest.mark.parametrize("length", [0, -1, 2.5, 100.0, True, "100"])
+    def test_length_must_be_an_integer_of_at_least_1(self, length):
+        with pytest.raises(ValueError, match="length must be None or an integer >= 1"):
+            image_method_rir(ROOM, [2.0, 2.5, 1.4], [[4.0, 2.5, 1.4]], length=length)
+
     def test_unachievable_t60_raises(self):
         tiny = RoomSpec(np.array([6.0, 5.0, 2.7]), 0.05)
         with pytest.raises(ValueError, match="t60 too small"):
@@ -625,6 +630,23 @@ class TestSideBySide:
 
 
 class TestSceneSpecValidation:
+    def test_at_most_two_sources(self):
+        with pytest.raises(ValueError, match="one or two sources"):
+            dataclasses.replace(_two_source_spec(), sources=(SourceSpec(10.0, 1.0),) * 3)
+
+    def test_unplaceable_scene_is_named(self):
+        """Sources 10 m from the array fit no placement inside the room's 1 m margins."""
+        spec = dataclasses.replace(_two_source_spec(t60=0.0), sources=(SourceSpec(60.0, 10.0), SourceSpec(120.0, 10.0)))
+        with pytest.raises(ValueError, match="could not place array and sources"):
+            mix_scene(spec)
+
+    def test_second_source_without_energy_at_microphone_1_is_named(self):
+        """A 16-tap response reaches 0.34 m: source 1 at 0.3 m has energy at microphone 1, source 2 at 1.5 m none."""
+        sources = (SourceSpec(60.0, 0.3, "speech"), SourceSpec(120.0, 1.5, "white"))
+        spec = dataclasses.replace(_two_source_spec(t60=0.0), sources=sources, rir_length_s=0.001)
+        with pytest.raises(ValueError, match="^zero-energy source$"):
+            mix_scene(spec)
+
     def test_two_sources_need_sir(self):
         with pytest.raises(ValueError, match="sir_db"):
             SceneSpec(
@@ -711,6 +733,19 @@ class TestSceneSpecValidation:
             ("duration_frames", True),
             ("duration_frames", "x"),
             ("duration_frames", np.nan),
+            ("window_length", 511),
+            ("window_length", 0),
+            ("window_length", 512.0),
+            ("window_length", True),
+            ("hop", 2.5),  # num_samples would be 519.5
+            ("hop", 0),
+            ("hop", 513),
+            ("hop", True),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", "0"),
+            ("seed", None),
         ],
     )
     def test_rates_and_lengths_checked(self, key, value):
@@ -721,6 +756,5 @@ class TestSceneSpecValidation:
                 sources=(SourceSpec(10.0, 1.0),),
                 snr_db=None,
                 sir_db=None,
-                seed=0,
-                **{"duration_frames": 4, key: value},
+                **{"seed": 0, "duration_frames": 4, key: value},
             )
