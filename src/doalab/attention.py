@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .signal import MultichannelSpectrogram
+from .signal import MultichannelSpectrogram, is_integer
 
 MASK_MAGIC = b"DOAMASK1"
 
@@ -70,8 +70,9 @@ def random_band_mask(num_bins: int, num_frames: int, num_bands: int, seed: int) 
     The same band set is used for all frames, mirroring per-file random
     band selection.
     """
-    if num_bands > num_bins:
-        raise ValueError("num_bands may not exceed the number of frequency bins")
+    if not (is_integer(num_bins, 1) and is_integer(num_frames, 1) and is_integer(num_bands, 0, num_bins)):
+        raise ValueError(f"num_bins and num_frames must be integers >= 1 and num_bands one in [0, num_bins], "
+                         f"got {num_bins!r}, {num_frames!r} and {num_bands!r}")
     rng = np.random.default_rng(seed)
     bands = rng.choice(num_bins, size=num_bands, replace=False)
     weights = np.zeros((num_bins, num_frames))
@@ -81,8 +82,9 @@ def random_band_mask(num_bins: int, num_frames: int, num_bands: int, seed: int) 
 
 def band_range_mask(num_bins: int, num_frames: int, lo: int, hi: int) -> np.ndarray:
     """Binary mask activating the contiguous frequency rows lo..hi inclusive."""
-    if not (0 <= lo <= hi < num_bins):
-        raise ValueError("band range must satisfy 0 <= lo <= hi < K")
+    if not (is_integer(num_bins, 1) and is_integer(num_frames, 1) and is_integer(lo, 0) and is_integer(hi, lo, num_bins - 1)):
+        raise ValueError(f"num_bins and num_frames must be integers >= 1 and lo, hi ones with 0 <= lo <= hi < num_bins, "
+                         f"got {num_bins!r}, {num_frames!r}, {lo!r} and {hi!r}")
     weights = np.zeros((num_bins, num_frames))
     weights[lo : hi + 1, :] = 1.0
     return weights

@@ -10,8 +10,8 @@ scales all channels of a bin alike, so SRP-MP with mask M is ``2 Re E (X M^2)``
 summed over bins and frames, SRP-PHAT the case M = 1. MUSIC averages
 per-band pseudospectra of mask-weighted covariances, each normalized to max 1,
 with the bands' mask weights, over the bands whose covariance can have rank
-``num_sources``. The methods differ only in the weight they give a mask:
-1 (SRP-PHAT), M^2 (SRP-MP) or M (MUSIC).
+``num_sources``. The methods differ only in the weight they give a mask M,
+its power in :data:`METHODS`: M^0 = 1 (SRP-PHAT), M^2 (SRP-MP) or M (MUSIC).
 
 :class:`EstimatorCore` keeps the mask-independent part (X, E, per-bin outer
 products) of one spectrogram and frame range. The pair steering (SRP) and
@@ -39,7 +39,7 @@ from .signal import MultichannelSpectrogram, is_finite_number, is_integer
 
 DEFAULT_PHAT_EPSILON = 1e-8
 MIN_BAND_WEIGHT = 1e-6  # MUSIC drops bands below this share of the mask's largest band weight
-METHODS = ("srp-p", "srp-mp", "music")
+METHODS = {"srp-p": 0, "srp-mp": 2, "music": 1}  # each method weights a mask M by M ** power
 
 
 def _resolve_frames(num_frames: int, frame_range) -> slice:
@@ -132,7 +132,7 @@ class EstimatorCore:
         self.bins = spec.bins[:, :, self.frames]
         self.cut = None if max_freq_hz is None else spec.bin_frequency(np.arange(spec.num_bins)) > max_freq_hz
         q, k, n = self.bins.shape
-        self._scale = 2.0 / float(n * k * max(q - 1, 1) ** 2)
+        self._scale = 2.0 / float(n * k * (q - 1) ** 2)
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -177,14 +177,14 @@ class EstimatorCore:
 
         Every mask must be ``None`` (all ones) or a (K, N) array of finite
         weights in [0, 1]; each is checked here, over all N frames, wherever
-        it came from. The weight is all ones for ``srp-p``, the squared mask
-        for ``srp-mp`` and the mask itself for ``music``; rows above
-        ``max_freq_hz`` are zeroed, and an SRP weight must not be all zero.
+        it came from. The weight is the mask to its power in :data:`METHODS`,
+        zeroed above ``max_freq_hz``; an SRP weight must not be all zero.
         """
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-        # SRP-PHAT is SRP-MP with one all-ones mask
-        stack = np.ones((1 if method == "srp-p" else len(masks), self.shape[0], self.bins.shape[2]))
+        if not masks:
+            raise ValueError("need at least one mask")
+        stack = np.ones((len(masks), self.shape[0], self.bins.shape[2]))
         for i, mask in enumerate(masks):
             if mask is None:
                 continue
@@ -192,16 +192,11 @@ class EstimatorCore:
                 raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
             if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN minimum or maximum fails both
                 raise ValueError("mask weights must be finite and lie in [0, 1]")
-            if method != "srp-p":
-                stack[i] = mask[:, self.frames]
+            stack[i] = mask[:, self.frames] ** METHODS[method]
         if self.cut is not None:
             stack[:, self.cut, :] = 0.0
-        if method != "music":
-            if not np.all(np.any(stack.reshape(len(stack), -1), axis=1)):
-                raise ValueError("empty attention: mask is all zero")
-            stack *= stack
-        if method == "srp-p":
-            return stack, [0] * len(masks)
+        if method != "music" and not np.all(np.any(stack.reshape(len(stack), -1), axis=1)):
+            raise ValueError("empty attention: mask is all zero")
         # equal weights have equal sums, so only masks of equal sum are compared
         sums = stack.sum(axis=(1, 2))
         first = [
@@ -266,9 +261,9 @@ class EstimatorCore:
     def spectra(self, method: str, masks, num_sources: int = 1) -> np.ndarray:
         """Normalized spatial power spectra of one of :data:`METHODS`, shape (M, C).
 
-        Row m belongs to ``masks[m]``. Both SRPs are one :meth:`power` of the
-        method's weights. ``srp-p`` checks but ignores the masks, so its
-        spectrum is computed once; so are the spectra of masks with equal weights.
+        Row m belongs to ``masks[m]``, a non-empty list. Both SRPs are one
+        :meth:`power` of the method's weights. Masks with equal weights share
+        one spectrum, so ``srp-p``, whose weight M^0 is all ones, computes one.
         """
         weights, index = self._weights(method, masks)
         if method == "music":
@@ -321,8 +316,9 @@ def srp_flops(num_bins: int, num_directions: int, num_mics: int) -> int:
     :class:`EstimatorCore` computes SRP: per bin it steers the Q(Q-1)/2
     microphone pairs, where the model's pair factor is (Q-1)^2/2.
     """
-    if min(num_bins, num_directions, num_mics) < 1:
-        raise ValueError("all sizes must be at least 1")
+    for name, size in (("num_bins", num_bins), ("num_directions", num_directions), ("num_mics", num_mics)):
+        if not is_integer(size, 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
     k, c, q = num_bins, num_directions, num_mics
     pairs_term = ((q - 1) ** 2 / 2.0) * (4 * k * c + 6 * k)
     return int(round(pairs_term + 5 * k * q))

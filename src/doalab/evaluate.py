@@ -223,7 +223,7 @@ def validate_config(config: dict) -> dict:
     if cfg["acc_threshold_deg"] > cfg["psacc_threshold_deg"]:
         raise ConfigError("config key 'acc_threshold_deg' may not exceed 'psacc_threshold_deg'")
     if cfg["doas"] == "grid":
-        cfg["doas"] = list(np.linspace(0.0, 180.0, cfg["grid_size"]))
+        cfg["doas"] = list(make_grid(cfg["grid_size"]).angles_deg)
     for key in ("source", "interferer") if cfg["sir_db"] is not None else ("source",):
         value = cfg[key]  # as with `doalab estimate --mask`, a value that is no known kind must name a file
         if value not in ("white", "speech") and not (isinstance(value, str) and os.path.isfile(value)):
@@ -262,6 +262,7 @@ def _scene_specs(cfg: dict):
         range(cfg["seeds_per_doa"]),
     )
     specs, scene_ids = [], set()
+    angles = make_grid(cfg["grid_size"]).angles_deg  # the interferer's candidate DOAs
     for index, ((room_idx, room_dims), t60, smd, doa, rep) in enumerate(grid_points):
         seed = int(np.random.SeedSequence([cfg["master_seed"], index]).generate_state(1)[0])
         rng = np.random.default_rng(seed)
@@ -270,7 +271,7 @@ def _scene_specs(cfg: dict):
         if cfg["sir_db"] is not None:
             # interferer anywhere on the grid at least 5 degrees away
             while True:
-                other = float(rng.choice(np.linspace(0.0, 180.0, cfg["grid_size"])))
+                other = float(rng.choice(angles))
                 if abs(other - doa) > 5.0:
                     break
             sources.append(simulate.SourceSpec(other, smd, cfg["interferer"]))

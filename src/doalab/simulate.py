@@ -488,8 +488,9 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
     directs, reverbs = map(list, zip(*rendered))
     gains = [1.0] * len(rendered)
 
+    power = (directs[0][0] + reverbs[0][0]) ** 2  # source 1 at microphone 1, the reference of SIR and SNR
     if len(spec.sources) == 2:
-        e1 = np.sum((directs[0][0] + reverbs[0][0]) ** 2)
+        e1 = np.sum(power)
         e2 = np.sum((directs[1][0] + reverbs[1][0]) ** 2)
         if e2 == 0:
             raise ValueError("zero-energy source")
@@ -501,8 +502,7 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
     if spec.snr_db is None:
         noise = np.zeros((spec.geometry.num_mics, n))
     else:
-        p_src = np.mean((directs[0][0] + reverbs[0][0]) ** 2)
-        sigma = np.sqrt(p_src / 10.0 ** (spec.snr_db / 10.0))
+        sigma = np.sqrt(np.mean(power) / 10.0 ** (spec.snr_db / 10.0))
         noise_seed = int(rng.integers(0, 2**63 - 1))
         noise = sigma * white_noise(spec.geometry.num_mics, n, noise_seed, spec.sample_rate).samples
 

@@ -136,6 +136,26 @@ class TestBandMasks:
         with pytest.raises(ValueError):
             attention.band_range_mask(5, 2, 3, 5)
 
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (attention.band_range_mask, (5, 2, 1.5, 3)),
+            (attention.band_range_mask, (5, 2, 0, 3.0)),
+            (attention.band_range_mask, (5.0, 2, 0, 3)),
+            (attention.band_range_mask, (5, 2.0, 0, 3)),
+            (attention.band_range_mask, (5, True, 0, 3)),
+            (attention.band_range_mask, (5, 0, 0, 3)),
+            (attention.random_band_mask, (5, 2, 2.0, 0)),
+            (attention.random_band_mask, (5, 2, True, 0)),
+            (attention.random_band_mask, (5, 2, -1, 0)),
+            (attention.random_band_mask, (5.0, 2, 2, 0)),
+            (attention.random_band_mask, (5, 2.5, 2, 0)),
+        ],
+    )
+    def test_counts_must_be_integers_in_range(self, make, args):
+        with pytest.raises(ValueError, match="num_bins and num_frames must be integers >= 1"):
+            make(*args)
+
 
 class TestMaskFile:
     def test_save_load_round_trip(self, tmp_path):

@@ -342,6 +342,21 @@ class TestSrpFlops:
         with pytest.raises(ValueError):
             srp_flops(0, 1, 1)
 
+    @pytest.mark.parametrize(
+        "sizes, field",
+        [
+            ((2.5, 37, 4), "num_bins"),
+            ((True, 37, 4), "num_bins"),
+            ((257, 37.0, 4), "num_directions"),
+            ((257, 0, 4), "num_directions"),
+            ((257, 37, "4"), "num_mics"),
+            ((257, 37, -1), "num_mics"),
+        ],
+    )
+    def test_sizes_must_be_integers_of_at_least_1(self, sizes, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+            srp_flops(*sizes)
+
 
 class TestSrpMp:
     def test_ones_mask_matches_srp_phat_bitwise(self):

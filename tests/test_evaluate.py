@@ -612,11 +612,14 @@ class TestBatchedCore:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(core, "power", counting_power)
-        for method in ("srp-mp", "music"):
+        for method in estimate.METHODS:
             spectra = core.spectra(method, masks)
             assert np.array_equal(spectra[0], spectra[2])
-        # every bin of every mask is active, so the duplicate would add K bins
-        assert power_masks == [2] and eigh_bins == [2 * mix.num_bins]
+            if method == "srp-p":  # its weight M^0 is all ones, so the distinct masks share one spectrum
+                assert np.array_equal(spectra[0], spectra[1])
+        # srp-p sends one weight column to power, srp-mp two; every bin of every mask is active,
+        # so the duplicate would add K bins to eigh
+        assert power_masks == [1, 2] and eigh_bins == [2 * mix.num_bins]
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_all_zero_mask_anywhere_in_batch_raises(self, position):
@@ -628,6 +631,14 @@ class TestBatchedCore:
             core.spectra("srp-mp", masks)
         with pytest.raises(ValueError, match="empty attention"):
             core.spectra("music", masks)
+        # 1e-170 squares to 0, so SRP-MP's weight is all zero; srp-p's weight M^0 is all ones
+        masks[position] = np.full(masks[0].shape, 1e-170)
+        with pytest.raises(ValueError, match="empty attention"):
+            core.spectra("srp-mp", masks)
+        assert np.array_equal(core.spectra("srp-p", masks), core.spectra("srp-p", [None] * len(masks)))
+        for method in estimate.METHODS:
+            with pytest.raises(ValueError, match="need at least one mask"):
+                core.spectra(method, [])
 
     @pytest.mark.parametrize("kind", ["oracle-psm", "oracle-ratio", "oracle-ratio-bin:0.5"])
     def test_oracle_mask_needs_the_direct_path(self, kind):

@@ -1,10 +1,11 @@
-"""The README's python examples run as written, and its commands parse."""
+"""The README's python examples run as written, its commands parse and its configs validate."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
-from doalab import cli
+from doalab import cli, evaluate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +31,10 @@ def test_documented_commands_parse():
     parser = cli.build_parser()
     for line in commands:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_documented_configs_validate():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.DOTALL)
+    assert blocks, "README has no json block"
+    for block in blocks:
+        evaluate.validate_config(json.loads(block))
