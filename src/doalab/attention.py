@@ -70,9 +70,10 @@ def random_band_mask(num_bins: int, num_frames: int, num_bands: int, seed: int) 
     The same band set is used for all frames, mirroring per-file random
     band selection.
     """
-    if not (is_integer(num_bins, 1) and is_integer(num_frames, 1) and is_integer(num_bands, 0, num_bins)):
-        raise ValueError(f"num_bins and num_frames must be integers >= 1 and num_bands one in [0, num_bins], "
-                         f"got {num_bins!r}, {num_frames!r} and {num_bands!r}")
+    counts = is_integer(num_bins, 1) and is_integer(num_frames, 1) and is_integer(num_bands, 0, num_bins)
+    if not (counts and is_integer(seed, 0)):
+        raise ValueError(f"num_bins and num_frames must be integers >= 1, num_bands one in [0, num_bins] and seed "
+                         f"one >= 0, got {num_bins!r}, {num_frames!r}, {num_bands!r} and seed {seed!r}")
     rng = np.random.default_rng(seed)
     bands = rng.choice(num_bins, size=num_bands, replace=False)
     weights = np.zeros((num_bins, num_frames))

@@ -226,8 +226,9 @@ def validate_config(config: dict) -> dict:
         cfg["doas"] = list(make_grid(cfg["grid_size"]).angles_deg)
     for key in ("source", "interferer") if cfg["sir_db"] is not None else ("source",):
         value = cfg[key]  # as with `doalab estimate --mask`, a value that is no known kind must name a file
-        if value not in ("white", "speech") and not (isinstance(value, str) and os.path.isfile(value)):
-            raise ConfigError(f"config key {key!r} must be 'white', 'speech' or an existing WAV file, got {value!r}")
+        if value not in simulate.SOURCE_KINDS and not (isinstance(value, str) and os.path.isfile(value)):
+            kinds = ", ".join(map(repr, simulate.SOURCE_KINDS))
+            raise ConfigError(f"config key {key!r} must be {kinds} or an existing WAV file, got {value!r}")
     for key in ("t60", "smd", "doas"):
         values = cfg[key] if isinstance(cfg[key], (list, tuple)) else [cfg[key]]
         if not all(is_finite_number(value) for value in values):

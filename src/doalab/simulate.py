@@ -10,7 +10,7 @@ the ``truth.json`` sidecar but never read back.
 
 Each image is an 81-tap Hann-windowed sinc pulse; its taps are tabulated
 Chebyshev polynomials of the fractional delay, so placing every pulse of a
-response takes, row by row, histograms and one small GEMM (:func:`_scatter_rows`).
+microphone's response takes histograms and one small GEMM (:func:`_scatter_row`).
 A reverberant two-source scene renders its sources side by side, the second
 on a helper thread that ends with the scene (:func:`mix_scene`).
 
@@ -25,7 +25,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -40,6 +41,7 @@ TAP_DEGREE = 12  # Chebyshev degree of every kernel tap on each half of the frac
 SABINE_CONSTANT = 24.0 * np.log(10.0)
 WALL_MARGIN = 1.0  # meters between every wall and the array and sources
 MAX_LEVEL_DB = 1000.0  # |snr_db| and |sir_db| bound: 10 ** (level / 10) stays within 1e+-100
+SOURCE_KINDS = ("white", "speech")  # the generated source signals; any other signal names a WAV file
 
 
 def _tap_table(degree: int) -> np.ndarray:
@@ -154,17 +156,11 @@ class SceneSpec:
         }
 
 
-@dataclass(frozen=True)
-class Rir:
-    """Room impulse response per microphone plus its direct-path part."""
+class Rir(NamedTuple):
+    """Room impulse response per microphone (rows) plus its direct-path part; unpacks as ``taps, direct_taps``."""
 
-    taps: np.ndarray = field(repr=False)
-    direct_taps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        # a safety net: image_method_rir already rejects a microphone on the source
-        if not (np.all(np.isfinite(self.taps)) and np.all(np.isfinite(self.direct_taps))):
-            raise ValueError("RIR taps must be finite")
+    taps: np.ndarray
+    direct_taps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -248,23 +244,16 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[..., :n]
 
 
-def _scatter_rows(length: int, rows) -> np.ndarray:
-    """Sum rows of fractional-delay pulses into an (R, length) tap buffer.
-
-    Each of the R ``(delays, amps)`` pairs in ``rows``, which may be produced
-    lazily, gets the 81-tap Hann-windowed sinc of each delay (in taps) times
-    its amp. For a delay ``base + f``, ``|f| <= 1/2``, tap m is
-    ``sum_k _TAP_TABLE[m, 2 k + h] T_k(u)``. So one bincount per degree k
-    sums ``amp T_k(u)`` per half and base, one GEMM turns these histograms
-    into the taps of every base, and a skewed view adds the taps along their
-    diagonals in one sum. Rows do not interact and go one at a time, and the
-    taps match the per-tap kernel to ~1e-15 of the peak.
-    """
-    return np.array([_scatter_row(length, d, amp) for d, amp in rows])
-
-
 def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """The pulses at delays ``d`` times ``amp`` in ``length`` taps; temporaries end with the call."""
+    """Sum the fractional-delay pulses at delays ``d`` (in taps) times ``amp`` into ``length`` taps.
+
+    Each pulse is the 81-tap Hann-windowed sinc. For a delay ``base + f``,
+    ``|f| <= 1/2``, tap m is ``sum_k _TAP_TABLE[m, 2 k + h] T_k(u)``. So one
+    bincount per degree k sums ``amp T_k(u)`` per half and base, one GEMM
+    turns these histograms into the taps of every base, and a skewed view
+    adds the taps along their diagonals in one sum. The taps match the
+    per-tap kernel to ~1e-15 of the peak; the temporaries end with the call.
+    """
     half = SINC_HALF_TAPS
     row = np.zeros(length)
     # a pulse touches [0, length) iff its base lies in [-H, length + H); the
@@ -320,11 +309,11 @@ def image_method_rir(
     The wall reflection coefficient is derived from t60 via Sabine's
     formula and shared by all six walls. Image pulses are placed with
     fractional-delay windowed-sinc interpolation and 1/(4 pi r) spreading
-    by :func:`_scatter_rows`, the direct paths (``direct_taps``) first. An
-    anechoic room's taps are its direct rows within reach, zero elsewhere.
-    In a reverberant room each microphone's images are formed and scattered
-    before the next microphone's, so one microphone's images are held at a
-    time.
+    by :func:`_scatter_row`, one row per microphone, the direct paths
+    (``direct_taps``) first. An anechoic room's taps are its direct rows
+    within reach, zero elsewhere. In a reverberant room each microphone's
+    images are formed and scattered before the next microphone's, so one
+    microphone's images are held at a time.
 
     By default the response covers t60 plus a small margin; ``length`` (>= 1)
     sets it in taps. The image set covers every delay representable within it.
@@ -348,7 +337,8 @@ def image_method_rir(
         tail = room.t60 + 0.05 if room.t60 > 0 else 0.0
         length = int(np.ceil((float(np.max(d0)) / speed_of_sound + tail) * sample_rate)) + 2 * SINC_HALF_TAPS + 2
     reach = speed_of_sound * length / sample_rate
-    direct = _scatter_rows(length, zip(d0[:, None] / speed_of_sound * sample_rate, 1.0 / (4.0 * np.pi * d0[:, None])))
+    rows = zip(d0[:, None] / speed_of_sound * sample_rate, 1.0 / (4.0 * np.pi * d0[:, None]))
+    direct = np.array([_scatter_row(length, d, amp) for d, amp in rows])
     if room.t60 == 0:
         return Rir(taps=np.where((d0 <= reach)[:, None], direct, 0.0), direct_taps=direct)
 
@@ -373,8 +363,7 @@ def image_method_rir(
         dist = dist[keep]
         return dist / speed_of_sound * sample_rate, gains[keep] / (4.0 * np.pi * dist)
 
-    # one microphone's images at a time: each row is scattered before the next is formed
-    return Rir(taps=_scatter_rows(length, map(lattice_row, mic_positions)), direct_taps=direct)
+    return Rir(taps=np.array([_scatter_row(length, *lattice_row(mic)) for mic in mic_positions]), direct_taps=direct)
 
 
 def _source_samples(spec: SceneSpec, source: SourceSpec, length: int, seed: int) -> np.ndarray:
@@ -428,12 +417,12 @@ def _render_source(spec: SceneSpec, source: SourceSpec, position, mics, rir_leng
     samples = _source_samples(spec, source, n, seed)
     if not np.any(samples):
         raise ValueError("zero-energy source")
-    rir = image_method_rir(spec.room, position, mics, rir_length, spec.sample_rate, spec.geometry.speed_of_sound)
-    if np.array_equal(rir.taps, rir.direct_taps):  # anechoic: no reverberation to convolve
-        direct = _convolve(samples[None, :], rir.direct_taps)[:, :n]
+    taps, direct_taps = image_method_rir(spec.room, position, mics, rir_length, spec.sample_rate, spec.geometry.speed_of_sound)
+    if np.array_equal(taps, direct_taps):  # anechoic: no reverberation to convolve
+        direct = _convolve(samples[None, :], direct_taps)[:, :n]
         return direct, np.zeros_like(direct)
     # one call for both responses, so the source FFT is taken once
-    both = _convolve(samples[None, :], np.vstack([rir.taps, rir.direct_taps]))
+    both = _convolve(samples[None, :], np.vstack([taps, direct_taps]))
     full, direct = np.split(both[:, :n], 2)
     return direct, full - direct
 
@@ -456,8 +445,10 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
 
     Source 2 is scaled so the full-length energy ratio of the convolved
     sources at microphone 1 equals ``sir_db``; sensor noise is scaled to
-    ``snr_db`` against source 1 at microphone 1. The returned mixture is
-    the exact sample-wise sum of all ground-truth components.
+    ``snr_db`` against source 1 at microphone 1. A source with no energy
+    at microphone 1 raises ``ValueError("zero-energy source")``. The
+    returned mixture is the exact sample-wise sum of all ground-truth
+    components.
 
     In a reverberant two-source scene the second source renders on a helper
     thread while the calling thread renders the first (:func:`_side_by_side`),
@@ -489,12 +480,11 @@ def mix_scene(spec: SceneSpec) -> SceneTruth:
     gains = [1.0] * len(rendered)
 
     power = (directs[0][0] + reverbs[0][0]) ** 2  # source 1 at microphone 1, the reference of SIR and SNR
+    energies = [np.sum((d[0] + r[0]) ** 2) for d, r in zip(directs, reverbs)]  # each source at microphone 1
+    if not all(energies):  # e.g. a response that ends before the source arrives
+        raise ValueError("zero-energy source")
     if len(spec.sources) == 2:
-        e1 = np.sum(power)
-        e2 = np.sum((directs[1][0] + reverbs[1][0]) ** 2)
-        if e2 == 0:
-            raise ValueError("zero-energy source")
-        g = np.sqrt(e1 / (e2 * 10.0 ** (spec.sir_db / 10.0)))
+        g = np.sqrt(energies[0] / (energies[1] * 10.0 ** (spec.sir_db / 10.0)))
         directs[1] *= g
         reverbs[1] *= g
         gains[1] = float(g)

@@ -1,7 +1,7 @@
 """Fixtures built on the pulse scatter of :mod:`doalab.simulate`.
 
-- ``scatter_pulses``: one row of ``simulate._scatter_rows``, the pulses of one
-  delay list summed into a tap buffer.
+- ``scatter_pulses``: ``simulate._scatter_row``, the pulses of one delay list
+  summed into a tap buffer.
 - ``plane_wave_synthesize``: an ideal far-field array signal, delay-only
   propagation with no room and no attenuation.
 """
@@ -10,12 +10,8 @@ import numpy as np
 
 from doalab.geometry import ArrayGeometry
 from doalab.signal import TimeSignal
-from doalab.simulate import SINC_HALF_TAPS, _convolve, _scatter_rows
-
-
-def scatter_pulses(length: int, delays: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """One row of ``_scatter_rows``: the pulses summed into ``length`` taps."""
-    return _scatter_rows(length, [(delays, amps)])[0]
+from doalab.simulate import SINC_HALF_TAPS, _convolve
+from doalab.simulate import _scatter_row as scatter_pulses
 
 
 def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) -> TimeSignal:
@@ -29,6 +25,6 @@ def plane_wave_synthesize(src: TimeSignal, doa_deg: float, geom: ArrayGeometry) 
         raise ValueError("plane-wave source must be single-channel")
     delays = np.cos(np.deg2rad(doa_deg)) * geom.mic_distances / geom.speed_of_sound * src.sample_rate
     center = SINC_HALF_TAPS + int(np.ceil(np.max(np.abs(delays)))) + 1
-    kernels = _scatter_rows(2 * center + 1, zip(center + delays[:, None], np.ones((delays.size, 1))))
+    kernels = np.array([scatter_pulses(2 * center + 1, np.array([d]), np.ones(1)) for d in center + delays])
     full = _convolve(src.samples, kernels)
     return TimeSignal(full[:, center : center + src.num_samples], src.sample_rate)

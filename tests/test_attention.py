@@ -150,6 +150,10 @@ class TestBandMasks:
             (attention.random_band_mask, (5, 2, -1, 0)),
             (attention.random_band_mask, (5.0, 2, 2, 0)),
             (attention.random_band_mask, (5, 2.5, 2, 0)),
+            (attention.random_band_mask, (5, 2, 2, 1.5)),
+            (attention.random_band_mask, (5, 2, 2, "3")),
+            (attention.random_band_mask, (5, 2, 2, True)),
+            (attention.random_band_mask, (5, 2, 2, -1)),
         ],
     )
     def test_counts_must_be_integers_in_range(self, make, args):

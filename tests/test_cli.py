@@ -605,6 +605,18 @@ class TestExitCodes:
         assert "'r0_t0.00_s1.50_d010.000_k0'" in _one_error_line(capsys)
         assert calls == [] and not any((tmp_path / "x").glob("*"))
 
+    @pytest.mark.parametrize("command, method", [("eval", "music"), ("eval", "srp-p"), ("simulate", "music")])
+    def test_silent_first_source_exits_1(self, tmp_path, capsys, command, method):
+        """A 64-tap response ends before the direct path of a source 1.5 m away arrives:
+        the scene would hold no signal, and no pick or WAV is written for it."""
+        cfg = _write_config(
+            tmp_path / "cfg.json", t60=[0.3], doas=[40.0], seeds_per_doa=1, sir_db=None, rir_length_s=0.004,
+            duration_frames=20, eval_frames=10, methods=[method], masks=["none", "band-range:20:150"],
+        )
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert _one_error_line(capsys) == "error: zero-energy source\n"
+        assert not any((tmp_path / "x").glob("*"))
+
     def test_rejected_simulate_config_makes_no_directory(self, tmp_path, capsys):
         """A config whose scenes cannot be built exits 1 before --out-dir is created."""
         cfg = _write_config(tmp_path / "cfg.json", doas=[10, 10], seeds_per_doa=1)
