@@ -9,6 +9,9 @@ file, and internal errors. Every failure prints a single machine-parsable
 line ``error: <message>`` to stderr. ``eval`` bounds worker parallelism,
 without affecting output bytes, by the first of ``--jobs``, the config's
 ``jobs``, the environment variable ``DOALAB_JOBS`` and 1 that is set.
+A mask value, of ``--mask`` or a config's ``masks``, is read by
+:func:`doalab.evaluate.parse_mask` alone. ``--vthr-sweep LO:HI:STEP`` adds the
+binarized oracle ratio masks from LO up to HI, all three in whole hundredths.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import functools
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import estimate, evaluate, simulate
 from .geometry import SPEED_OF_SOUND, ArrayGeometry, make_grid
@@ -67,19 +68,12 @@ def cmd_estimate(args) -> int:
     grid = make_grid(args.grid)
     spec = stft(signal, args.window_length, args.hop)
 
-    kind = args.mask
-    try:
-        evaluate.parse_mask(kind)
-    except ValueError:  # a value that is no mask spec but names a file is a mask file
-        if not os.path.isfile(kind):
-            raise
-        kind = f"file:{kind}"
     direct = None
-    if evaluate.reads_direct_path(kind):
+    if evaluate.reads_direct_path(args.mask):
         if args.direct is None:
             raise ValueError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
         direct = stft(read_wav(args.direct), args.window_length, args.hop)
-    mask = evaluate.build_mask(kind, spec, direct)
+    mask = evaluate.build_mask(args.mask, spec, direct)
 
     core = estimate.EstimatorCore(spec, grid, geom, args.frames, max_freq_hz=args.max_freq_hz)
     sps = core.spectra(args.method, [mask], args.num_sources)[0]
@@ -111,12 +105,12 @@ def cmd_eval(args) -> int:
             raise ValueError("invalid --vthr-sweep, expected LO:HI:STEP") from exc
         if not (step > 0 and 0 <= lo <= hi <= 1):
             raise ValueError(f"--vthr-sweep {args.vthr_sweep} needs STEP > 0 and 0 <= LO <= HI <= 1")
-        thresholds = np.arange(lo, hi + step / 2, step)
-        names = [f"{t:.2f}" for t in thresholds]
-        for t, name in zip(thresholds, names):
-            if abs(t - float(name)) > 1e-9:
-                raise ValueError(f"--vthr-sweep {args.vthr_sweep} gives threshold {t:g}, which is not a two-decimal value")
-        config["masks"] = list(config.get("masks", [])) + [f"oracle-ratio-bin:{name}" for name in names]
+        hundredths = [x * 100 for x in (lo, hi, step)]  # finite, as the range check above holds
+        lo, hi, step = (round(x) for x in hundredths)
+        if step < 1 or any(abs(x - round(x)) > 1e-7 for x in hundredths):
+            raise ValueError(f"--vthr-sweep {args.vthr_sweep} needs LO, HI and STEP in whole hundredths")
+        thresholds = range(lo, hi + 1, step)  # at most 101, and none above HI
+        config["masks"] = list(config.get("masks", [])) + [f"oracle-ratio-bin:{t / 100:.2f}" for t in thresholds]
     if args.jobs is not None:
         config["jobs"] = args.jobs
     elif "jobs" not in config and "DOALAB_JOBS" in os.environ:
@@ -168,7 +162,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--methods", help="comma-separated method override")
-    p.add_argument("--vthr-sweep", help="LO:HI:STEP sweep of binarized oracle ratio masks")
+    p.add_argument("--vthr-sweep", help="LO:HI:STEP sweep, in hundredths, of binarized oracle ratio masks")
     p.add_argument("--jobs", type=int, help="worker processes (default: config jobs, then DOALAB_JOBS, then 1)")
     p.set_defaults(func=cmd_eval)
 

@@ -179,32 +179,32 @@ class EstimatorCore:
         weights in [0, 1]; each is checked here, over all N frames, wherever
         it came from. The weight is the mask to its power in :data:`METHODS`,
         zeroed above ``max_freq_hz``; an SRP weight must not be all zero.
+        Masks are weighted in one pass, in list order: the first bad one names the error.
         """
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
         if not masks:
             raise ValueError("need at least one mask")
-        stack = np.ones((len(masks), self.shape[0], self.bins.shape[2]))
-        for i, mask in enumerate(masks):
-            if mask is None:
-                continue
-            if mask.shape != self.shape:
-                raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
-            if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN minimum or maximum fails both
-                raise ValueError("mask weights must be finite and lie in [0, 1]")
-            stack[i] = mask[:, self.frames] ** METHODS[method]
-        if self.cut is not None:
-            stack[:, self.cut, :] = 0.0
-        if method != "music" and not np.all(np.any(stack.reshape(len(stack), -1), axis=1)):
-            raise ValueError("empty attention: mask is all zero")
-        # equal weights have equal sums, so only masks of equal sum are compared
-        sums = stack.sum(axis=(1, 2))
-        first = [
-            next(j for j in range(i + 1) if sums[j] == sums[i] and np.array_equal(stack[j], stack[i]))
-            for i in range(len(stack))
-        ]
-        distinct = sorted(set(first))
-        return stack[distinct], [distinct.index(j) for j in first]
+        distinct, index = [], []
+        for mask in masks:
+            weight = np.ones((self.shape[0], self.bins.shape[2]))
+            if mask is not None:
+                if mask.shape != self.shape:
+                    raise ValueError(f"mask shape {mask.shape} must match the spectrogram's {self.shape}")
+                if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN minimum or maximum fails both
+                    raise ValueError("mask weights must be finite and lie in [0, 1]")
+                weight[:] = mask[:, self.frames] ** METHODS[method]
+            if self.cut is not None:
+                weight[self.cut] = 0.0
+            if method != "music" and not weight.any():
+                raise ValueError("empty attention: mask is all zero")
+            # equal weights have equal sums, so a weight is compared only with kept weights of its sum
+            total = weight.sum()
+            same = (j for j, (kept_total, kept) in enumerate(distinct) if kept_total == total and np.array_equal(kept, weight))
+            index.append(next(same, len(distinct)))
+            if index[-1] == len(distinct):
+                distinct.append((total, weight))
+        return np.stack([kept for _, kept in distinct]), index
 
     def power(self, weights: np.ndarray) -> np.ndarray:
         """Unnormalized SRP-PHAT of M weight matrices over the frame range, shape (C, M).

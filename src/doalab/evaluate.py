@@ -7,10 +7,10 @@ parameters (the per-T60 reports read its T60 from it). :func:`scene_inputs`
 builds a scene's estimator core and masks; the runner only scores each
 configured method on them. Accuracy counts absolute errors strictly below 5
 degrees, pseudo accuracy strictly below 10 degrees; both thresholds can be
-overridden in the config. A mask spec such as ``random-band:50`` is checked by
-:func:`parse_mask`, once when the config is validated and again when
-:func:`build_mask` builds it for a spectrogram; only the checks that need the
-spectrogram's size wait for the first scene.
+overridden in the config. :func:`parse_mask` alone reads a mask value, a spec
+such as ``random-band:50`` or an existing mask file, when the config is
+validated (``doalab estimate --mask`` too); only the checks that need the
+spectrogram's size wait for :func:`build_mask` at the first scene.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def validate_config(config: dict) -> dict:
     if cfg["doas"] == "grid":
         cfg["doas"] = list(make_grid(cfg["grid_size"]).angles_deg)
     for key in ("source", "interferer") if cfg["sir_db"] is not None else ("source",):
-        value = cfg[key]  # as with `doalab estimate --mask`, a value that is no known kind must name a file
+        value = cfg[key]  # as with a mask (parse_mask), a value that is no known kind must name a file
         if value not in simulate.SOURCE_KINDS and not (isinstance(value, str) and os.path.isfile(value)):
             kinds = ", ".join(map(repr, simulate.SOURCE_KINDS))
             raise ConfigError(f"config key {key!r} must be {kinds} or an existing WAV file, got {value!r}")
@@ -305,7 +305,8 @@ def parse_mask(kind: str) -> tuple:
     """Check the syntax of a mask spec and split it into ``(kind, *parameters)``.
 
     ``oracle-psm-bin:0.4`` gives ``("oracle-psm-bin", 0.4)``, ``band-range:3:9``
-    gives ``("band-range", 3, 9)``. A malformed spec raises a ``ValueError``
+    gives ``("band-range", 3, 9)``, and a value of no known kind that names an
+    existing file ``("file", value)``. A malformed spec raises a ``ValueError``
     that names it and its expected form. Ranges that depend on the
     spectrogram, such as ``random-band:N`` with N at most K, are left to
     :func:`build_mask`.
@@ -314,7 +315,9 @@ def parse_mask(kind: str) -> tuple:
         raise ValueError(f"a mask spec must be a string, got {kind!r}")
     name, colon, arg = kind.partition(":")
     if name not in _MASK_FORMS:
-        raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}")
+        if os.path.isfile(kind):
+            return ("file", kind)
+        raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}, or an existing mask file")
     try:
         if name in ("none", "oracle-psm", "oracle-ratio"):
             params, ok = (), not colon

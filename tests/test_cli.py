@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output files, and exit codes."""
 
+import csv
 import json
 import struct
 
@@ -131,7 +132,7 @@ class TestEstimate:
     def test_unknown_mask_is_usage_error(self, broadside_wav, capsys):
         assert main(["estimate", "--input", str(broadside_wav), "--mask", "nope"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "nope" in err
+        assert err.startswith("error: ") and "nope" in err and "or an existing mask file" in err
 
     def test_oracle_mask_requires_direct(self, broadside_wav, capsys):
         assert main(["estimate", "--input", str(broadside_wav), "--mask", "oracle-psm"]) == 1
@@ -317,6 +318,29 @@ class TestEval:
                     "srp-mp|oracle-ratio-bin:0.40"):
             assert key in report
 
+    def test_vthr_sweep_stops_at_hi(self, tmp_path):
+        """A sweep whose HI is off the LO + k STEP lattice names no threshold above HI."""
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, methods=["srp-mp"])
+        out_dir = tmp_path / "results"
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(out_dir), "--vthr-sweep", "0:0.05:0.03"]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert sorted(report) == ["srp-mp|none", "srp-mp|oracle-ratio-bin:0.00", "srp-mp|oracle-ratio-bin:0.03"]
+
+    def test_config_mask_may_be_a_bare_file_path(self, tmp_path, monkeypatch):
+        """A config mask that is no known kind but names a file is that mask file, as with --mask."""
+        monkeypatch.chdir(tmp_path)
+        # 8 frames of 257 bins, the scenes' spectrogram
+        save_mask(tmp_path / "scene.mask", np.random.default_rng(0).uniform(size=(257, 8)))
+        records = {}
+        for out_dir, mask in (("bare", "scene.mask"), ("prefixed", "file:scene.mask")):
+            cfg = _write_config(tmp_path / "cfg.json", seeds_per_doa=1, methods=["srp-p", "srp-mp", "music"], masks=[mask])
+            assert main(["eval", "--config", str(cfg), "--out-dir", out_dir]) == 0
+            with open(tmp_path / out_dir / "records.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 9 and all(row.pop("mask") == mask for row in rows)
+            records[out_dir] = rows
+        assert records["bare"] == records["prefixed"]
+
     def test_bad_sweep_is_usage_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json")
         code = main(["eval", "--config", str(cfg), "--out-dir", "x", "--vthr-sweep", "oops"])
@@ -401,8 +425,12 @@ class TestEval:
         "sweep, masks, message",
         [
             pytest.param(sweep, ["none"], sweep, id=sweep)
-            # 0:0.01:0.004 would name 0.004 and 0.008 as 0.00 and 0.01
-            for sweep in ("0:0.9:0", "0.5:0.1:0.1", "0:2:0.5", "-0.1:0.5:0.1", "0:0.01:0.004")
+            # 0:0.01:0.004 would name 0.004 and 0.008 as 0.00 and 0.01; LO, HI and STEP are whole
+            # hundredths, and the range check comes first, so inf and nan fail it rather than the rounding
+            for sweep in (
+                "0:0.9:0", "0.5:0.1:0.1", "0:2:0.5", "-0.1:0.5:0.1", "0:0.01:0.004",
+                "0:1:1e-6", "0:0.5:0.005", "0:0:0.001", "0:inf:0.1", "nan:0.5:0.1",
+            )
         ]
         + [
             pytest.param(

@@ -653,3 +653,24 @@ class TestBatchedCore:
         for method in ("srp-mp", "music"):
             with pytest.raises(ValueError, match="must match"):
                 core.spectra(method, masks)
+
+    def test_first_bad_mask_in_list_order_names_the_error(self):
+        """Masks are checked and weighted one at a time, so a bad mask stops the batch at its position."""
+        mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
+        core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))
+        empty, misshapen = np.zeros(core.shape), np.ones((mix.num_bins, mix.num_frames - 1))
+        with pytest.raises(ValueError, match="empty attention"):
+            core.spectra("srp-mp", [empty, misshapen])
+        with pytest.raises(ValueError, match="must match"):
+            core.spectra("srp-mp", [misshapen, empty])
+
+
+def test_value_naming_a_file_parses_as_a_mask_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("learned.mask", "none"):
+        (tmp_path / name).write_bytes(b"")
+    assert evaluate.parse_mask("learned.mask") == ("file", "learned.mask")
+    assert evaluate.parse_mask(str(tmp_path / "learned.mask")) == ("file", str(tmp_path / "learned.mask"))
+    assert evaluate.parse_mask("none") == ("none",)  # a known kind wins over a file of its name
+    with pytest.raises(ValueError, match="or an existing mask file"):
+        evaluate.parse_mask("missing.mask")
