@@ -22,9 +22,10 @@ every core shares them. Its one entry,
 place and evaluates them all at once: SRP is one matrix product, MUSIC one
 batched eigendecomposition over all (mask, bin) pairs. Spectra are plain
 float arrays: one (M, C) array, a row per mask over the DOA grid. The pair
-steering and :func:`doalab.geometry.steering_matrix` share the phase of
-:func:`doalab.geometry.far_field_phase`, so a source that follows that delay
-model produces the power maximum at its own grid angle. A frequency limit
+steering is the pair products ``E = D*_q D_j`` of the steering matrix ``D`` of
+:func:`doalab.geometry.steering_matrix`, so SRP and MUSIC steer the same D, and
+a source that follows its delay model produces the power maximum at its own
+grid angle. A frequency limit
 ``max_freq_hz`` must pass :func:`is_frequency_limit`, the rule of the eval config too.
 """
 
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import ArrayGeometry, DoaGrid, far_field_phase, steering_matrix
+from .geometry import ArrayGeometry, DoaGrid, steering_matrix
 from .signal import MultichannelSpectrogram, is_finite_number, is_integer
 
 DEFAULT_PHAT_EPSILON = 1e-8
@@ -62,20 +63,16 @@ def _pair_steering_table(
     """Read-only pair steering (C, K 2P) of one geometry.
 
     It holds ``[Re E, -Im E]`` per bin, with E = D*_q D_j over the pairs
-    q < j. It depends only on these plain values, so it is built once per
-    geometry and shared by every core that uses it.
+    q < j of the steering matrix D. D is built for this call and dropped,
+    not read from :func:`_steering_table`, so an SRP-only process never holds
+    it. The table depends only on these plain values, so it is built once
+    per geometry and shared by every core that uses it.
     """
-    grid = DoaGrid(np.array(angles_deg))
     geom = ArrayGeometry(np.array(mic_distances), speed_of_sound)
-    freqs = np.arange(window_length // 2 + 1) * sample_rate / window_length
+    steering = steering_matrix(DoaGrid(np.array(angles_deg)), geom, sample_rate, window_length)  # (C, K, Q)
     first, second = np.triu_indices(geom.num_mics, 1)
-    spacing = geom.mic_distances[second] - geom.mic_distances[first]
-    phase = far_field_phase(grid, spacing, speed_of_sound, freqs)  # (C, K, P)
-    num_pairs = first.size
-    pair_steering = np.empty((grid.size, freqs.size, 2 * num_pairs))
-    np.cos(phase, out=pair_steering[:, :, :num_pairs])
-    np.sin(-phase, out=pair_steering[:, :, num_pairs:])
-    table = pair_steering.reshape(grid.size, -1)
+    pair = np.conj(steering[:, :, first]) * steering[:, :, second]  # (C, K, P)
+    table = np.concatenate([pair.real, -pair.imag], axis=2).reshape(len(angles_deg), -1)
     table.setflags(write=False)
     return table
 
@@ -85,7 +82,7 @@ def _steering_table(
     angles_deg: tuple, mic_distances: tuple, speed_of_sound: float, sample_rate: float, window_length: int
 ) -> np.ndarray:
     """Read-only :func:`doalab.geometry.steering_matrix` (C, K, Q) of one geometry, keyed like
-    :func:`_pair_steering_table`; only MUSIC reads it."""
+    :func:`_pair_steering_table`, which forms its pair products from the same D; only MUSIC reads it."""
     geom = ArrayGeometry(np.array(mic_distances), speed_of_sound)
     table = steering_matrix(DoaGrid(np.array(angles_deg)), geom, sample_rate, window_length)
     table.setflags(write=False)
@@ -100,7 +97,8 @@ class EstimatorCore:
     cross-spectra, SRP only), :attr:`products` (MUSIC only), and the
     geometry's :attr:`pair_steering` (SRP) and :attr:`steering` (MUSIC),
     which come from :func:`_pair_steering_table` and :func:`_steering_table`
-    and so are built once per geometry and shared between cores. Estimates
+    (both from one steering matrix) and so are built once per geometry and
+    shared between cores. Estimates
     come from :meth:`spectra`, per-frame SRP sums from :meth:`per_frame`.
     ``max_freq_hz`` (see :func:`is_frequency_limit`) zeroes the mask rows above
     that frequency (aliasing ablation) in every estimate. Masks with equal

@@ -2,7 +2,9 @@
 
 DOA angles are degrees in [0, 180] at every API boundary; radians appear
 only inside the trigonometry. Bin k maps to the physical frequency
-``k * sample_rate / fft_length`` with zero-based k.
+``k * sample_rate / fft_length`` with zero-based k. The far-field phase is
+written once, in :func:`steering_matrix`; the SRP pair steering of
+:mod:`doalab.estimate` is the pair products of that matrix.
 """
 
 from __future__ import annotations
@@ -88,25 +90,17 @@ def make_grid(num_points: int) -> DoaGrid:
     return DoaGrid(np.linspace(0.0, 180.0, num_points))
 
 
-def far_field_phase(grid: DoaGrid, distances: np.ndarray, speed_of_sound: float, freqs: np.ndarray) -> np.ndarray:
-    """Far-field phase ``-2 pi f_k cos(theta_c) d / c_s`` of each grid angle, frequency
-    in Hz and distance, shape (C, K, D); a distance is a signed offset along the
-    array axis in meters, such as a microphone distance or a pair spacing.
-    """
-    delays = np.cos(np.deg2rad(grid.angles_deg))[:, None] * distances[None, :] / speed_of_sound  # (C, D)
-    return -2.0 * np.pi * freqs[None, :, None] * delays[:, None, :]
-
-
 def steering_matrix(grid: DoaGrid, geom: ArrayGeometry, sample_rate: float, fft_length: int) -> np.ndarray:
     """Relative transfer functions of all grid directions, shape (C, K, Q) with K = fft_length / 2 + 1.
 
-    Entry (c, k, q) is ``exp(j phi)`` with the phase ``phi`` of
-    :func:`far_field_phase` at ``f_k = k * sample_rate / fft_length`` and the
-    microphone distance ``d_q``. The first microphone is the phase
-    reference, so column q = 0 is identically 1.
+    Entry (c, k, q) is ``exp(j phi)`` with the far-field phase
+    ``phi = -2 pi f_k cos(theta_c) d_q / c_s`` at ``f_k = k * sample_rate /
+    fft_length`` and the microphone distance ``d_q``. The first microphone is
+    the phase reference, so column q = 0 is identically 1.
     """
     freqs = np.arange(fft_length // 2 + 1) * sample_rate / fft_length
-    phase = far_field_phase(grid, geom.mic_distances, geom.speed_of_sound, freqs)
+    delays = np.cos(np.deg2rad(grid.angles_deg))[:, None] * geom.mic_distances[None, :] / geom.speed_of_sound  # (C, Q)
+    phase = -2.0 * np.pi * freqs[None, :, None] * delays[:, None, :]
     steering = np.empty(phase.shape, dtype=complex)
     np.cos(phase, out=steering.real)
     np.sin(phase, out=steering.imag)
