@@ -24,7 +24,7 @@ import sys
 
 from . import estimate, evaluate, simulate
 from .geometry import SPEED_OF_SOUND, ArrayGeometry, make_grid
-from .signal import DEFAULT_HOP, DEFAULT_WINDOW_LENGTH, read_wav, stft, write_wav
+from .signal import DEFAULT_HOP, DEFAULT_WINDOW_LENGTH, read_wav, stft, wav_rate, write_wav
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,8 +51,10 @@ def _parse_frames(text):
 
 
 def cmd_simulate(args) -> int:
-    # every scene is built, and so checked, before the output directory is made
-    scenes = evaluate._scene_specs(evaluate.validate_config(_load_config(args.config)))
+    # every scene is built, and so checked, and the WAV rate too, before the output directory is made
+    cfg = evaluate.validate_config(_load_config(args.config))
+    scenes = evaluate._scene_specs(cfg)
+    wav_rate(cfg["sample_rate"], cfg["geometry"]["num_mics"])
     os.makedirs(args.out_dir, exist_ok=True)
     for scene_id, spec in scenes:
         truth = simulate.mix_scene(spec)

@@ -203,8 +203,22 @@ def read_wav(path, expected_rate: float | None = None) -> TimeSignal:
     return TimeSignal(samples=data.reshape(-1, channels).T, sample_rate=float(rate))
 
 
+def wav_rate(sample_rate, channels: int) -> int:
+    """The header rate of a 32-bit float WAV of ``channels`` channels at ``sample_rate``.
+
+    The rate must be a whole number of Hz >= 1 whose byte rate, ``rate * 4 *
+    channels``, fits the header's 32-bit field, so it is at most 2**32 - 1;
+    any other rate raises a ``ValueError`` that names it.
+    """
+    limit = (2**32 - 1) // (4 * channels)
+    if not (is_finite_number(sample_rate, 0) and float(sample_rate).is_integer() and sample_rate <= limit):
+        raise ValueError(f"a float WAV of {channels} channel(s) holds a whole number of Hz in [1, {limit}], "
+                         f"got sample rate {sample_rate!r}")
+    return int(sample_rate)
+
+
 def write_wav(path, signal: TimeSignal) -> None:
-    """Write a TimeSignal as a 32-bit float WAV.
+    """Write a TimeSignal as a 32-bit float WAV at the :func:`wav_rate` of its sample rate.
 
     The layout is the canonical one: a ``fmt `` chunk with ``cbSize``, a
     ``fact`` chunk holding the frame count (both required of non-PCM
@@ -212,7 +226,7 @@ def write_wav(path, signal: TimeSignal) -> None:
     """
     data = signal.samples.T.astype("<f4")
     frames, channels = data.shape
-    rate, width = int(signal.sample_rate), data.itemsize
+    rate, width = wav_rate(signal.sample_rate, channels), data.itemsize
     # format tag 3 (IEEE float), then a cbSize of 0
     fmt = struct.pack("<HHIIHHH", 3, channels, rate, rate * width * channels, width * channels, 8 * width, 0)
     fact = b"fact" + struct.pack("<II", 4, frames)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .blas import one_blas_thread
 from .geometry import SPEED_OF_SOUND, ArrayGeometry
@@ -250,9 +249,9 @@ def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray) -> np.ndarray:
     Each pulse is the 81-tap Hann-windowed sinc. For a delay ``base + f``,
     ``|f| <= 1/2``, tap m is ``sum_k _TAP_TABLE[m, 2 k + h] T_k(u)``. So one
     bincount per degree k sums ``amp T_k(u)`` per half and base, one GEMM
-    turns these histograms into the taps of every base, and a skewed view
-    adds the taps along their diagonals in one sum. The taps match the
-    per-tap kernel to ~1e-15 of the peak; the temporaries end with the call.
+    turns these histograms into the taps of every base, and tap m of every
+    base is added, as one shifted slice, into the output span. The taps match
+    the per-tap kernel to ~1e-15 of the peak; the temporaries end with the call.
     """
     half = SINC_HALF_TAPS
     row = np.zeros(length)
@@ -277,15 +276,13 @@ def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray) -> np.ndarray:
         hist[2 * k : 2 * k + 2] = np.bincount(index, amp, 2 * span).reshape(2, span)
         prev, amp = amp, 2.0 * u * amp - prev
     del u, index, amp, prev
-    # the 2H zero columns after the taps hold the spill of the last bases
-    taps = np.zeros((2 * half + 1, span + 2 * half))
-    np.matmul(_TAP_TABLE, hist, out=taps[:, :span])
-    # element (m, j) of the view is taps[m, j - m], tap m of base lo + j - m;
-    # for j < m it reads the zero columns of the row above
-    skew = as_strided(taps, taps.shape, ((taps.shape[1] - 1) * taps.itemsize, taps.itemsize))
-    start = lo - half  # output tap of view column 0
+    taps = _TAP_TABLE @ hist  # (2H + 1, span): tap m of base lo + j in column j
+    out = np.zeros(span + 2 * half)  # output taps lo - H .. lo + span + H - 1
+    for m, tap in enumerate(taps):
+        out[m : m + span] += tap
+    start = lo - half  # output tap of out[0]
     a, b = max(start, 0), min(start + span + 2 * half, length)
-    row[a:b] = skew.sum(axis=0)[a - start : b - start]
+    row[a:b] = out[a - start : b - start]
     return row
 
 

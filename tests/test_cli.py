@@ -652,6 +652,23 @@ class TestExitCodes:
         assert "'r0_t0.00_s1.50_d010.000_k0'" in _one_error_line(capsys)
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("rate", [16000.5, 2**32])
+    def test_rate_no_wav_can_hold_simulates_nothing(self, tmp_path, capsys, monkeypatch, rate):
+        """A WAV header holds a whole number of Hz in 32 bits: any other rate exits 1 naming it,
+        before any scene or --out-dir is made, so no truth.json disagrees with its WAVs."""
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = _write_config(tmp_path / "cfg.json", sample_rate=rate)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert f"got sample rate {rate!r}" in _one_error_line(capsys)
+        assert calls == [] and not (tmp_path / "x").exists()
+
+    def test_eval_takes_a_rate_no_wav_can_hold(self, tmp_path):
+        """``eval`` writes no WAV, so a rate of 16000.5 Hz is valid there."""
+        cfg = _write_config(tmp_path / "cfg.json", sample_rate=16000.5, doas=[90.0], seeds_per_doa=1)
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 0
+        assert (tmp_path / "x" / "records.csv").exists()
+
     @pytest.mark.parametrize("key", ["rooms", "t60", "smd", "doas"])
     def test_empty_scene_grid_simulates_nothing(self, tmp_path, capsys, key):
         """An empty grid list exits 1 naming its key, before --out-dir is created."""

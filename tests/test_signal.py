@@ -92,6 +92,19 @@ class TestWav:
         assert back.sample_rate == FS
         np.testing.assert_allclose(back.samples, sig.samples, atol=1e-6)
 
+    def test_whole_float_rate_round_trips(self, tmp_path):
+        path = tmp_path / "x.wav"
+        write_wav(path, TimeSignal(np.zeros((2, 100)), 44100.0))
+        assert read_wav(path).sample_rate == 44100.0
+
+    @pytest.mark.parametrize("rate", [16000.5, 2**32, 2**30])
+    def test_rate_the_header_cannot_hold_raises(self, tmp_path, rate):
+        """The rate field is a whole number of Hz, and the byte rate ``rate * 4 * channels``
+        fits 32 bits too: 2**30 Hz overflows it at one channel."""
+        with pytest.raises(ValueError, match=f"got sample rate {rate!r}"):
+            write_wav(tmp_path / "x.wav", TimeSignal(np.zeros((1, 100)), rate))
+        assert not (tmp_path / "x.wav").exists()
+
     def test_rate_mismatch_raises(self, tmp_path):
         path = tmp_path / "x.wav"
         write_wav(path, TimeSignal(np.zeros((1, 100)), 8000))
