@@ -47,12 +47,13 @@ def psm_mask(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram) 
 def magnitude_ratio_mask(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram) -> np.ndarray:
     """Clipped magnitude-ratio oracle mask at microphone 1: ``min(1, |Xd| / |Y|)``.
 
-    Bins with zero mixture magnitude get weight 0.
+    Bins with zero mixture magnitude get weight 0; a ratio that overflows,
+    over a subnormal mixture magnitude, is clipped to 1 like any ratio above 1.
     """
     _check_shapes(direct, mixture)
     mag_d = np.abs(direct.bins[0])
     mag_y = np.abs(mixture.bins[0])
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         ratio = np.where(mag_y > 0, mag_d / np.where(mag_y > 0, mag_y, 1.0), 0.0)
     return np.minimum(1.0, ratio)
 

@@ -6,10 +6,14 @@ seeded two-source scene set; criteria 1 and 9 share an on-grid anechoic
 scene set.
 """
 
+import functools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from doalab import attention, evaluate, simulate
 from doalab.estimate import (
@@ -242,87 +246,124 @@ class TestCriterion7:
         assert interior[best_v] < mae[0.9]
 
 
+NORMAL = st.floats(-5.0, 5.0)  # the +-5 sigma range of a standard-normal draw
+
+
+def _complex(shape):
+    """Complex arrays of ``shape`` with real and imaginary parts from :data:`NORMAL`."""
+    parts = st.tuples(*(arrays(np.float64, shape, elements=NORMAL) for _ in range(2)))
+    return parts.map(lambda p: p[0] + 1j * p[1])
+
+
+def _spectrogram(q, k, n):
+    return _complex((q, k, n)).map(lambda bins: MultichannelSpectrogram(bins, FS, 2 * (k - 1)))
+
+
+def _spectrum_or_error(core, method, mask):
+    """The method's spectrum of one mask, or the message of the ValueError it raises."""
+    try:
+        return core.spectra(method, [mask])[0]
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestCriterion8:
     CASES = 1000
+    SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=CASES)
 
     def test_invariant_suites(self, criterion_report):
-        rng = np.random.default_rng(2024)
-        t0 = time.perf_counter()
+        runs = {}
 
-        def random_spec(q, k, n):
-            bins = rng.standard_normal((q, k, n)) + 1j * rng.standard_normal((q, k, n))
-            return MultichannelSpectrogram(bins, FS, 2 * (k - 1))
+        def suite(function):
+            """Count the examples of a ``given`` test and run it."""
+            @functools.wraps(function)
+            def counted(*args, **kwargs):
+                runs[function.__name__] = runs.get(function.__name__, 0) + 1
+                function(*args, **kwargs)
+            return counted
 
-        # masks bounded to [0, 1]
-        for _ in range(self.CASES):
-            direct = random_spec(1, 5, 4)
-            mixture = random_spec(1, 5, 4)
-            for mask in (
-                attention.psm_mask(direct, mixture),
-                attention.magnitude_ratio_mask(direct, mixture),
-            ):
+        @self.SETTINGS
+        @given(direct=_spectrogram(1, 5, 4), mixture=_spectrogram(1, 5, 4))
+        @suite
+        def masks_bounded(direct, mixture):
+            for mask in (attention.psm_mask(direct, mixture), attention.magnitude_ratio_mask(direct, mixture)):
                 assert mask.min() >= 0.0 and mask.max() <= 1.0
 
-        # cross-spectral tensor conjugate symmetry
-        for _ in range(self.CASES):
-            spec = random_spec(3, 4, 3)
+        @self.SETTINGS
+        @given(spec=_spectrogram(3, 4, 3))
+        @suite
+        def cross_spectra_conjugate_symmetric(spec):
             phi = cross_spectral_tensor(spec, phat_weighting(spec)).values
             assert np.allclose(phi, np.conj(np.swapaxes(phi, 2, 3)), rtol=1e-12, atol=1e-12)
 
-        # SRP-P identical to SRP-MP with an all-ones mask
         grid5 = make_grid(5)
         geom3 = ArrayGeometry.uniform(3, 0.08)
-        for _ in range(self.CASES):
-            # a coherent common component keeps the steered power peak positive
-            common = rng.standard_normal((1, 9, 4)) + 1j * rng.standard_normal((1, 9, 4))
-            noise = rng.standard_normal((3, 9, 4)) + 1j * rng.standard_normal((3, 9, 4))
-            spec = MultichannelSpectrogram(common + 0.3 * noise, FS, 16)
-            core = EstimatorCore(spec, grid5, geom3)
-            plain = core.spectra("srp-p", [None])[0]
-            masked = core.spectra("srp-mp", [np.ones((9, 4))])[0]
-            assert np.array_equal(plain, masked)
 
-        # exact scene decomposition: mixture equals directs + reverbs + noise
+        @self.SETTINGS
+        @given(common=_complex((1, 9, 4)), noise=_complex((3, 9, 4)))
+        @suite
+        def srp_p_is_srp_mp_with_ones(common, noise):
+            # a coherent common component keeps most steered power peaks positive; where a
+            # spectrum cannot be normalized, both methods must raise the same error
+            core = EstimatorCore(MultichannelSpectrogram(common + 0.3 * noise, FS, 16), grid5, geom3)
+            plain = _spectrum_or_error(core, "srp-p", None)
+            masked = _spectrum_or_error(core, "srp-mp", np.ones((9, 4)))
+            assert type(plain) is type(masked)
+            assert plain == masked if isinstance(plain, str) else np.array_equal(plain, masked)
+
         room = simulate.RoomSpec(np.array([6.0, 5.0, 2.7]), 0.0)
         geom2 = ArrayGeometry.uniform(2, 0.08)
-        for i in range(self.CASES):
-            sources = [simulate.SourceSpec(float(rng.uniform(0, 180)), 1.5, "white")]
-            sir = None
-            if rng.random() < 0.5:
-                sources.append(simulate.SourceSpec(float(rng.uniform(0, 180)), 1.5, "white"))
-                sir = float(rng.uniform(-5, 5))
+
+        @self.SETTINGS
+        @given(
+            doas=st.lists(st.floats(0.0, 180.0), min_size=1, max_size=2),
+            sir=st.floats(-5.0, 5.0),
+            snr=st.none() | st.floats(10.0, 40.0),
+            seed=st.integers(0, self.CASES - 1),
+        )
+        @suite
+        def scene_decomposes_exactly(doas, sir, snr, seed):
             spec = simulate.SceneSpec(
                 room=room,
                 geometry=geom2,
-                sources=tuple(sources),
-                snr_db=float(rng.uniform(10, 40)) if rng.random() < 0.5 else None,
-                sir_db=sir,
-                seed=i,
+                sources=tuple(simulate.SourceSpec(doa, 1.5, "white") for doa in doas),
+                snr_db=snr,
+                sir_db=sir if len(doas) == 2 else None,
+                seed=seed,
                 duration_frames=3,
                 window_length=128,
                 hop=64,
             )
             truth = simulate.mix_scene(spec)
             total = np.zeros_like(truth.mixture.samples)
-            for j in range(len(sources)):
-                total += truth.direct[j].samples
-                total += truth.reverb[j].samples
+            for direct, reverb in zip(truth.direct, truth.reverb):
+                total += direct.samples
+                total += reverb.samples
             total += truth.noise.samples
             assert np.array_equal(truth.mixture.samples, total)
 
-        # max-normalization scale invariance and idempotence
-        for _ in range(self.CASES):
-            values = rng.uniform(0.01, 1.0, 37)
-            alpha = float(rng.uniform(1e-3, 1e3))
+        @self.SETTINGS
+        @given(values=arrays(np.float64, 37, elements=st.floats(0.01, 1.0)), alpha=st.floats(1e-3, 1e3))
+        @suite
+        def normalization_scale_invariant_and_idempotent(values, alpha):
             base = normalize_sps(values)
-            scaled = normalize_sps(alpha * values)
-            assert np.allclose(base, scaled, rtol=1e-12)
-            again = normalize_sps(base)
-            assert np.array_equal(again, base)
+            assert np.allclose(base, normalize_sps(alpha * values), rtol=1e-12)
+            assert np.array_equal(normalize_sps(base), base)
 
+        suites = [
+            masks_bounded,
+            cross_spectra_conjugate_symmetric,
+            srp_p_is_srp_mp_with_ones,
+            scene_decomposes_exactly,
+            normalization_scale_invariant_and_idempotent,
+        ]
+        t0 = time.perf_counter()
+        for run in suites:
+            run()
         elapsed = time.perf_counter() - t0
+        assert list(runs.values()) == [self.CASES] * len(suites), runs
         passed = elapsed < 120.0
-        criterion_report(8, passed, f"5 suites x {self.CASES} cases in {elapsed:.1f} s")
+        criterion_report(8, passed, f"{len(suites)} suites x {self.CASES} cases in {elapsed:.1f} s")
         assert elapsed < 120.0
 
 

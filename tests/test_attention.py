@@ -68,6 +68,12 @@ class TestMagnitudeRatioMask:
         mixture = _spec(np.full((1, 2, 2), 0.6))
         np.testing.assert_allclose(attention.magnitude_ratio_mask(direct, mixture), 0.5)
 
+    def test_subnormal_mixture_gives_one_without_a_warning(self):
+        """|Xd| / |Y| overflows to inf over a subnormal |Y|; the clip makes it 1, silently."""
+        direct = _spec(np.ones((1, 2, 2)))
+        mixture = _spec(np.full((1, 2, 2), 1e-311))
+        np.testing.assert_array_equal(attention.magnitude_ratio_mask(direct, mixture), 1.0)
+
     def test_ratio_reconstructs_direct_magnitude(self):
         rng = np.random.default_rng(1)
         xd = rng.standard_normal((1, 4, 3)) + 1j * rng.standard_normal((1, 4, 3))
