@@ -51,7 +51,7 @@ def _parse_frames(text):
 
 
 def cmd_simulate(args) -> int:
-    # every scene is built, and so checked, and the WAV rate too, before the output directory is made
+    # every scene is built, and so checked, and the WAV rate checked, before the output directory is made
     cfg = evaluate.validate_config(_load_config(args.config))
     scenes = evaluate._scene_specs(cfg)
     wav_rate(cfg["sample_rate"], cfg["geometry"]["num_mics"])
