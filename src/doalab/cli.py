@@ -70,12 +70,12 @@ def cmd_estimate(args) -> int:
     grid = make_grid(args.grid)
     spec = stft(signal, args.window_length, args.hop)
 
-    direct = None
-    if evaluate.reads_direct_path(args.mask):
+    def direct():  # read only if the mask needs the direct path
         if args.direct is None:
             raise ValueError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
-        direct = stft(read_wav(args.direct), args.window_length, args.hop)
-    mask = evaluate.build_mask(args.mask, spec, direct)
+        return stft(read_wav(args.direct), args.window_length, args.hop)
+
+    mask = evaluate.build_masks([args.mask], spec, direct)[0]
 
     core = estimate.EstimatorCore(spec, grid, geom, args.frames, max_freq_hz=args.max_freq_hz)
     sps = core.spectra(args.method, [mask], args.num_sources)[0]

@@ -10,7 +10,8 @@ degrees, pseudo accuracy strictly below 10 degrees; both thresholds can be
 overridden in the config. :func:`parse_mask` alone reads a mask value, a spec
 such as ``random-band:50`` or an existing mask file, when the config is
 validated (``doalab estimate --mask`` too); only the checks that need the
-spectrogram's size wait for :func:`build_mask` at the first scene.
+spectrogram's size wait for :func:`build_masks` at the first scene, which
+alone decides whether a scene's direct-path STFT is taken.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def parse_mask(kind: str) -> tuple:
     existing file ``("file", value)``. A malformed spec raises a ``ValueError``
     that names it and its expected form. Ranges that depend on the
     spectrogram, such as ``random-band:N`` with N at most K, are left to
-    :func:`build_mask`.
+    :func:`build_masks`.
     """
     if not isinstance(kind, str):
         raise ValueError(f"a mask spec must be a string, got {kind!r}")
@@ -339,45 +340,42 @@ def parse_mask(kind: str) -> tuple:
     return (name, *params)
 
 
-def reads_direct_path(kind: str) -> bool:
-    """Whether mask spec ``kind`` needs the direct-path spectrogram: the oracle kinds do."""
-    return parse_mask(kind)[0].startswith("oracle")
-
-
-def build_mask(kind: str, spec, direct=None, scene_seed: int = 0, oracle=None) -> np.ndarray:
-    """The (K, N) mask array of a mask spec for one spectrogram.
+def build_masks(kinds, spec, direct=None, scene_seed: int = 0) -> list:
+    """One (K, N) mask array per mask spec in ``kinds``, in order, for one spectrogram.
 
     Kinds: ``none``, ``oracle-psm``, ``oracle-ratio``, ``oracle-psm-bin:T``,
     ``oracle-ratio-bin:T``, ``random-band:N``, ``band-range:LO:HI``,
-    ``file:PATH``, checked by :func:`parse_mask`. Oracle kinds need
-    ``direct``, the direct-path spectrogram; ``oracle``, when given, is a
-    dict that keeps the unthresholded oracle masks of one scene across
-    calls. A mask file must match the spectrogram's K x N shape.
+    ``file:PATH``, each parsed once by :func:`parse_mask`. Only the oracle
+    kinds read the direct-path spectrogram: ``direct`` is a function of no
+    arguments that returns it, called at most once and only if an oracle kind
+    is asked for, and each unthresholded oracle mask is made once per call.
+    A mask file must match the spectrogram's K x N shape.
     """
-    name, *params = parse_mask(kind)
     k, n = spec.num_bins, spec.num_frames
-    if name == "none":
-        return np.ones((k, n))
-    if name == "random-band":
-        return attention.random_band_mask(k, n, *params, seed=scene_seed)
-    if name == "band-range":
-        return attention.band_range_mask(k, n, *params)
-    if name == "file":
-        mask = attention.load_mask(*params)
-        if mask.shape != (k, n):
-            shape = " x ".join(map(str, mask.shape))
-            raise ValueError(f"mask file {params[0]} is {shape} (bins x frames), the spectrogram {k} x {n}")
-        return mask
-    if direct is None:
-        raise ValueError(f"mask {kind!r} needs the direct-path spectrogram")
-    source = name.removesuffix("-bin")
-    oracle = {} if oracle is None else oracle
-    if source not in oracle:
-        makers = {"oracle-psm": attention.psm_mask, "oracle-ratio": attention.magnitude_ratio_mask}
-        oracle[source] = makers[source](direct, spec)
-    if name == source:
-        return oracle[source]
-    return attention.binarize(oracle[source], *params)
+    reference = None if direct is None else functools.cache(direct)
+    makers = {"oracle-psm": attention.psm_mask, "oracle-ratio": attention.magnitude_ratio_mask}
+    oracle = functools.cache(lambda source: makers[source](reference(), spec))
+
+    def build(kind):
+        name, *params = parse_mask(kind)
+        if name == "none":
+            return np.ones((k, n))
+        if name == "random-band":
+            return attention.random_band_mask(k, n, *params, seed=scene_seed)
+        if name == "band-range":
+            return attention.band_range_mask(k, n, *params)
+        if name == "file":
+            mask = attention.load_mask(*params)
+            if mask.shape != (k, n):
+                shape = " x ".join(map(str, mask.shape))
+                raise ValueError(f"mask file {params[0]} is {shape} (bins x frames), the spectrogram {k} x {n}")
+            return mask
+        if reference is None:
+            raise ValueError(f"mask {kind!r} needs the direct-path spectrogram")
+        source = name.removesuffix("-bin")
+        return oracle(source) if name == source else attention.binarize(oracle(source), *params)
+
+    return [build(kind) for kind in kinds]
 
 
 def _central_frames(num_frames: int, eval_frames: int):
@@ -388,16 +386,13 @@ def _central_frames(num_frames: int, eval_frames: int):
 def scene_inputs(spec, cfg: dict):
     """``(core, masks)`` of one simulated scene: the :class:`~doalab.estimate.EstimatorCore`
     over the central ``eval_frames`` with the config's grid and ``max_freq_hz``, one mask per
-    kind in config order. The direct-path STFT is taken only if a kind :func:`reads_direct_path`."""
+    kind in config order. :func:`build_masks` takes the direct-path STFT only if an oracle kind needs it."""
     truth = simulate.mix_scene(spec)
     mixture = stft(truth.mixture, spec.window_length, spec.hop)
-    direct = None
-    if any(map(reads_direct_path, cfg["masks"])):
-        direct = stft(truth.direct[0], spec.window_length, spec.hop)
     frames = _central_frames(mixture.num_frames, cfg["eval_frames"])
     core = estimate.EstimatorCore(mixture, make_grid(cfg["grid_size"]), spec.geometry, frames, cfg["max_freq_hz"])
-    oracle = {}
-    return core, [build_mask(kind, mixture, direct, spec.seed, oracle) for kind in cfg["masks"]]
+    direct = functools.partial(stft, truth.direct[0], spec.window_length, spec.hop)  # taken only for an oracle mask
+    return core, build_masks(cfg["masks"], mixture, direct, spec.seed)
 
 
 def _run_scene(args):

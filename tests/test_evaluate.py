@@ -459,10 +459,10 @@ class TestSharedCore:
             direct = stft(truth.direct[0])
             frames = evaluate._central_frames(mix.num_frames, cfg["eval_frames"])
             limit = cfg["max_freq_hz"]
-            ones = evaluate.build_mask("none", mix)
+            ones = evaluate.build_masks(["none"], mix)[0]
             expected = []
             for kind in SWEEP_MASKS:
-                mask = evaluate.build_mask(kind, mix, direct, spec.seed)
+                mask = evaluate.build_masks([kind], mix, lambda: direct, spec.seed)[0]
                 for m in (ones, mask):
                     expected.append(reference_srp_mp(mix, m, grid, spec.geometry, frames, limit))
                 expected.append(
@@ -486,7 +486,7 @@ class TestSharedCore:
         mix, direct = stft(truth.mixture), stft(truth.direct[0])
         assert len(masks) == len(cfg["masks"])
         for kind, mask in zip(cfg["masks"], masks):
-            np.testing.assert_array_equal(mask, evaluate.build_mask(kind, mix, direct, spec.seed), err_msg=kind)
+            np.testing.assert_array_equal(mask, evaluate.build_masks([kind], mix, lambda: direct, spec.seed)[0], err_msg=kind)
         start = (mix.num_frames - cfg["eval_frames"]) // 2
         assert core.frames == slice(start, start + cfg["eval_frames"])
         np.testing.assert_array_equal(core.bins, mix.bins[:, :, core.frames])
@@ -567,7 +567,7 @@ class TestBatchedCore:
         direct = stft(truth.direct[0])
         limit = cfg["max_freq_hz"]
         kinds = SWEEP_MASKS + ["oracle-psm-bin:0.99", "band-range:0:0", "band-range:30:40", "random-band:5"]
-        masks = [evaluate.build_mask(kind, mix, direct, spec.seed) for kind in kinds]
+        masks = [evaluate.build_masks([kind], mix, lambda: direct, spec.seed)[0] for kind in kinds]
         # the masks' active-bin sets differ, binarized masks have all-zero rows
         active_rows = [np.any(m, axis=1) for m in masks]
         assert len({rows.tobytes() for rows in active_rows}) >= 6
@@ -595,7 +595,7 @@ class TestBatchedCore:
         mix = stft(truth.mixture)
         direct = stft(truth.direct[0])
         kinds = ["none", "oracle-psm", "oracle-ratio-bin:0.00"]
-        masks = [evaluate.build_mask(kind, mix, direct, spec.seed) for kind in kinds]
+        masks = [evaluate.build_masks([kind], mix, lambda: direct, spec.seed)[0] for kind in kinds]
         assert np.array_equal(masks[0], masks[2])
         frames = evaluate._central_frames(mix.num_frames, cfg["eval_frames"])
         core = estimate.EstimatorCore(mix, make_grid(37), spec.geometry, frames)
@@ -625,7 +625,7 @@ class TestBatchedCore:
     def test_all_zero_mask_anywhere_in_batch_raises(self, position):
         mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
         core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))
-        masks = [evaluate.build_mask(kind, mix) for kind in ("none", "band-range:10:20", "random-band:30")]
+        masks = [evaluate.build_masks([kind], mix)[0] for kind in ("none", "band-range:10:20", "random-band:30")]
         masks[position] = np.zeros(masks[0].shape)
         with pytest.raises(ValueError, match="empty attention"):
             core.spectra("srp-mp", masks)
@@ -644,12 +644,12 @@ class TestBatchedCore:
     def test_oracle_mask_needs_the_direct_path(self, kind):
         mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
         with pytest.raises(ValueError, match="needs the direct-path spectrogram"):
-            evaluate.build_mask(kind, mix)
+            evaluate.build_masks([kind], mix)[0]
 
     def test_mask_shape_checked_per_mask(self):
         mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
         core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))
-        masks = [evaluate.build_mask("none", mix), np.ones((mix.num_bins, mix.num_frames - 1))]
+        masks = [evaluate.build_masks(["none"], mix)[0], np.ones((mix.num_bins, mix.num_frames - 1))]
         for method in ("srp-mp", "music"):
             with pytest.raises(ValueError, match="must match"):
                 core.spectra(method, masks)
