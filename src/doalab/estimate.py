@@ -56,23 +56,30 @@ def is_frequency_limit(max_freq_hz, first_bin_hz: float) -> bool:
     return max_freq_hz is None or is_finite_number(max_freq_hz, first_bin_hz, closed=True)
 
 
+def _pair_products(z: np.ndarray, axis: int) -> np.ndarray:
+    """``[Re, Im]`` of ``z_q z*_j`` (``[Re, -Im]`` of ``z*_q z_j``) over the pairs q < j of ``z``'s ``axis``, in
+    ``np.triu_indices`` order, stacked in its place, C-contiguous; a pair at a time, so each product stays in cache."""
+    first, second = np.triu_indices(z.shape[axis], 1)
+    out = np.empty(z.shape[:axis] + (2 * first.size,) + z.shape[axis + 1 :])
+    channels, parts = np.moveaxis(z, axis, 0), np.moveaxis(out, axis, 0)
+    for p, (q, j) in enumerate(zip(first, second)):
+        cross = np.multiply(channels[q], np.conj(channels[j]))  # `*` may swap the operands of a large temporary
+        parts[p], parts[first.size + p] = cross.real, cross.imag
+    return out
+
+
 @lru_cache(maxsize=8)  # a run uses one geometry, so a few entries suffice
 def _pair_steering_table(
     angles_deg: tuple, mic_distances: tuple, speed_of_sound: float, sample_rate: float, window_length: int
 ) -> np.ndarray:
-    """Read-only pair steering (C, K 2P) of one geometry.
-
-    It holds ``[Re E, -Im E]`` per bin, with E = D*_q D_j over the pairs
-    q < j of the steering matrix D. D is built for this call and dropped,
-    not read from :func:`_steering_table`, so an SRP-only process never holds
-    it. The table depends only on these plain values, so it is built once
-    per geometry and shared by every core that uses it.
+    """Read-only pair steering (C, K 2P) of one geometry: per bin ``[Re E, -Im E]``, E = D*_q D_j,
+    the :func:`_pair_products` of the steering matrix D. D is built for this call and dropped, not
+    read from :func:`_steering_table`, so an SRP-only process never holds it. The table depends only
+    on these plain values, so it is built once per geometry and shared by every core that uses it.
     """
     geom = ArrayGeometry(np.array(mic_distances), speed_of_sound)
     steering = steering_matrix(DoaGrid(np.array(angles_deg)), geom, sample_rate, window_length)  # (C, K, Q)
-    first, second = np.triu_indices(geom.num_mics, 1)
-    pair = np.conj(steering[:, :, first]) * steering[:, :, second]  # (C, K, P)
-    table = np.concatenate([pair.real, -pair.imag], axis=2).reshape(len(angles_deg), -1)
+    table = _pair_products(steering, axis=2).reshape(len(angles_deg), -1)
     table.setflags(write=False)
     return table
 
@@ -136,22 +143,14 @@ class EstimatorCore:
     def pairs(self) -> np.ndarray:
         """PHAT pair cross-spectra over the frame range, shape (K, 2P, N_range).
 
-        Real and imaginary parts are stacked, ``[Re X; Im X]`` per bin, so
-        that with the pair steering's ``[Re E, -Im E]`` the real part
-        ``Re E Re X - Im E Im X`` is one real product.
+        Real and imaginary parts are stacked, ``[Re X; Im X]`` per bin, the :func:`_pair_products`
+        of the whitened bins A, X = A_q A*_j; so with the pair steering's ``[Re E, -Im E]`` the real
+        part ``Re E Re X - Im E Im X`` is one real product.
         """
-        q, k, n = self.bins.shape
-        first, second = np.triu_indices(q, 1)
-        num_pairs = first.size
         mag = np.abs(self.bins)  # PHAT weight: 1/|Y| where the magnitude exceeds epsilon, else epsilon
         loud = mag > DEFAULT_PHAT_EPSILON
         whitened = self.bins * np.where(loud, 1.0 / np.where(loud, mag, 1.0), DEFAULT_PHAT_EPSILON)
-        pairs = np.empty((k, 2 * num_pairs, n))
-        for p, (a, b) in enumerate(zip(first, second)):
-            cross = whitened[a] * np.conj(whitened[b])
-            pairs[:, p] = cross.real
-            pairs[:, num_pairs + p] = cross.imag
-        return pairs
+        return _pair_products(whitened.swapaxes(0, 1), axis=1)
 
     @cached_property
     def pair_steering(self) -> np.ndarray:

@@ -249,9 +249,11 @@ def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray) -> np.ndarray:
     Each pulse is the 81-tap Hann-windowed sinc. For a delay ``base + f``,
     ``|f| <= 1/2``, tap m is ``sum_k _TAP_TABLE[m, 2 k + h] T_k(u)``. So one
     bincount per degree k sums ``amp T_k(u)`` per half and base, one GEMM
-    turns these histograms into the taps of every base, and tap m of every
-    base is added, as one shifted slice, into the output span. The taps match
-    the per-tap kernel to ~1e-15 of the peak; the temporaries end with the call.
+    turns these histograms into the taps of every base, each row followed by
+    2H + 1 zeros. Read at width ``span + 2H``, row m starts m columns later,
+    so one sum over the rows adds tap m of base i - m into output column i.
+    The taps match the per-tap kernel to ~1e-15 of the peak; the temporaries
+    end with the call.
     """
     half = SINC_HALF_TAPS
     row = np.zeros(length)
@@ -276,12 +278,13 @@ def _scatter_row(length: int, d: np.ndarray, amp: np.ndarray) -> np.ndarray:
         hist[2 * k : 2 * k + 2] = np.bincount(index, amp, 2 * span).reshape(2, span)
         prev, amp = amp, 2.0 * u * amp - prev
     del u, index, amp, prev
-    taps = _TAP_TABLE @ hist  # (2H + 1, span): tap m of base lo + j in column j
-    out = np.zeros(span + 2 * half)  # output taps lo - H .. lo + span + H - 1
-    for m, tap in enumerate(taps):
-        out[m : m + span] += tap
+    width = span + 2 * half  # output taps lo - H .. lo + span + H - 1
+    taps = np.empty((2 * half + 1, width + 1))  # tap m of base lo + j in column j, then 2H + 1 zeros
+    taps[:, span:] = 0.0
+    np.matmul(_TAP_TABLE, hist, out=taps[:, :span])
+    out = taps.reshape(-1)[: (2 * half + 1) * width].reshape(2 * half + 1, width).sum(axis=0)
     start = lo - half  # output tap of out[0]
-    a, b = max(start, 0), min(start + span + 2 * half, length)
+    a, b = max(start, 0), min(start + width, length)
     row[a:b] = out[a - start : b - start]
     return row
 
@@ -330,6 +333,8 @@ def image_method_rir(
     d0 = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
     if not np.all(d0 > 0):
         raise ValueError("a microphone coincides with the source: its direct path has distance 0")
+    if not float(np.max(d0)) / speed_of_sound * sample_rate < 2.0**52:  # from 2**52 taps on, a delay keeps no fraction
+        raise ValueError(f"speed_of_sound {speed_of_sound:g} at sample_rate {sample_rate:g} puts a direct path >= 2**52 taps away")
     if length is None:
         tail = room.t60 + 0.05 if room.t60 > 0 else 0.0
         length = int(np.ceil((float(np.max(d0)) / speed_of_sound + tail) * sample_rate)) + 2 * SINC_HALF_TAPS + 2

@@ -138,6 +138,11 @@ class TestEstimate:
         assert main(["estimate", "--input", str(broadside_wav), "--mask", "oracle-psm"]) == 1
         assert "--direct" in capsys.readouterr().err
 
+    def test_direct_not_read_without_an_oracle_mask(self, broadside_wav, tmp_path, capsys):
+        missing = str(tmp_path / "missing.wav")
+        assert main(["estimate", "--input", str(broadside_wav), "--mask", "none", "--direct", missing]) == 0
+        assert json.loads(capsys.readouterr().out)["picked_doa_deg"] == 90.0
+
     def test_bad_frame_range_is_usage_error(self, broadside_wav, capsys):
         assert main(["estimate", "--input", str(broadside_wav), "--frames", "abc"]) == 1
         assert capsys.readouterr().err.startswith("error: ")

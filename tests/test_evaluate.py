@@ -646,6 +646,36 @@ class TestBatchedCore:
         with pytest.raises(ValueError, match="needs the direct-path spectrogram"):
             evaluate.build_masks([kind], mix)[0]
 
+    def test_direct_path_taken_once_and_each_oracle_mask_made_once(self, monkeypatch):
+        mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
+        direct = stft(simulate.white_noise(4, 40 * 256, seed=4))
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(attention, "psm_mask", counted("psm_mask", attention.psm_mask))
+        kinds = ["oracle-psm", "oracle-psm-bin:0.9", "oracle-ratio-bin:0.5"]
+        masks = evaluate.build_masks(kinds, mix, counted("direct", lambda: direct))
+        assert calls == {"direct": 1, "psm_mask": 1}
+        psm, ratio = attention.psm_mask(direct, mix), attention.magnitude_ratio_mask(direct, mix)
+        np.testing.assert_array_equal(masks[0], psm)
+        np.testing.assert_array_equal(masks[1], attention.binarize(psm, 0.9))
+        np.testing.assert_array_equal(masks[2], attention.binarize(ratio, 0.5))
+
+    def test_direct_path_never_taken_without_an_oracle_kind(self):
+        mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
+
+        def direct():
+            raise AssertionError("the direct path was taken")
+
+        masks = evaluate.build_masks(["none", "band-range:1:3", "random-band:5"], mix, direct)
+        assert [m.shape for m in masks] == [(mix.num_bins, mix.num_frames)] * 3
+
     def test_mask_shape_checked_per_mask(self):
         mix = stft(simulate.white_noise(4, 40 * 256, seed=3))
         core = estimate.EstimatorCore(mix, make_grid(37), simulate.ArrayGeometry.uniform(4, 0.08))

@@ -284,6 +284,14 @@ class TestImageMethodRir:
         with pytest.raises(ValueError, match="a microphone coincides with the source"):
             image_method_rir(room, [2.0, 2.5, 1.4], [[4.0, 2.5, 1.4], [2.0, 2.5, 1.4]], length=100)
 
+    @pytest.mark.parametrize("t60", [0.0, 0.3])
+    @pytest.mark.parametrize("length", [None, 100])
+    def test_delay_beyond_float_precision_is_named(self, t60, length):
+        # c = 1e-300 puts the direct path ~1e304 taps away: no fraction of a tap is left to place
+        room = RoomSpec(np.array([6.0, 5.0, 2.7]), t60)
+        with pytest.raises(ValueError, match=r"speed_of_sound 1e-300 at sample_rate 16000 puts a direct path >= 2\*\*52 taps away"):
+            image_method_rir(room, [2.0, 2.5, 1.4], [[4.0, 2.5, 1.4]], length=length, speed_of_sound=1e-300)
+
     def test_positions_outside_room_raise(self):
         with pytest.raises(ValueError, match="inside the room"):
             image_method_rir(ROOM, [7.0, 2.5, 1.4], [[4.0, 2.5, 1.4]], length=100)
