@@ -21,6 +21,8 @@ MASK_MAGIC = b"DOAMASK1"
 
 
 def _check_shapes(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram):
+    if direct.sample_rate != mixture.sample_rate:
+        raise ValueError(f"direct and mixture sample rates differ: {direct.sample_rate:g} and {mixture.sample_rate:g} Hz")
     if direct.bins.shape != mixture.bins.shape:
         raise ValueError("direct and mixture spectrograms must have equal shapes")
 

@@ -14,10 +14,10 @@ with the bands' mask weights, over the bands whose covariance can have rank
 its power in :data:`METHODS`: M^0 = 1 (SRP-PHAT), M^2 (SRP-MP) or M (MUSIC).
 
 :class:`EstimatorCore` keeps the mask-independent part (X, E, per-bin outer
-products) of one spectrogram and frame range. The pair steering (SRP) and
-the steering matrix (MUSIC) depend only on the grid, the array and the
-STFT, so each is built once per geometry, when a method first reads it, and
-every core shares them. Its one entry,
+products) of one spectrogram and frame range. The steering matrix D (MUSIC)
+and its pair products E (SRP) depend only on the grid, the array and the
+STFT, so both are built in one cache entry per geometry, when a method first
+reads either, and every core shares them. Its one entry point,
 :meth:`EstimatorCore.spectra`, checks and weights a list of masks in one
 place and evaluates them all at once: SRP is one matrix product, MUSIC one
 batched eigendecomposition over all (mask, bin) pairs. Spectra are plain
@@ -69,31 +69,19 @@ def _pair_products(z: np.ndarray, axis: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)  # a run uses one geometry, so a few entries suffice
-def _pair_steering_table(
+def _steering_tables(
     angles_deg: tuple, mic_distances: tuple, speed_of_sound: float, sample_rate: float, window_length: int
-) -> np.ndarray:
-    """Read-only pair steering (C, K 2P) of one geometry: per bin ``[Re E, -Im E]``, E = D*_q D_j,
-    the :func:`_pair_products` of the steering matrix D. D is built for this call and dropped, not
-    read from :func:`_steering_table`, so an SRP-only process never holds it. The table depends only
-    on these plain values, so it is built once per geometry and shared by every core that uses it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only steering matrix D (C, K, Q) of one geometry, from :func:`doalab.geometry.steering_matrix`,
+    and its pair steering E (C, K 2P): per bin ``[Re E, -Im E]``, E = D*_q D_j, the :func:`_pair_products`
+    of D. Both depend only on these plain values, so they are built once per geometry and shared by every core.
     """
     geom = ArrayGeometry(np.array(mic_distances), speed_of_sound)
-    steering = steering_matrix(DoaGrid(np.array(angles_deg)), geom, sample_rate, window_length)  # (C, K, Q)
-    table = _pair_products(steering, axis=2).reshape(len(angles_deg), -1)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=8)
-def _steering_table(
-    angles_deg: tuple, mic_distances: tuple, speed_of_sound: float, sample_rate: float, window_length: int
-) -> np.ndarray:
-    """Read-only :func:`doalab.geometry.steering_matrix` (C, K, Q) of one geometry, keyed like
-    :func:`_pair_steering_table`, which forms its pair products from the same D; only MUSIC reads it."""
-    geom = ArrayGeometry(np.array(mic_distances), speed_of_sound)
-    table = steering_matrix(DoaGrid(np.array(angles_deg)), geom, sample_rate, window_length)
-    table.setflags(write=False)
-    return table
+    steering = steering_matrix(DoaGrid(np.array(angles_deg)), geom, sample_rate, window_length)
+    pair_steering = _pair_products(steering, axis=2).reshape(len(angles_deg), -1)
+    for table in (steering, pair_steering):
+        table.setflags(write=False)
+    return steering, pair_steering
 
 
 class EstimatorCore:
@@ -103,9 +91,8 @@ class EstimatorCore:
     Every table is built on first use and kept: :attr:`pairs` (the PHAT pair
     cross-spectra, SRP only), :attr:`products` (MUSIC only), and the
     geometry's :attr:`pair_steering` (SRP) and :attr:`steering` (MUSIC),
-    which come from :func:`_pair_steering_table` and :func:`_steering_table`
-    (both from one steering matrix) and so are built once per geometry and
-    shared between cores. Estimates
+    which read the one entry of :func:`_steering_tables` and so are built
+    once per geometry and shared between cores. Estimates
     come from :meth:`spectra`, per-frame SRP sums from :meth:`per_frame`.
     ``max_freq_hz`` (see :func:`is_frequency_limit`) zeroes the mask rows above
     that frequency (aliasing ablation) in every estimate. Masks with equal
@@ -154,13 +141,13 @@ class EstimatorCore:
 
     @cached_property
     def pair_steering(self) -> np.ndarray:
-        """Read-only pair steering of the grid, shape (C, K 2P), from :func:`_pair_steering_table`."""
-        return _pair_steering_table(*self._geometry)
+        """Read-only pair steering of the grid, shape (C, K 2P), from :func:`_steering_tables`."""
+        return _steering_tables(*self._geometry)[1]
 
     @cached_property
     def steering(self) -> np.ndarray:
-        """Read-only steering matrix of the grid, shape (C, K, Q), from :func:`_steering_table`."""
-        return _steering_table(*self._geometry)
+        """Read-only steering matrix of the grid, shape (C, K, Q), from :func:`_steering_tables`."""
+        return _steering_tables(*self._geometry)[0]
 
     @cached_property
     def products(self) -> np.ndarray:
@@ -239,6 +226,7 @@ class EstimatorCore:
         cov = np.moveaxis(self.products @ weights.transpose(1, 2, 0), 2, 0)
         cov = cov.reshape(*active.shape, q, q)[active]
         cov /= band_weight[active][:, None, None]
+        silent = np.einsum("kii->k", cov.real) == 0  # eigh of a zero covariance gives a flat pseudospectrum
         _, eigvecs = np.linalg.eigh(cov)
         noise = eigvecs[:, :, : q - num_sources]  # ascending eigenvalues
 
@@ -248,6 +236,8 @@ class EstimatorCore:
         stop = 0
         for bands, band_active in zip(band_weight, active):
             start, stop = stop, stop + np.count_nonzero(band_active)
+            if silent[start:stop].all():
+                raise ValueError("silent input: every band the mask attends to has a zero covariance")
             proj = manifold[band_active] @ noise[start:stop]  # (K_a, C, Q - num_sources)
             pseudo = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=2), 1e-12)
             pseudo /= pseudo.max(axis=1, keepdims=True)

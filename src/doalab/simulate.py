@@ -111,6 +111,8 @@ class SceneSpec:
     rir_length_s: float | None = None
 
     def __post_init__(self):
+        if np.any(self.room.dimensions <= 2 * WALL_MARGIN):
+            raise ValueError(f"room too small for the {WALL_MARGIN} m wall margin")
         sources = tuple(self.sources)
         object.__setattr__(self, "sources", sources)
         if not 1 <= len(sources) <= 2:
@@ -389,8 +391,6 @@ def _place_scene(spec: SceneSpec, rng: np.random.Generator):
     """
     dims = spec.room.dimensions
     margin = WALL_MARGIN
-    if np.any(dims <= 2 * margin):
-        raise ValueError(f"room too small for the {WALL_MARGIN} m wall margin")
     aperture = spec.geometry.aperture
     for _ in range(500):
         phi = rng.uniform(0.0, 2.0 * np.pi)

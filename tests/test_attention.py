@@ -43,6 +43,13 @@ class TestPsmMask:
         with pytest.raises(ValueError):
             attention.psm_mask(_spec(np.zeros((1, 2, 2))), _spec(np.zeros((1, 2, 3))))
 
+    @pytest.mark.parametrize("make", [attention.psm_mask, attention.magnitude_ratio_mask])
+    def test_rate_mismatch_raises(self, make):
+        """Equal shapes at different rates are different frequencies: both rates are named."""
+        bins = np.ones((1, 2, 2))
+        with pytest.raises(ValueError, match="sample rates differ: 8000 and 16000 Hz"):
+            make(MultichannelSpectrogram(bins, 8000.0, 2), _spec(bins))
+
     def test_upper_bound_by_magnitude_ratio_term(self):
         rng = np.random.default_rng(0)
         xd = rng.standard_normal((1, 5, 4)) + 1j * rng.standard_normal((1, 5, 4))

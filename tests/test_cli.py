@@ -138,6 +138,21 @@ class TestEstimate:
         assert main(["estimate", "--input", str(broadside_wav), "--mask", "oracle-psm"]) == 1
         assert "--direct" in capsys.readouterr().err
 
+    def test_direct_at_another_rate_is_usage_error(self, broadside_wav, tmp_path, capsys):
+        """A --direct WAV of the same length at 8 kHz gives an equal-shaped STFT of other frequencies."""
+        direct = tmp_path / "direct8k.wav"
+        write_wav(direct, TimeSignal(white_noise(4, 4000, seed=1).samples, 8000.0))
+        argv = ["--input", str(broadside_wav), "--direct", str(direct), "--method", "srp-mp", "--mask", "oracle-psm"]
+        assert main(["estimate", *argv]) == 1
+        assert "8000 and 16000 Hz" in _one_error_line(capsys)
+
+    def test_music_on_silence_is_usage_error(self, tmp_path, capsys):
+        """A silent WAV has no direction: MUSIC exits 1 like both SRPs instead of picking 0 degrees."""
+        silent = tmp_path / "silent.wav"
+        write_wav(silent, TimeSignal(np.zeros((4, 4000)), float(FS)))
+        assert main(["estimate", "--input", str(silent), "--method", "music"]) == 1
+        assert "silent input" in _one_error_line(capsys)
+
     def test_direct_not_read_without_an_oracle_mask(self, broadside_wav, tmp_path, capsys):
         missing = str(tmp_path / "missing.wav")
         assert main(["estimate", "--input", str(broadside_wav), "--mask", "none", "--direct", missing]) == 0
@@ -566,7 +581,7 @@ class TestExitCodes:
             ({"stft": {"window_length": 511, "hop": 256}}, 0),
             ({"methods": ["music"], "num_sources_music": 4}, 1),
             ({"masks": ["nope"]}, 0),
-            ({"rooms": [[1.0, 1.0, 1.0]]}, 1),
+            ({"rooms": [[1.0, 1.0, 1.0]]}, 0),
             ({"methods": ["music"], "eval_frames": 1}, 1),
             ({"source": 5}, 0),
             ({"interferer": 3, "sir_db": 0}, 0),
@@ -649,6 +664,15 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         assert _one_error_line(capsys) == "error: zero-energy source\n"
         assert not any((tmp_path / "x").glob("*"))
+
+    def test_room_below_the_wall_margin_simulates_nothing(self, tmp_path, capsys, monkeypatch):
+        """A room too small for the wall margin exits 1 naming it, before any scene or --out-dir is made."""
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = _write_config(tmp_path / "cfg.json", rooms=[[6.0, 5.0, 2.7], [1.5, 5.0, 2.7]])
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert "room too small for the 1.0 m wall margin" in _one_error_line(capsys)
+        assert calls == [] and not (tmp_path / "x").exists()
 
     def test_rejected_simulate_config_makes_no_directory(self, tmp_path, capsys):
         """A config whose scenes cannot be built exits 1 before --out-dir is created."""

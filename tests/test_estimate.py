@@ -459,6 +459,26 @@ class TestNormMusic:
         with pytest.raises(ValueError, match="empty attention"):
             EstimatorCore(spec, GRID, geom).spectra("music", [mask])
 
+    def test_silent_attended_rows_raise(self):
+        """A zero covariance has a flat pseudospectrum: a mask that attends only to silent rows raises,
+        while a mask that also attends to rows with signal still finds the source."""
+        spec, geom = _plane_wave_spec(70.0, seed=29)
+        bins = spec.bins.copy()
+        bins[:, 20:181] = 0.0
+        core = EstimatorCore(MultichannelSpectrogram(bins, spec.sample_rate, spec.window_length), GRID, geom)
+        silent = band_range_mask(spec.num_bins, spec.num_frames, 20, 180)
+        with pytest.raises(ValueError, match="silent input"):
+            core.spectra("music", [silent])
+        wide = band_range_mask(spec.num_bins, spec.num_frames, 10, 180)
+        assert pick_doa(core.spectra("music", [wide])[0], GRID) == 70.0
+
+    def test_underflowing_input_raises(self):
+        """Products of a plane wave scaled by 1e-200 underflow to zero in every band."""
+        geom = ArrayGeometry.uniform(4, 0.08)
+        samples = plane_wave_synthesize(white_noise(1, 4000, seed=30), 70.0, geom).samples * 1e-200
+        with pytest.raises(ValueError, match="silent input"):
+            EstimatorCore(stft(TimeSignal(samples, float(FS))), GRID, geom).spectra("music", [None])
+
 
 class TestMethodDispatch:
     def setup_method(self):
@@ -543,10 +563,8 @@ class TestSteeringTables:
     @staticmethod
     def _fresh(grid, geom, sample_rate, window_length):
         key = (tuple(grid.angles_deg.tolist()), tuple(geom.mic_distances.tolist()), geom.speed_of_sound)
-        return tuple(
-            builder.__wrapped__(*key, sample_rate, window_length)
-            for builder in (estimate._pair_steering_table, estimate._steering_table)
-        )
+        steering, pair_steering = estimate._steering_tables.__wrapped__(*key, sample_rate, window_length)
+        return pair_steering, steering
 
     def test_equal_geometry_shares_one_table(self):
         spec, _ = _plane_wave_spec(70.0, seed=31)
@@ -606,19 +624,19 @@ class TestSteeringTables:
         assert "steering" not in vars(core) and "products" not in vars(core)
         assert {"pairs", "pair_steering"} <= set(vars(core))
 
-    def test_srp_builds_no_music_steering(self):
-        """SRP on a geometry no core has used adds no entry to the MUSIC steering cache."""
+    def test_srp_and_music_share_one_entry(self):
+        """An SRP core and a MUSIC core on a geometry no core has used build one steering entry between them."""
         geom = ArrayGeometry.uniform(4, 0.0731)
         spec = stft(plane_wave_synthesize(white_noise(1, 4000, seed=36), 70.0, geom))
-        core = EstimatorCore(spec, GRID, geom)
         mask = band_range_mask(spec.num_bins, spec.num_frames, 20, 180)
-        misses = estimate._steering_table.cache_info().misses
-        core.spectra("srp-p", [None])
-        core.spectra("srp-mp", [mask])
-        core.per_frame("srp-p", None)
-        core.per_frame("srp-mp", mask)
-        assert estimate._steering_table.cache_info().misses == misses
-        assert "pair_steering" in vars(core)
+        misses = estimate._steering_tables.cache_info().misses
+        srp, music = EstimatorCore(spec, GRID, geom), EstimatorCore(spec, GRID, geom)
+        srp.spectra("srp-p", [None])
+        srp.spectra("srp-mp", [mask])
+        srp.per_frame("srp-mp", mask)
+        music.spectra("music", [mask])
+        assert estimate._steering_tables.cache_info().misses == misses + 1
+        assert "steering" not in vars(srp) and "pair_steering" not in vars(music)
 
 
 class TestValidation:
