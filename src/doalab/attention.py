@@ -3,7 +3,8 @@
 A mask is a plain float (K, N) array of weights in [0, 1] that downweights
 time-frequency bins dominated by noise, interference, or reverberation
 before DOA estimation. Oracle masks are computed at microphone 1 from the
-ground-truth direct-path spectrogram; band-selection masks activate fixed
+ground-truth direct-path spectrogram, which may hold microphone 1 alone;
+band-selection masks activate fixed
 frequency rows. :class:`doalab.estimate.EstimatorCore` checks each mask's
 shape and range once in every estimate, for every method.
 """
@@ -21,10 +22,11 @@ MASK_MAGIC = b"DOAMASK1"
 
 
 def _check_shapes(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram):
+    """Both at one rate with equal bins and frames; only microphone 1 is read, so the channel counts may differ."""
     if direct.sample_rate != mixture.sample_rate:
         raise ValueError(f"direct and mixture sample rates differ: {direct.sample_rate:g} and {mixture.sample_rate:g} Hz")
-    if direct.bins.shape != mixture.bins.shape:
-        raise ValueError("direct and mixture spectrograms must have equal shapes")
+    if direct.bins.shape[1:] != mixture.bins.shape[1:]:
+        raise ValueError("direct and mixture spectrograms must have equal bins and frames")
 
 
 def psm_mask(direct: MultichannelSpectrogram, mixture: MultichannelSpectrogram) -> np.ndarray:

@@ -24,7 +24,7 @@ import sys
 
 from . import estimate, evaluate, simulate
 from .geometry import SPEED_OF_SOUND, ArrayGeometry, make_grid
-from .signal import DEFAULT_HOP, DEFAULT_WINDOW_LENGTH, read_wav, stft, wav_rate, write_wav
+from .signal import DEFAULT_HOP, DEFAULT_WINDOW_LENGTH, TimeSignal, read_wav, stft, wav_rate, write_wav
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,10 +70,16 @@ def cmd_estimate(args) -> int:
     grid = make_grid(args.grid)
     spec = stft(signal, args.window_length, args.hop)
 
-    def direct():  # read only if the mask needs the direct path
+    def direct():  # read only if the mask needs the direct path; oracle masks read microphone 1 alone
         if args.direct is None:
             raise ValueError(f"mask {args.mask!r} requires --direct WAV with the direct-path signal")
-        return stft(read_wav(args.direct), args.window_length, args.hop)
+        reference = read_wav(args.direct)
+        if reference.sample_rate != signal.sample_rate:
+            raise ValueError(f"--direct and --input sample rates differ: {reference.sample_rate:g} and {signal.sample_rate:g} Hz")
+        if reference.samples.shape != signal.samples.shape:
+            raise ValueError("--direct holds {} channel(s) of {} samples, --input {} of {}; they must match".format(
+                *reference.samples.shape, *signal.samples.shape))
+        return stft(TimeSignal(reference.samples[:1], reference.sample_rate), args.window_length, args.hop)
 
     mask = evaluate.build_masks([args.mask], spec, direct)[0]
 

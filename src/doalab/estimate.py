@@ -19,8 +19,10 @@ and its pair products E (SRP) depend only on the grid, the array and the
 STFT, so both are built in one cache entry per geometry, when a method first
 reads either, and every core shares them. Its one entry point,
 :meth:`EstimatorCore.spectra`, checks and weights a list of masks in one
-place and evaluates them all at once: SRP is one matrix product, MUSIC one
-batched eigendecomposition over all (mask, bin) pairs. Spectra are plain
+place and evaluates them all at once: SRP is one matrix product; MUSIC is one
+real product that gives every mask's covariance in every bin, one batched
+eigendecomposition over the (mask, bin) pairs it averages, and one projection
+per block of bins with every mask's noise vectors as columns. Spectra are plain
 float arrays: one (M, C) array, a row per mask over the DOA grid. The pair
 steering is the pair products ``E = D*_q D_j`` of the steering matrix ``D`` of
 :func:`doalab.geometry.steering_matrix`, so SRP and MUSIC steer the same D, and
@@ -41,6 +43,7 @@ from .signal import MultichannelSpectrogram, is_finite_number, is_integer
 DEFAULT_PHAT_EPSILON = 1e-8
 MIN_BAND_WEIGHT = 1e-6  # MUSIC drops bands below this share of the mask's largest band weight
 METHODS = {"srp-p": 0, "srp-mp": 2, "music": 1}  # each method weights a mask M by M ** power
+MUSIC_BLOCK_BINS = 32  # MUSIC projects this many bins at a time, so its temporaries stay near 1 MB
 
 
 def _resolve_frames(num_frames: int, frame_range) -> slice:
@@ -82,6 +85,30 @@ def _steering_tables(
     for table in (steering, pair_steering):
         table.setflags(write=False)
     return steering, pair_steering
+
+
+def _pseudospectra(steering: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """MUSIC pseudospectra ``1 / max(||E_n^H a||^2, 1e-12)`` of conjugate noise vectors (K, Q, M', R),
+    each normalized to max 1 over the grid, shape (K, C, M').
+
+    With a the steering column of each grid angle, ``E_n^H a`` over the grid is ``D conj(E_n)``: one
+    product per bin of the steering matrix D with all M' R conjugate noise vectors as columns,
+    ``MUSIC_BLOCK_BINS`` bins at a time, squared in place and summed over each mask's R columns.
+    """
+    k, q, m, rank = noise.shape
+    columns = noise.reshape(k, q, m * rank)
+    manifold = steering.transpose(1, 0, 2)  # (K, C, Q)
+    pseudo = np.empty((k, manifold.shape[1], m))
+    proj = np.empty((MUSIC_BLOCK_BINS, manifold.shape[1], m * rank), dtype=complex)
+    power = proj.view(np.float64).reshape(*proj.shape[:2], m, 2 * rank)  # [Re, Im] of each mask's R columns
+    for start in range(0, k, MUSIC_BLOCK_BINS):
+        block, size = slice(start, start + MUSIC_BLOCK_BINS), min(MUSIC_BLOCK_BINS, k - start)
+        np.matmul(manifold[block], columns[block], out=proj[:size])
+        np.square(power[:size], out=power[:size])
+        np.einsum("bcmr->bcm", power[:size], out=pseudo[block])
+    np.divide(1.0, np.maximum(pseudo, 1e-12, out=pseudo), out=pseudo)
+    pseudo /= pseudo.max(axis=1, keepdims=True)
+    return pseudo
 
 
 class EstimatorCore:
@@ -151,9 +178,17 @@ class EstimatorCore:
 
     @cached_property
     def products(self) -> np.ndarray:
-        """Per-bin outer products ``Y Y^H`` over the frame range, shape (K, Q*Q, N_range)."""
-        q, k, n = self.bins.shape
-        return np.einsum("qkn,jkn->kqjn", self.bins, np.conj(self.bins)).reshape(k, q * q, n)
+        """Per-bin outer products ``Y Y^H`` over the frame range as real rows, shape (K, Q + 2P, N_range).
+
+        Per bin the diagonal ``|Y_q|^2``, then the upper triangle, the :func:`_pair_products`
+        ``[Re, Im]`` of ``Y_q Y*_j``. Y is first scaled by the power of two that brings its largest
+        real or imaginary part into [0.5, 1): the scaling is exact and leaves every noise subspace
+        as it was, and no covariance overflows. An all-zero Y stays zero.
+        """
+        y = np.ascontiguousarray(self.bins.swapaxes(0, 1))  # (K, Q, N)
+        parts = y.view(np.float64)
+        np.ldexp(parts, -np.frexp(np.abs(parts).max())[1], out=parts)
+        return np.concatenate([y.real**2 + y.imag**2, _pair_products(y, axis=1)], axis=1)
 
     def _weights(self, method: str, masks) -> tuple[np.ndarray, list[int]]:
         """Distinct weights of ``method`` over the frame range, shape (M', K, N_range),
@@ -210,6 +245,13 @@ class EstimatorCore:
         scaling a mask drops no band, or when fewer than ``num_sources`` of
         its frames have weight: its covariance then has rank below
         ``num_sources`` and no unique noise subspace.
+
+        Every stage runs once for all masks, bin-major: one real product of
+        :attr:`products` with the weights gives every covariance's diagonal and
+        upper triangle, ``eigh`` (which reads the lower triangle) runs once over
+        the (bin, mask) pairs that are averaged, and their noise vectors become
+        the columns of one (K, Q, (Q - num_sources) M') array, zero for a pair that
+        is not, which the manifold projects ``MUSIC_BLOCK_BINS`` bins at a time.
         """
         q = self.bins.shape[0]
         if not is_integer(num_sources, 1, q - 1):
@@ -222,28 +264,35 @@ class EstimatorCore:
         if not np.all(np.any(active, axis=1)):
             raise ValueError(f"empty attention: no band of the mask has weight in {num_sources} or more frames")
 
-        # (K, Q*Q, N) @ (K, N, M') -> (M', K, Q*Q): every mask's covariance of every bin
-        cov = np.moveaxis(self.products @ weights.transpose(1, 2, 0), 2, 0)
-        cov = cov.reshape(*active.shape, q, q)[active]
-        cov /= band_weight[active][:, None, None]
-        silent = np.einsum("kii->k", cov.real) == 0  # eigh of a zero covariance gives a flat pseudospectrum
-        _, eigvecs = np.linalg.eigh(cov)
-        noise = eigvecs[:, :, : q - num_sources]  # ascending eigenvalues
+        pseudo = _pseudospectra(self.steering, self._noise_vectors(weights, band_weight, active, q - num_sources))
+        bands = np.where(active, band_weight, 0.0)
+        values = np.einsum("mk,kcm->mc", bands, pseudo) / bands.sum(axis=1, keepdims=True)
+        return np.stack([normalize_sps(row) for row in values])
 
-        # the array manifold of the delay model is the conjugate steering column
-        manifold = np.conj(self.steering).transpose(1, 0, 2)  # (K, C, Q)
-        spectra = []
-        stop = 0
-        for bands, band_active in zip(band_weight, active):
-            start, stop = stop, stop + np.count_nonzero(band_active)
-            if silent[start:stop].all():
-                raise ValueError("silent input: every band the mask attends to has a zero covariance")
-            proj = manifold[band_active] @ noise[start:stop]  # (K_a, C, Q - num_sources)
-            pseudo = 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=2), 1e-12)
-            pseudo /= pseudo.max(axis=1, keepdims=True)
-            values = bands[band_active] @ pseudo / bands[band_active].sum()
-            spectra.append(normalize_sps(values))
-        return np.stack(spectra)
+    def _noise_vectors(self, weights: np.ndarray, band_weight: np.ndarray, active: np.ndarray, rank: int) -> np.ndarray:
+        """Conjugate noise vectors of every averaged (mask, bin) pair of :meth:`_music`, shape (K, Q, M', rank),
+        zero for a pair that is not averaged: the eigenvectors of the ``rank`` smallest eigenvalues."""
+        q = self.bins.shape[0]
+        pick = active.T  # (K, M'), the averaged pairs in bin-major order
+        # (K, Q + 2P, N) @ (K, N, M') -> (K, Q + 2P, M'): each covariance's diagonal and upper triangle
+        upper = np.swapaxes(self.products @ weights.transpose(1, 2, 0), 1, 2)[pick]
+        upper /= band_weight.T[pick][:, None]
+        loud = np.zeros(pick.shape, dtype=bool)
+        loud[pick] = upper[:, :q].sum(axis=1) > 0  # eigh of a zero covariance gives a flat pseudospectrum
+        if not np.all(np.any(loud, axis=0)):
+            raise ValueError("silent input: every band the mask attends to has a zero covariance")
+        cov = np.zeros((len(upper), q, q), dtype=complex)  # eigh reads the lower triangle, the conjugate
+        parts = cov.view(np.float64).reshape(len(upper), q, q, 2)
+        diagonal, (first, second) = np.arange(q), np.triu_indices(q, 1)
+        parts[:, diagonal, diagonal, 0] = upper[:, :q]
+        parts[:, second, first, 0] = upper[:, q : q + first.size]
+        parts[:, second, first, 1] = -upper[:, q + first.size :]
+        eigvecs = np.linalg.eigh(cov)[1]  # ascending eigenvalues
+        k, m = pick.shape
+        noise = np.zeros((k, q, m, rank), dtype=complex)
+        bins, masks = np.nonzero(pick)
+        noise[bins, :, masks] = np.conj(eigvecs[:, :, :rank])
+        return noise
 
     def spectra(self, method: str, masks, num_sources: int = 1) -> np.ndarray:
         """Normalized spatial power spectra of one of :data:`METHODS`, shape (M, C).

@@ -31,7 +31,7 @@ import numpy as np
 from . import attention, estimate, simulate
 from .blas import one_blas_thread
 from .geometry import ArrayGeometry, DoaGrid, make_grid
-from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, is_finite_number, is_integer, stft
+from .signal import DEFAULT_HOP, DEFAULT_SAMPLE_RATE, DEFAULT_WINDOW_LENGTH, TimeSignal, is_finite_number, is_integer, stft
 
 ACC_THRESHOLD_DEG = 5.0
 PSACC_THRESHOLD_DEG = 10.0
@@ -386,12 +386,14 @@ def _central_frames(num_frames: int, eval_frames: int):
 def scene_inputs(spec, cfg: dict):
     """``(core, masks)`` of one simulated scene: the :class:`~doalab.estimate.EstimatorCore`
     over the central ``eval_frames`` with the config's grid and ``max_freq_hz``, one mask per
-    kind in config order. :func:`build_masks` takes the direct-path STFT only if an oracle kind needs it."""
+    kind in config order. :func:`build_masks` takes the direct-path STFT, of microphone 1 alone, only if
+    an oracle kind needs it."""
     truth = simulate.mix_scene(spec)
     mixture = stft(truth.mixture, spec.window_length, spec.hop)
     frames = _central_frames(mixture.num_frames, cfg["eval_frames"])
     core = estimate.EstimatorCore(mixture, make_grid(cfg["grid_size"]), spec.geometry, frames, cfg["max_freq_hz"])
-    direct = functools.partial(stft, truth.direct[0], spec.window_length, spec.hop)  # taken only for an oracle mask
+    source = truth.direct[0]  # taken only for an oracle mask, at microphone 1, the one channel oracle masks read
+    direct = functools.partial(stft, TimeSignal(source.samples[:1], source.sample_rate), spec.window_length, spec.hop)
     return core, build_masks(cfg["masks"], mixture, direct, spec.seed)
 
 

@@ -50,6 +50,13 @@ class TestPsmMask:
         with pytest.raises(ValueError, match="sample rates differ: 8000 and 16000 Hz"):
             make(MultichannelSpectrogram(bins, 8000.0, 2), _spec(bins))
 
+    @pytest.mark.parametrize("make", [attention.psm_mask, attention.magnitude_ratio_mask])
+    def test_direct_path_of_microphone_1_alone(self, make):
+        """Oracle masks read microphone 1 only, so a one-channel direct path gives the four-channel mask."""
+        rng = np.random.default_rng(1)
+        direct, mixture = (rng.standard_normal((2, 4, 5, 3)) + 1j * rng.standard_normal((2, 4, 5, 3)))
+        np.testing.assert_array_equal(make(_spec(direct[:1]), _spec(mixture)), make(_spec(direct), _spec(mixture)))
+
     def test_upper_bound_by_magnitude_ratio_term(self):
         rng = np.random.default_rng(0)
         xd = rng.standard_normal((1, 5, 4)) + 1j * rng.standard_normal((1, 5, 4))

@@ -146,6 +146,16 @@ class TestEstimate:
         assert main(["estimate", *argv]) == 1
         assert "8000 and 16000 Hz" in _one_error_line(capsys)
 
+    @pytest.mark.parametrize("channels, samples", [(2, 4000), (1, 4000), (4, 4010)])
+    def test_direct_of_another_shape_is_usage_error(self, broadside_wav, tmp_path, capsys, channels, samples):
+        """The direct WAV must hold the input's channels and samples, also where its microphone-1 STFT
+        has the input's bins and frames (4010 samples give the 14 frames of 4000)."""
+        direct = tmp_path / "direct.wav"
+        write_wav(direct, TimeSignal(white_noise(channels, samples, seed=1).samples, float(FS)))
+        argv = ["--input", str(broadside_wav), "--direct", str(direct), "--method", "srp-mp", "--mask", "oracle-psm"]
+        assert main(["estimate", *argv]) == 1
+        assert f"{channels} channel(s) of {samples} samples, --input 4 of 4000" in _one_error_line(capsys)
+
     def test_music_on_silence_is_usage_error(self, tmp_path, capsys):
         """A silent WAV has no direction: MUSIC exits 1 like both SRPs instead of picking 0 degrees."""
         silent = tmp_path / "silent.wav"

@@ -1,10 +1,12 @@
 """SRP-PHAT, masked SRP, the pair form, MUSIC, and the flop model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from doalab import estimate
-from doalab.attention import band_range_mask
+from doalab.attention import band_range_mask, random_band_mask
 from doalab.estimate import (
     EstimatorCore,
     normalize_sps,
@@ -24,6 +26,7 @@ from srp_reference import (
     narrowband_srp,
     output_masking,
     phat_weighting,
+    reference_norm_music,
     srp,
 )
 from synthesis import plane_wave_synthesize
@@ -472,12 +475,64 @@ class TestNormMusic:
         wide = band_range_mask(spec.num_bins, spec.num_frames, 10, 180)
         assert pick_doa(core.spectra("music", [wide])[0], GRID) == 70.0
 
-    def test_underflowing_input_raises(self):
-        """Products of a plane wave scaled by 1e-200 underflow to zero in every band."""
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200])
+    def test_extreme_scales_find_the_source(self, scale):
+        """The spectrogram is scaled by a power of two before its products are formed, so they
+        neither overflow (1e160 made eigh raise) nor underflow (1e-200 read as silent input)."""
         geom = ArrayGeometry.uniform(4, 0.08)
-        samples = plane_wave_synthesize(white_noise(1, 4000, seed=30), 70.0, geom).samples * 1e-200
-        with pytest.raises(ValueError, match="silent input"):
-            EstimatorCore(stft(TimeSignal(samples, float(FS))), GRID, geom).spectra("music", [None])
+        samples = plane_wave_synthesize(white_noise(1, 4000, seed=30), 70.0, geom).samples * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sps = EstimatorCore(stft(TimeSignal(samples, float(FS))), GRID, geom).spectra("music", [None])[0]
+        assert pick_doa(sps, GRID) == 70.0
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_power_of_two_scale_leaves_the_spectrum(self, exponent):
+        spec, geom = _plane_wave_spec(70.0, seed=30)
+        scaled = MultichannelSpectrogram(np.ldexp(1.0, exponent) * spec.bins, spec.sample_rate, spec.window_length)
+        mask = band_range_mask(spec.num_bins, spec.num_frames, 20, 180)
+        spectra = [EstimatorCore(s, GRID, geom).spectra("music", [None, mask]) for s in (spec, scaled)]
+        np.testing.assert_array_equal(spectra[1], spectra[0])
+
+
+class TestBlockedMusic:
+    """MUSIC projects ``MUSIC_BLOCK_BINS`` bins at a time with every mask's noise vectors as columns."""
+
+    @staticmethod
+    def _case(window_length):
+        geom = ArrayGeometry.uniform(4, 0.08)
+        mix = sum(plane_wave_synthesize(white_noise(1, 4000, seed=40 + i), doa, geom).samples for i, doa in enumerate((60.0, 125.0)))
+        spec = stft(TimeSignal(mix + 0.1 * white_noise(4, 4000, seed=42).samples, float(FS)), window_length, window_length // 2)
+        k, n = spec.num_bins, spec.num_frames
+        soft = np.random.default_rng(window_length).uniform(size=(k, n))
+        sparse, tiny, few = soft.copy(), soft.copy(), np.zeros((k, n))
+        sparse[::3] = 0.0  # inactive bins
+        tiny[5:12] *= 1e-9  # below MIN_BAND_WEIGHT of the largest band weight
+        few[:, :2], few[::2, 2:5] = 1.0, 1.0  # every other band has weight in only 2 frames
+        lo = 34 if k > 41 else 3  # a band inside one block
+        masks = [None, soft, np.where(soft < 0.7, 0.0, 1.0), sparse, tiny, few,
+                 band_range_mask(k, n, lo, lo + 6), random_band_mask(k, n, k // 4, seed=1)]
+        return spec, geom, masks
+
+    # K = 16, 64 and 65: one short block, whole blocks, and a last block of one bin
+    @pytest.mark.parametrize("window_length", [30, 126, 128])
+    @pytest.mark.parametrize("num_sources", [1, 2, 3])
+    def test_matches_the_per_mask_reference(self, window_length, num_sources):
+        spec, geom, masks = self._case(window_length)
+        frames = (1, spec.num_frames - 1)
+        spectra = EstimatorCore(spec, GRID, geom, frames).spectra("music", masks, num_sources)
+        for i, (mask, sps) in enumerate(zip(masks, spectra)):
+            mask = np.ones((spec.num_bins, spec.num_frames)) if mask is None else mask
+            ref = reference_norm_music(spec, mask, GRID, geom, num_sources, frames)
+            assert np.max(np.abs(sps - ref)) <= 1e-12 * np.max(np.abs(ref)), i
+            assert pick_doa(sps, GRID) == pick_doa(ref, GRID), i
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_size_leaves_the_spectra(self, monkeypatch, block):
+        spec, geom, masks = self._case(128)
+        expected = EstimatorCore(spec, GRID, geom).spectra("music", masks, 2)
+        monkeypatch.setattr(estimate, "MUSIC_BLOCK_BINS", block)
+        np.testing.assert_array_equal(EstimatorCore(spec, GRID, geom).spectra("music", masks, 2), expected)
 
 
 class TestMethodDispatch:

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -534,6 +535,13 @@ class TestSharedCore:
         assert len(records) == len(masks) * 3
         assert len(calls) == 1
 
+    def test_direct_path_stft_is_taken_at_microphone_1(self, monkeypatch):
+        channels = []
+        monkeypatch.setattr(evaluate, "stft", lambda signal, *args: channels.append(signal.num_channels) or stft(signal, *args))
+        _, spec, cfg = _sweep_scenes()[0]
+        evaluate.scene_inputs(spec, cfg)
+        assert channels == [4, 1]
+
     def test_one_eigh_and_one_srp_p_spectrum_per_scene(self, monkeypatch):
         counts = Counter()
         eigh, normalize = np.linalg.eigh, estimate.normalize_sps
@@ -588,6 +596,22 @@ class TestBatchedCore:
                         ref = reference_norm_music(mix, mask, grid, spec.geometry, num_sources, frames, limit)
                     scale = np.max(np.abs(ref))
                     assert np.max(np.abs(sps - ref)) <= 1e-12 * scale, (method, num_sources, kind)
+
+    def test_music_peak_memory(self):
+        """One MUSIC call over a sweep scene's 15 masks (257 bins, 50 frames), with the products it
+        forms, peaks at no more traced memory than the per-mask projection before the blocked pass
+        did (8.71 MB)."""
+        _, spec, cfg = _sweep_scenes()[0]
+        core, masks = evaluate.scene_inputs(spec, cfg)
+        assert len(masks) == 15 and core.bins.shape == (4, 257, 50)
+        core.steering  # the geometry's shared table is not the call's
+        tracemalloc.start()
+        try:
+            core.spectra("music", masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.71e6
 
     def test_equal_masks_evaluated_once(self, monkeypatch):
         _, spec, cfg = _sweep_scenes()[0]

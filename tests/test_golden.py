@@ -5,7 +5,8 @@ must write committed outputs, and the layers under them must not move.
 by all three methods under seven mask kinds (168 records). ``golden/expected/``
 holds the ``records.csv``, ``report.json``, ``confusion.csv`` and psACC files
 that ``doalab eval`` wrote for it, and ``golden/environment.json`` the numpy
-version, Python version and platform they were made with. The test re-runs
+version, Python version, CPU architecture (``platform.machine()``) and C
+library (``platform.libc_ver()``) they were made with. The test re-runs
 the config at ``--jobs`` 1 and 2, and once in this process with OpenBLAS at two
 threads, and compares every file byte for byte; on a mismatch it names the
 first file and line that differ.
@@ -31,8 +32,8 @@ nothing is skipped. A pick moves under another numpy, BLAS or CPU only where
 two grid angles tie to rounding; a failure therefore prints the recorded and
 the current environment, and expected files are rewritten only in the
 recorded one. The layer digests are compared exactly, but only where the
-numpy version and platform equal the recorded ones; elsewhere that test skips
-and says why. Simulation, STFT and masks do not depend on the BLAS thread
+numpy version, CPU architecture and C library equal the recorded ones;
+elsewhere that test skips and says why. Simulation, STFT and masks do not depend on the BLAS thread
 count, so the digests hold at any. Spectra bits do: SRP is a matrix product
 whose rounding follows the OpenBLAS thread count, so spectra rows are compared
 everywhere to within 1e-9 of each row's largest magnitude, the tolerance with
@@ -71,6 +72,8 @@ EXPECTED = GOLDEN / "expected"
 ESTIMATES = GOLDEN / "estimate"
 LAYERS = GOLDEN / "layers.json"
 SPECTRA = GOLDEN / "spectra.json"
+# what the layer digests depend on; the kernel release, say, does not move a bit of them
+DIGEST_ENVIRONMENT = ("numpy", "machine", "libc")
 # request kind -> the arguments of its `doalab estimate` call after --input
 ESTIMATE_REQUESTS = {
     "srp-p": ["--mask", "none"],
@@ -80,7 +83,12 @@ ESTIMATE_REQUESTS = {
 
 
 def _environment() -> dict:
-    return {"numpy": np.__version__, "python": platform.python_version(), "platform": platform.platform()}
+    return {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "libc": " ".join(platform.libc_ver()),
+    }
 
 
 def _run_eval(out_dir: Path, jobs: int) -> None:
@@ -189,7 +197,7 @@ def test_eval_at_two_blas_threads_writes_the_golden_bytes(tmp_path, monkeypatch)
 
 def test_layers_match_the_golden_digests(layers):
     recorded, current = json.loads((GOLDEN / "environment.json").read_text()), _environment()
-    if any(recorded[key] != current[key] for key in ("numpy", "platform")):
+    if any(recorded[key] != current[key] for key in DIGEST_ENVIRONMENT):
         pytest.skip(f"layer digests were made with {recorded}, this run has {current}")
     want, have = json.loads(LAYERS.read_text()), layers[0]
     assert have.keys() == want.keys()

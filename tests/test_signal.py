@@ -58,6 +58,12 @@ class TestStft:
             expected = np.fft.rfft(x[:, idx] * analysis_window(window_length), axis=-1).transpose(0, 2, 1)
             assert np.array_equal(stft(TimeSignal(x, FS), window_length, hop).bins, expected), (length, hop)
 
+    @pytest.mark.parametrize("samples", [512, 4000, 16011])
+    def test_one_channel_gives_its_row_of_the_multichannel_stft(self, samples):
+        """Oracle masks take the direct path's STFT of microphone 1 alone; it equals row 0 of all four to the bit."""
+        x = np.random.default_rng(samples).standard_normal((4, samples))
+        np.testing.assert_array_equal(stft(TimeSignal(x[:1], FS)).bins[0], stft(TimeSignal(x, FS)).bins[0])
+
     def test_too_short_signal_raises(self):
         with pytest.raises(ValueError, match="insufficient samples"):
             stft(TimeSignal(np.zeros((1, 100)), FS), 512, 256)
