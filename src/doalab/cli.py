@@ -10,8 +10,9 @@ line ``error: <message>`` to stderr. ``eval`` bounds worker parallelism,
 without affecting output bytes, by the first of ``--jobs``, the config's
 ``jobs``, the environment variable ``DOALAB_JOBS`` and 1 that is set.
 A mask value, of ``--mask`` or a config's ``masks``, is read by
-:func:`doalab.evaluate.parse_mask` alone. ``--vthr-sweep LO:HI:STEP`` adds the
-binarized oracle ratio masks from LO up to HI, all three in whole hundredths.
+:func:`doalab.evaluate.parse_mask` alone; a ``file:PATH`` must exist when the
+config is validated. ``--vthr-sweep LO:HI:STEP`` adds to the config's ``masks``
+the binarized oracle ratio masks from LO up to HI, all three in whole hundredths.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
-    if args.methods:
+    if args.methods is not None:
         config["methods"] = args.methods.split(",")
-    if args.vthr_sweep:
+    if args.vthr_sweep is not None:
         try:
             lo, hi, step = (float(x) for x in args.vthr_sweep.split(":"))
         except ValueError as exc:
@@ -116,7 +117,8 @@ def cmd_eval(args) -> int:
         if step < 1 or any(abs(x - round(x)) > 1e-7 for x in hundredths):
             raise ValueError(f"--vthr-sweep {args.vthr_sweep} needs LO, HI and STEP in whole hundredths")
         thresholds = range(lo, hi + 1, step)  # at most 101, and none above HI
-        config["masks"] = list(config.get("masks", [])) + [f"oracle-ratio-bin:{t / 100:.2f}" for t in thresholds]
+        masks = config.get("masks", evaluate._DEFAULTS["masks"])  # validate_config names any non-list
+        config["masks"] = masks + [f"oracle-ratio-bin:{t / 100:.2f}" for t in thresholds] if isinstance(masks, list) else masks
     if args.jobs is not None:
         config["jobs"] = args.jobs
     elif "jobs" not in config and "DOALAB_JOBS" in os.environ:

@@ -38,18 +38,18 @@ PSACC_THRESHOLD_DEG = 10.0
 
 CSV_COLUMNS = ["scene_id", "method", "mask", "true_doa_deg", "est_doa_deg", "ae_deg", "frames_used"]
 
-# mask kind -> the form of its spec and the condition on its parameters
+# mask kind -> the form of its spec, the condition on its parameters, their types and the test of that condition
 _MASK_FORMS = {
-    "none": ("none", "no parameter"),
-    "oracle-psm": ("oracle-psm", "no parameter"),
-    "oracle-ratio": ("oracle-ratio", "no parameter"),
-    "oracle-psm-bin": ("oracle-psm-bin:T", "0 <= T <= 1"),
-    "oracle-ratio-bin": ("oracle-ratio-bin:T", "0 <= T <= 1"),
-    "random-band": ("random-band:N", "an integer N >= 0"),
-    "band-range": ("band-range:LO:HI", "integers 0 <= LO <= HI"),
-    "file": ("file:PATH", "a non-empty PATH"),
+    "none": ("none", "no parameter", (), lambda: True),
+    "oracle-psm": ("oracle-psm", "no parameter", (), lambda: True),
+    "oracle-ratio": ("oracle-ratio", "no parameter", (), lambda: True),
+    "oracle-psm-bin": ("oracle-psm-bin:T", "0 <= T <= 1", (float,), lambda t: 0.0 <= t <= 1.0),
+    "oracle-ratio-bin": ("oracle-ratio-bin:T", "0 <= T <= 1", (float,), lambda t: 0.0 <= t <= 1.0),
+    "random-band": ("random-band:N", "an integer N >= 0", (int,), lambda n: n >= 0),
+    "band-range": ("band-range:LO:HI", "integers 0 <= LO <= HI", (int, int), lambda lo, hi: 0 <= lo <= hi),
+    "file": ("file:PATH", "an existing file PATH", (str,), os.path.isfile),
 }
-MASK_KINDS = ", ".join(form for form, _ in _MASK_FORMS.values())
+MASK_KINDS = ", ".join(form for form, *_ in _MASK_FORMS.values())
 
 
 @dataclass(frozen=True)
@@ -303,53 +303,44 @@ def _scene_specs(cfg: dict):
 
 
 def parse_mask(kind: str) -> tuple:
-    """Check the syntax of a mask spec and split it into ``(kind, *parameters)``.
+    """Check a mask spec against its kind's ``_MASK_FORMS`` row and split it into ``(kind, *parameters)``.
 
     ``oracle-psm-bin:0.4`` gives ``("oracle-psm-bin", 0.4)``, ``band-range:3:9``
     gives ``("band-range", 3, 9)``, and a value of no known kind that names an
-    existing file ``("file", value)``. A malformed spec raises a ``ValueError``
-    that names it and its expected form. Ranges that depend on the
-    spectrogram, such as ``random-band:N`` with N at most K, are left to
-    :func:`build_masks`.
+    existing file ``("file", value)``; ``file:PATH`` too must name an existing
+    file. A malformed spec raises a ``ValueError`` that names it and its
+    expected form. Ranges that depend on the spectrogram, such as
+    ``random-band:N`` with N at most K, are left to :func:`build_masks`.
     """
     if not isinstance(kind, str):
         raise ValueError(f"a mask spec must be a string, got {kind!r}")
-    name, colon, arg = kind.partition(":")
+    name, colon, rest = kind.partition(":")
     if name not in _MASK_FORMS:
         if os.path.isfile(kind):
             return ("file", kind)
         raise ValueError(f"unknown mask kind {kind!r}; valid: {MASK_KINDS}, or an existing mask file")
+    form, condition, types, holds = _MASK_FORMS[name]
+    args = rest.split(":", len(types) - 1) if colon else []  # the last parameter keeps any further colons
     try:
-        if name in ("none", "oracle-psm", "oracle-ratio"):
-            params, ok = (), not colon
-        elif name == "file":
-            params, ok = (arg,), bool(arg)
-        elif name == "band-range":
-            params = tuple(int(x) for x in arg.split(":"))
-            ok = len(params) == 2 and 0 <= params[0] <= params[1]
-        elif name == "random-band":
-            params = (int(arg),)
-            ok = params[0] >= 0
-        else:
-            params = (float(arg),)
-            ok = 0.0 <= params[0] <= 1.0
+        params = tuple(cast(arg) for cast, arg in zip(types, args, strict=True))
+        ok = holds(*params)
     except ValueError:
         ok = False
     if not ok:
-        raise ValueError(f"bad mask {kind!r}: expected {' with '.join(_MASK_FORMS[name])}")
+        raise ValueError(f"bad mask {kind!r}: expected {form} with {condition}")
     return (name, *params)
 
 
 def build_masks(kinds, spec, direct=None, scene_seed: int = 0) -> list:
     """One (K, N) mask array per mask spec in ``kinds``, in order, for one spectrogram.
 
-    Kinds: ``none``, ``oracle-psm``, ``oracle-ratio``, ``oracle-psm-bin:T``,
-    ``oracle-ratio-bin:T``, ``random-band:N``, ``band-range:LO:HI``,
-    ``file:PATH``, each parsed once by :func:`parse_mask`. Only the oracle
-    kinds read the direct-path spectrogram: ``direct`` is a function of no
-    arguments that returns it, called at most once and only if an oracle kind
-    is asked for, and each unthresholded oracle mask is made once per call.
-    A mask file must match the spectrogram's K x N shape.
+    The kinds are the rows of ``_MASK_FORMS``, each spec parsed once by
+    :func:`parse_mask`. Only the oracle kinds read the direct-path
+    spectrogram: ``direct`` is a function of no arguments that returns it,
+    called at most once and only if an oracle kind is asked for, and each
+    unthresholded oracle mask is made once per call. A mask file must match
+    the spectrogram's K x N shape. A ``ValueError`` that does not name its
+    spec gets the spec as a prefix.
     """
     k, n = spec.num_bins, spec.num_frames
     reference = None if direct is None else functools.cache(direct)
@@ -357,6 +348,12 @@ def build_masks(kinds, spec, direct=None, scene_seed: int = 0) -> list:
     oracle = functools.cache(lambda source: makers[source](reference(), spec))
 
     def build(kind):
+        try:
+            return make(kind)
+        except ValueError as exc:  # a builder's message gets the spec unless it names it already
+            raise exc if kind in str(exc) else ValueError(f"mask {kind!r}: {exc}") from None
+
+    def make(kind):
         name, *params = parse_mask(kind)
         if name == "none":
             return np.ones((k, n))

@@ -83,7 +83,7 @@ class SourceSpec:
 
     doa_deg: float
     smd_m: float
-    signal: str = "white"  # "white", "speech", or a WAV path
+    signal: str = "white"  # one of SOURCE_KINDS, or a WAV path
 
     def __post_init__(self):
         if not (is_finite_number(self.doa_deg, 0.0, closed=True) and self.doa_deg <= 180.0):
@@ -91,7 +91,7 @@ class SourceSpec:
         if not is_finite_number(self.smd_m, 0):
             raise ValueError(f"source-microphone distance smd_m must be a finite number > 0, got {self.smd_m!r}")
         if not isinstance(self.signal, str):
-            raise ValueError(f"source signal must be 'white', 'speech' or a WAV path, got {self.signal!r}")
+            raise ValueError(f"source signal must be {', '.join(map(repr, SOURCE_KINDS))} or a WAV path, got {self.signal!r}")
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,39 @@ class TestEval:
         report = json.loads((out_dir / "report.json").read_text())
         assert sorted(report) == ["srp-mp|none", "srp-mp|oracle-ratio-bin:0.00", "srp-mp|oracle-ratio-bin:0.03"]
 
+    def test_vthr_sweep_keeps_the_default_mask(self, tmp_path):
+        """A config without ``masks`` sweeps on top of the default ``["none"]``, as if it were spelled out."""
+        records = {}
+        for name, extra in (("default", {}), ("spelled", {"masks": ["none"]})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"t60": [0.0], "doas": [90.0], "duration_frames": 8, "eval_frames": 6, **extra}))
+            assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / name), "--vthr-sweep", "0.5:0.6:0.1"]) == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            assert sorted(report) == ["srp-p|none", "srp-p|oracle-ratio-bin:0.50", "srp-p|oracle-ratio-bin:0.60"]
+            records[name] = (tmp_path / name / "records.csv").read_bytes()
+        assert records["default"] == records["spelled"]
+
+    @pytest.mark.parametrize("masks", ["none", 5])
+    def test_vthr_sweep_leaves_a_masks_value_that_is_no_list_to_the_config_check(
+        self, tmp_path, capsys, monkeypatch, masks
+    ):
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, masks=masks)
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x"), "--vthr-sweep", "0.5:0.6:0.1"]) == 1
+        assert f"config key 'masks' must be a non-empty list, got {masks!r}" in _one_error_line(capsys)
+        assert calls == []
+
+    @pytest.mark.parametrize("flag, message", [("--methods", "unknown method ''"), ("--vthr-sweep", "invalid --vthr-sweep")])
+    def test_empty_override_is_usage_error(self, tmp_path, capsys, monkeypatch, flag, message):
+        """An empty ``--methods`` or ``--vthr-sweep`` is a bad value, not a missing flag."""
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda spec: calls.append(spec))
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1)
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x"), flag, ""]) == 1
+        assert message in _one_error_line(capsys)
+        assert calls == []
+
     def test_config_mask_may_be_a_bare_file_path(self, tmp_path, monkeypatch):
         """A config mask that is no known kind but names a file is that mask file, as with --mask."""
         monkeypatch.chdir(tmp_path)
@@ -758,6 +791,27 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
         assert repr(spec) in _one_error_line(capsys)
         assert calls == []
+
+    def test_missing_mask_file_is_usage_error(self, broadside_wav, tmp_path, capsys, monkeypatch):
+        """A ``file:PATH`` naming no file exits 1, in eval when the config is validated, before any scene."""
+        spec = f"file:{tmp_path / 'missing.mask'}"
+        assert main(["estimate", "--input", str(broadside_wav), "--mask", spec]) == 1
+        assert repr(spec) in _one_error_line(capsys)
+        calls = []
+        monkeypatch.setattr(simulate, "mix_scene", lambda scene: calls.append(scene))
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, masks=["none", spec])
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert repr(spec) in _one_error_line(capsys)
+        assert calls == []
+
+    @pytest.mark.parametrize("spec", ["random-band:300", "band-range:100:300"])
+    def test_mask_that_fails_to_build_names_its_spec(self, broadside_wav, tmp_path, capsys, spec):
+        """A spec that parses but does not fit the 257 bins of the spectrogram exits 1 naming it."""
+        assert main(["estimate", "--input", str(broadside_wav), "--mask", spec]) == 1
+        assert f"error: mask {spec!r}: " in _one_error_line(capsys)
+        cfg = _write_config(tmp_path / "cfg.json", doas=[90.0], seeds_per_doa=1, masks=["none", spec])
+        assert main(["eval", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 1
+        assert f"error: mask {spec!r}: " in _one_error_line(capsys)
 
     @pytest.mark.parametrize(
         "key, value", [("sample_rate", "x"), ("rir_length_s", 0), ("rir_length_s", "x"), ("rir_length_s", -1)]

@@ -728,3 +728,23 @@ def test_value_naming_a_file_parses_as_a_mask_file(tmp_path, monkeypatch):
     assert evaluate.parse_mask("none") == ("none",)  # a known kind wins over a file of its name
     with pytest.raises(ValueError, match="or an existing mask file"):
         evaluate.parse_mask("missing.mask")
+    with pytest.raises(ValueError, match=re.escape("bad mask 'file:missing.mask'")):
+        evaluate.parse_mask("file:missing.mask")
+
+
+@pytest.mark.parametrize("name", list(evaluate._MASK_FORMS))
+def test_mask_form_row(tmp_path, monkeypatch, name):
+    """Each ``_MASK_FORMS`` row parses a valid spec to ``(name, *params)`` of its types, and rejects
+    one parameter too many, one too few and one out of range with its form, naming the spec."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.mask").write_bytes(b"")
+    good, bad = {int: "3", float: "0.5", str: "a.mask"}, {int: "-1", float: "1.5", str: "missing.mask"}
+    form, _, types, _ = evaluate._MASK_FORMS[name]
+    args = [good[t] for t in types]
+    parsed = evaluate.parse_mask(":".join([name, *args]))
+    assert parsed == (name, *(t(a) for t, a in zip(types, args)))
+    assert [type(p) for p in parsed[1:]] == list(types)
+    wrong = [[*args, "1"]] + ([args[:-1], [bad[t] for t in types]] if types else [])
+    for spec in (":".join([name, *w]) for w in wrong):
+        with pytest.raises(ValueError, match=re.escape(f"bad mask {spec!r}: expected {form} with ")):
+            evaluate.parse_mask(spec)

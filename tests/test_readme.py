@@ -38,3 +38,9 @@ def test_documented_configs_validate():
     assert blocks, "README has no json block"
     for block in blocks:
         evaluate.validate_config(json.loads(block))
+
+
+def test_mask_kinds_listed():
+    """The README's list of mask specs is ``evaluate.MASK_KINDS``, kind by kind in its order."""
+    listed = re.search(r"the mask specs \((.*?)\)", README.read_text(), re.DOTALL).group(1)
+    assert re.sub(r"\s+", " ", listed).replace("`", "") == evaluate.MASK_KINDS

@@ -768,3 +768,9 @@ class TestSceneSpecValidation:
                 sir_db=None,
                 **{"seed": 0, "duration_frames": 4, key: value},
             )
+
+
+def test_source_signal_error_names_every_source_kind():
+    kinds = ", ".join(map(repr, simulate.SOURCE_KINDS))
+    with pytest.raises(ValueError, match=re.escape(f"source signal must be {kinds} or a WAV path, got 3")):
+        SourceSpec(90.0, 1.5, 3)
